@@ -24,6 +24,7 @@ import (
 	"repro/internal/geom"
 	"repro/internal/harness"
 	"repro/internal/mac"
+	"repro/internal/obs"
 	"repro/internal/setcover"
 	"repro/internal/sim"
 	"repro/internal/topology"
@@ -137,12 +138,22 @@ func BenchmarkAblationAggregationDelay(b *testing.B) {
 
 // BenchmarkSingleRun350 measures one full-methodology simulation at the
 // paper's densest configuration — the unit of work every figure multiplies.
-func BenchmarkSingleRun350(b *testing.B) {
+func BenchmarkSingleRun350(b *testing.B) { benchSingleRun350(b, false) }
+
+// BenchmarkSingleRun350Telemetry is BenchmarkSingleRun350 with telemetry
+// on, as `experiments` runs by default: it gates the registry, the MAC drop
+// hook and the other instrumented paths the plain run never enters.
+func BenchmarkSingleRun350Telemetry(b *testing.B) { benchSingleRun350(b, true) }
+
+func benchSingleRun350(b *testing.B, telemetry bool) {
 	for i := 0; i < b.N; i++ {
 		cfg := core.DefaultConfig()
 		cfg.Nodes = 350
 		cfg.Seed = int64(i)
 		cfg.Duration = 60 * time.Second
+		if telemetry {
+			cfg.Telemetry = &obs.Config{}
+		}
 		if _, err := core.Run(cfg); err != nil {
 			b.Fatal(err)
 		}

@@ -55,17 +55,32 @@ func installDropHook(network *mac.Network, kernel *sim.Kernel, tracer diffusion.
 	if tracer == nil && reg == nil {
 		return
 	}
-	schemeL := obs.Label{Key: "scheme", Value: scheme}
-	network.SetDropHook(func(from, to topology.NodeID, f mac.Frame, reason mac.RxDropReason) {
-		m, ok := f.Payload.(msg.Message)
-		if !ok {
+	network.SetDropHook(dropHook(kernel, tracer, reg, scheme))
+}
+
+// dropHook builds the hook installDropHook installs. Each reason's
+// mac_rx_drops{scheme,reason} counter is bound on that reason's first drop,
+// so reasons that never occur leave no zero-valued entry in the snapshot,
+// and every later drop of it is an array read and an increment.
+func dropHook(kernel *sim.Kernel, tracer diffusion.Tracer, reg *obs.Registry, scheme string) mac.DropHook {
+	var drops [mac.RxLinkLoss + 1]*obs.Counter // indexed by every reason mac defines
+	return func(from, to topology.NodeID, f mac.Frame, reason mac.RxDropReason) {
+		if _, ok := f.Payload.(msg.Message); !ok {
 			return
 		}
-		reg.Counter("mac_rx_drops", schemeL,
-			obs.Label{Key: "reason", Value: reason.String()}).Inc()
+		if reg != nil {
+			c := drops[reason]
+			if c == nil {
+				c = reg.Counter("mac_rx_drops", obs.Label{Key: "scheme", Value: scheme},
+					obs.Label{Key: "reason", Value: reason.String()})
+				drops[reason] = c
+			}
+			c.Inc()
+		}
 		if tracer == nil {
 			return
 		}
+		m := f.Payload.(msg.Message)
 		tracer.Record(trace.Event{
 			At:       kernel.Now(),
 			Op:       trace.OpDrop,
@@ -81,7 +96,7 @@ func installDropHook(network *mac.Network, kernel *sim.Kernel, tracer diffusion.
 			W:        m.W,
 			Reason:   rxDropReason(reason),
 		})
-	})
+	}
 }
 
 // snapshotter is the slice of diffusion.Runtime the snapshot scheduler needs.

@@ -5,7 +5,10 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/mac"
+	"repro/internal/msg"
 	"repro/internal/obs"
+	"repro/internal/sim"
 	"repro/internal/trace"
 )
 
@@ -110,3 +113,58 @@ type snapshotCollector struct {
 
 func (c *snapshotCollector) Record(e trace.Event)                  { c.events = append(c.events, e) }
 func (c *snapshotCollector) RecordSnapshot(s trace.SnapshotRecord) { c.snaps = append(c.snaps, s) }
+
+// TestDropHookAllocatesNothingPerDrop pins the drop hook's hot path: with a
+// registry and no tracer, once each reason's counter is bound by its first
+// drop, counting a lost reception allocates nothing, and non-protocol
+// payloads are ignored.
+func TestDropHookAllocatesNothingPerDrop(t *testing.T) {
+	reg := obs.NewRegistry()
+	hook := dropHook(sim.NewKernel(1), nil, reg, "greedy")
+	f := mac.Frame{Bytes: 64, Payload: msg.Message{Kind: msg.KindData}}
+	reasons := []mac.RxDropReason{mac.RxCollision, mac.RxReceiverOff, mac.RxSenderOff, mac.RxLinkLoss}
+	for _, r := range reasons {
+		hook(1, 2, f, r)
+	}
+	const runs = 1000
+	allocs := testing.AllocsPerRun(runs, func() {
+		for _, r := range reasons {
+			hook(1, 2, f, r)
+		}
+		hook(1, 2, mac.Frame{Bytes: 14}, mac.RxCollision)
+	})
+	if allocs != 0 {
+		t.Fatalf("drop hook allocates %v per round of %d drops, want 0", allocs, len(reasons))
+	}
+	drops := obs.Find(reg.Snapshot(), "mac_rx_drops")
+	if len(drops) != len(reasons) {
+		t.Fatalf("%d mac_rx_drops entries, want one per reason: %+v", len(drops), drops)
+	}
+	for _, m := range drops {
+		// One binding drop, AllocsPerRun's warm-up call, then the runs.
+		if m.Value != runs+2 {
+			t.Errorf("mac_rx_drops{%s} = %v, want %d", m.Labels, m.Value, runs+2)
+		}
+	}
+}
+
+// TestRxDropSnapshotHasNoZeroEntries checks that lazily bound drop counters
+// register only the reasons that actually occurred.
+func TestRxDropSnapshotHasNoZeroEntries(t *testing.T) {
+	cfg := quickCfg(SchemeGreedy)
+	cfg.Seed = 5
+	cfg.Telemetry = &obs.Config{}
+	out, err := Run(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	drops := obs.Find(out.Telemetry, "mac_rx_drops")
+	if len(drops) == 0 {
+		t.Fatal("no mac_rx_drops entries in a telemetry-on run")
+	}
+	for _, m := range drops {
+		if m.Value <= 0 {
+			t.Errorf("mac_rx_drops{%s} = %v: a reason was registered without a drop", m.Labels, m.Value)
+		}
+	}
+}

@@ -27,6 +27,9 @@ import (
 //     runner (via EncodeRunner) before EncodeState runs, and the restorer
 //     rebinds the lists in a final pass (BindAudible) after every runner is
 //     decoded.
+//   - Receiver-set slots are not serialized: decoding re-derives the
+//     unicast destination's slot, and BindAudible each audible slot, by
+//     scanning the transmission's receiver entries for the node.
 //
 // Free pools are not serialized: allocating from a pool versus fresh is
 // unobservable, so a restored network simply starts with empty pools.
@@ -169,8 +172,8 @@ func (s *Snapshotter) EncodeState(w *snap.Writer) error {
 		w.Bool(ns.sending)
 		w.Bool(ns.txActive)
 		w.U32(uint32(len(ns.audible)))
-		for _, tx := range ns.audible {
-			idx, ok := s.txIndex[tx]
+		for _, h := range ns.audible {
+			idx, ok := s.txIndex[h.tx]
 			if !ok {
 				return fmt.Errorf("mac: node %d audible transmission has no pending event", i)
 			}
@@ -393,8 +396,13 @@ func (d *Restorer) DecodeRunner(r *snap.Reader) (sim.Runner, error) {
 			return nil, fmt.Errorf("mac: receiver set length %d exceeds snapshot size", rn)
 		}
 		for i := 0; i < rn; i++ {
-			tx.recv = append(tx.recv, rxEntry{id: topology.NodeID(r.Int()), flags: r.U8()})
+			id := r.Int()
+			if err := d.checkNode(id, r); err != nil {
+				return nil, err
+			}
+			tx.recv = append(tx.recv, rxEntry{id: topology.NodeID(id), flags: r.U8()})
 		}
+		tx.dst = slotOf(tx, tx.to) + 1
 		tx.owner = &n.nodes[from]
 		if peer := r.Int(); peer >= 0 {
 			if err := d.checkNode(peer, r); err != nil {
@@ -489,8 +497,23 @@ func (d *Restorer) BindAudible() error {
 			if idx < 0 || idx >= len(d.txs) {
 				return fmt.Errorf("mac: node %d audible ref %d outside %d transmissions", i, idx, len(d.txs))
 			}
-			ns.audible = append(ns.audible, d.txs[idx])
+			tx := d.txs[idx]
+			slot := slotOf(tx, ns.id)
+			if slot < 0 {
+				return fmt.Errorf("mac: node %d hears transmission %d without a receiver entry", i, idx)
+			}
+			ns.audible = append(ns.audible, hearing{tx: tx, slot: slot})
 		}
 	}
 	return nil
+}
+
+// slotOf returns the index of id's entry in tx's receiver set, or -1.
+func slotOf(tx *transmission, id topology.NodeID) int32 {
+	for i := range tx.recv {
+		if tx.recv[i].id == id {
+			return int32(i)
+		}
+	}
+	return -1
 }

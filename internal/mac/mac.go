@@ -26,15 +26,16 @@
 //     expensive and why smaller aggregation trees save energy.
 //
 // The implementation is allocation-free in steady state and degree-bounded
-// per frame: transmissions are pooled and carry a sorted touched-list of the
+// per frame: transmissions are pooled and carry a touched-list of the
 // receivers they were put in front of (capacity grows to the radio degree,
-// never the field size), outbound frames are pooled, contention re-arms
-// through a prebuilt per-node closure, and every delayed MAC step (airtime
-// end, SIFS gaps, ACK timeouts) is dispatched through pooled sim.Runner
-// records instead of fresh closures. Density sweeps spend most of their
-// events here, so per-frame garbage directly caps simulator throughput, and
-// constant-density scale sweeps depend on per-frame work tracking degree
-// rather than population.
+// never the field size), and every receiver holds its slot in that list, so
+// settling a reception needs no search of it. Outbound frames are
+// pooled, contention re-arms through a prebuilt per-node closure, and every
+// delayed MAC step (airtime end, SIFS gaps, ACK timeouts) is dispatched
+// through pooled sim.Runner records instead of fresh closures. Density
+// sweeps spend most of their events here, so per-frame garbage directly
+// caps simulator throughput, and constant-density scale sweeps depend on
+// per-frame work tracking degree rather than population.
 package mac
 
 import (
@@ -249,67 +250,29 @@ type rxEntry struct {
 	flags uint8
 }
 
-// rxSet is a transmission's receiver set: entries kept sorted ascending by
-// node ID (insertion-sorted on a degree-bounded slice, so the residual
-// mobility sweep in end() walks IDs in exactly the order the old bitset
-// iteration produced). The backing array is retained across pool reuse, so
-// recording a receiver allocates only while the list grows toward the
-// field's maximum degree.
-type rxSet []rxEntry
-
-// find returns the index of id, or -1.
-func (s rxSet) find(id topology.NodeID) int {
-	lo, hi := 0, len(s)
-	for lo < hi {
-		mid := int(uint(lo+hi) >> 1)
-		if s[mid].id < id {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	if lo < len(s) && s[lo].id == id {
-		return lo
-	}
-	return -1
+// hearing is one frame audible at a node: the transmission and the slot of
+// that node's own entry in its receiver set, so marking the reception
+// corrupted is a direct write rather than a search.
+type hearing struct {
+	tx   *transmission
+	slot int32
 }
 
-// ensure returns the entry for id, inserting a zero-flag one in sorted
-// position if absent. The pointer is valid only until the next insert.
-func (s *rxSet) ensure(id topology.NodeID) *rxEntry {
-	t := *s
-	i := len(t)
-	for i > 0 && t[i-1].id > id {
-		i--
+// corrupt marks a reception lost to overlap, counting each reception once.
+func (n *Network) corrupt(e *rxEntry) {
+	if e.flags&rxCorrupted == 0 {
+		e.flags |= rxCorrupted
+		n.stats.Collisions++
 	}
-	if i > 0 && t[i-1].id == id {
-		return &t[i-1]
-	}
-	t = append(t, rxEntry{})
-	copy(t[i+1:], t[i:])
-	t[i] = rxEntry{id: id}
-	*s = t
-	return &t[i]
-}
-
-// has reports whether id's entry exists and carries flag.
-func (s rxSet) has(id topology.NodeID, flag uint8) bool {
-	i := s.find(id)
-	return i >= 0 && s[i].flags&flag != 0
-}
-
-// set ors flag into id's entry, inserting it if absent.
-func (s *rxSet) set(id topology.NodeID, flag uint8) {
-	s.ensure(id).flags |= flag
 }
 
 // Network simulates the shared medium for all nodes of a field.
 type Network struct {
-	kernel  *sim.Kernel
-	field   *topology.Field
-	params  Params
-	model   energy.Model
-	rng     *rand.Rand
+	kernel *sim.Kernel
+	field  *topology.Field
+	params Params
+	model  energy.Model
+	rng    *rand.Rand
 	// Sharded-run context (nil owner on the serial path). The network then
 	// hosts only the nodes owner maps to self; frames crossing a shard
 	// border travel as RemoteRx mails through shard (see NewSharded).
@@ -328,6 +291,13 @@ type Network struct {
 	drop    DropHook
 	outcome UnicastOutcome
 
+	// rxSlot maps a node to its slot plus one in the receiver set of the
+	// frame end() is settling, zero when absent. It is all zeros between
+	// end() calls, so construction needs no fill loop; movers is end()'s
+	// scratch for receivers that left range mid-frame.
+	rxSlot []int32
+	movers []int32
+
 	// Free lists recycling the per-frame hot-path records.
 	txFree    []*transmission
 	frameFree []*outFrame
@@ -341,7 +311,7 @@ type nodeState struct {
 	queue    []*outFrame
 	sending  bool // currently contending or transmitting
 	txActive bool // physically on the air right now
-	audible  []*transmission
+	audible  []hearing
 	cw       int
 	navUntil time.Duration // virtual carrier sense from overheard RTS/CTS
 	// busyUntil is the latest end-of-airtime of any frame this node has
@@ -401,14 +371,19 @@ type transmission struct {
 	kind  txKind
 	nav   time.Duration // medium reservation advertised by RTS/CTS
 
-	// recv is the receiver set: one entry per node this frame touched,
-	// sorted ascending by ID. rxHeard entries are the receivers the frame
-	// was actually put in front of (on and in range at airtime start);
-	// end-of-airtime consumes those entries rather than the live neighbor
+	// recv is the receiver set: one entry per node this frame was put in
+	// front of (on and in range at airtime start), appended in begin()'s
+	// neighbor-scan order. The backing array is retained across pool
+	// reuse, so it grows toward the field's maximum degree, never its size.
+	// End-of-airtime consumes these entries rather than the live neighbor
 	// set, so a node moving during the frame's airtime cannot strand an
 	// audible entry or conjure a reception it never started. rxCorrupted
 	// and rxLost record overlap and link-filter fates for the same IDs.
-	recv rxSet
+	recv []rxEntry
+	// dst is the slot plus one of the unicast destination's entry in recv,
+	// zero when it has none (broadcast, or destination off or out of range
+	// at airtime start).
+	dst int32
 
 	// Completion context, interpreted per kind: owner is the transmitting
 	// node, peer the unicast counterpart an ACK/CTS answers, of the queued
@@ -418,12 +393,12 @@ type transmission struct {
 	of    *outFrame
 }
 
-// corruptedAt reports whether this frame's reception at id overlapped another
-// frame or hit a half-duplex receiver.
-func (tx *transmission) corruptedAt(id topology.NodeID) bool { return tx.recv.has(id, rxCorrupted) }
-
-// lostAt reports whether the link filter vetoed this frame's reception at id.
-func (tx *transmission) lostAt(id topology.NodeID) bool { return tx.recv.has(id, rxLost) }
+// destIntact reports whether the frame's reception at its unicast
+// destination escaped overlap and link loss. A destination with no entry
+// counts as intact; the callers' live range check decides it.
+func (tx *transmission) destIntact() bool {
+	return tx.dst == 0 || tx.recv[tx.dst-1].flags&(rxCorrupted|rxLost) == 0
+}
 
 // Run fires at end of airtime: clear the channel, deliver survivors, then
 // continue the exchange the frame belongs to.
@@ -532,6 +507,7 @@ func New(kernel *sim.Kernel, field *topology.Field, model energy.Model, params P
 		rng:    kernel.Rand(),
 		energy: make([]energy.Meter, field.Len()),
 		nodes:  make([]nodeState, field.Len()),
+		rxSlot: make([]int32, field.Len()),
 	}
 	n.stats.Drops = make(map[DropReason]int)
 	for i := range n.nodes {
@@ -568,6 +544,7 @@ func (n *Network) allocTx(kind txKind, owner *nodeState, to topology.NodeID, f F
 // removed it from every audible set, and off nodes clear theirs wholesale).
 func (n *Network) releaseTx(tx *transmission) {
 	tx.recv = tx.recv[:0]
+	tx.dst = 0
 	tx.frame = Frame{}
 	tx.nav = 0
 	tx.owner, tx.peer, tx.of = nil, nil, nil
@@ -813,7 +790,7 @@ func (n *Network) finishRTS(rts *transmission) {
 		return
 	}
 	dest := &n.nodes[of.to]
-	if dest.on && n.field.InRange(ns.id, of.to) && !rts.corruptedAt(of.to) && !rts.lostAt(of.to) {
+	if dest.on && n.field.InRange(ns.id, of.to) && rts.destIntact() {
 		n.call(n.params.SIFS, opSendCTS, dest, ns, of)
 		return
 	}
@@ -846,7 +823,7 @@ func (n *Network) finishCTS(cts *transmission) {
 	if !src.on {
 		return
 	}
-	if dest.on && n.field.InRange(dest.id, src.id) && !cts.corruptedAt(src.id) && !cts.lostAt(src.id) {
+	if dest.on && n.field.InRange(dest.id, src.id) && cts.destIntact() {
 		n.call(n.params.SIFS, opDataAfterCTS, src, nil, of)
 		return
 	}
@@ -858,15 +835,9 @@ func (n *Network) finishCTS(cts *transmission) {
 // the end-of-airtime event.
 func (n *Network) begin(ns *nodeState, tx *transmission, airtime time.Duration) {
 	ns.txActive = true
-	// Half-duplex: anything the sender was hearing is lost to it. The
-	// sender is already in each audible frame's receiver set (audible ⟺
-	// recorded heard at that frame's start), so ensure never grows here.
-	for _, other := range ns.audible {
-		oe := other.recv.ensure(ns.id)
-		if oe.flags&rxCorrupted == 0 {
-			oe.flags |= rxCorrupted
-			n.stats.Collisions++
-		}
+	// Half-duplex: anything the sender was hearing is lost to it.
+	for _, h := range ns.audible {
+		n.corrupt(&h.tx.recv[h.slot])
 	}
 	var busyEnd time.Duration
 	if n.owner != nil {
@@ -895,32 +866,32 @@ func (n *Network) begin(ns *nodeState, tx *transmission, airtime time.Duration) 
 		if n.owner != nil && busyEnd > rs.busyUntil {
 			rs.busyUntil = busyEnd
 		}
-		e := tx.recv.ensure(nb)
+		flags := rxHeard
 		if n.filter != nil && !n.filter(ns.id, nb) {
-			e.flags |= rxLost
+			flags |= rxLost
 			n.stats.LinkLoss++
 		}
 		if rs.txActive {
-			e.flags |= rxCorrupted
+			flags |= rxCorrupted
 			n.stats.Collisions++
 		}
 		if len(rs.audible) > 0 {
 			// Overlap: this frame and everything already audible at nb are
 			// corrupted at nb.
-			if e.flags&rxCorrupted == 0 {
-				e.flags |= rxCorrupted
+			if flags&rxCorrupted == 0 {
+				flags |= rxCorrupted
 				n.stats.Collisions++
 			}
-			for _, other := range rs.audible {
-				oe := other.recv.ensure(nb)
-				if oe.flags&rxCorrupted == 0 {
-					oe.flags |= rxCorrupted
-					n.stats.Collisions++
-				}
+			for _, h := range rs.audible {
+				n.corrupt(&h.tx.recv[h.slot])
 			}
 		}
-		rs.audible = append(rs.audible, tx)
-		e.flags |= rxHeard
+		slot := int32(len(tx.recv))
+		tx.recv = append(tx.recv, rxEntry{id: nb, flags: flags})
+		if nb == tx.to {
+			tx.dst = slot + 1
+		}
+		rs.audible = append(rs.audible, hearing{tx: tx, slot: slot})
 	}
 	n.kernel.ScheduleRunner(airtime, tx)
 }
@@ -929,37 +900,57 @@ func (n *Network) begin(ns *nodeState, tx *transmission, airtime time.Duration) 
 // survived — exactly the receivers recorded heard at airtime start: under
 // mobility the live neighbor set can differ by the time the airtime ends,
 // and only nodes that heard the frame start can finish receiving it. The
-// walk keeps the begin()-time scan order: live neighbors first (consuming
-// their heard flags), then any receivers that moved out of range mid-frame
-// in a residual ascending-ID sweep over the receiver set — empty on a
-// static field, so static runs finish receptions in the exact pre-mobility
-// order. Nothing inside finishReception can insert into tx.recv (no begin()
-// runs reentrantly; contention and handshake steps are scheduled, not
-// called), so the indices below stay valid across delivery callbacks.
+// walk keeps the begin()-time scan order: live neighbors first, each
+// resolved to its entry through the rxSlot index, then any receivers that
+// moved out of range mid-frame in ascending ID — none on a static field,
+// so static runs finish receptions in the exact pre-mobility order.
+// Nothing inside finishReception can append to tx.recv or re-enter end()
+// (no begin() runs reentrantly; contention and handshake steps are
+// scheduled, not called), so the index and slots stay valid across
+// delivery callbacks.
 func (n *Network) end(tx *transmission) {
 	senderDied := !n.nodes[tx.from].on // died mid-frame: nothing decodable
-	for _, nb := range n.field.Neighbors(tx.from) {
-		if i := tx.recv.find(nb); i >= 0 && tx.recv[i].flags&rxHeard != 0 {
-			tx.recv[i].flags &^= rxHeard
-			n.finishReception(tx, nb, senderDied)
-		}
-	}
 	for i := range tx.recv {
 		if tx.recv[i].flags&rxHeard != 0 {
-			tx.recv[i].flags &^= rxHeard
-			n.finishReception(tx, tx.recv[i].id, senderDied)
+			n.rxSlot[tx.recv[i].id] = int32(i) + 1
 		}
 	}
+	for _, nb := range n.field.Neighbors(tx.from) {
+		if s := n.rxSlot[nb]; s != 0 {
+			n.rxSlot[nb] = 0
+			n.finishReception(tx, s-1, senderDied)
+		}
+	}
+	movers := n.movers[:0]
+	for i := range tx.recv {
+		if id := tx.recv[i].id; n.rxSlot[id] != 0 {
+			n.rxSlot[id] = 0
+			movers = append(movers, int32(i))
+		}
+	}
+	// Insertion sort by ID: movers are rare and few.
+	for i := 1; i < len(movers); i++ {
+		for j := i; j > 0 && tx.recv[movers[j-1]].id > tx.recv[movers[j]].id; j-- {
+			movers[j-1], movers[j] = movers[j], movers[j-1]
+		}
+	}
+	for _, s := range movers {
+		n.finishReception(tx, s, senderDied)
+	}
+	n.movers = movers
 }
 
-// finishReception settles one receiver at the end of tx's airtime:
-// detach it from the audible set, classify losses, apply NAV for
-// handshakes, and deliver surviving payloads.
-func (n *Network) finishReception(tx *transmission, nb topology.NodeID, senderDied bool) {
+// finishReception settles the receiver in tx's slot at the end of tx's
+// airtime: consume its heard flag, detach it from the audible set, classify
+// losses, apply NAV for handshakes, and deliver surviving payloads.
+func (n *Network) finishReception(tx *transmission, slot int32, senderDied bool) {
+	e := &tx.recv[slot]
+	e.flags &^= rxHeard
+	nb, flags := e.id, e.flags
 	rs := &n.nodes[nb]
 	idx := -1
-	for i, a := range rs.audible {
-		if a == tx {
+	for i, h := range rs.audible {
+		if h.tx == tx {
 			idx = i
 			break
 		}
@@ -968,7 +959,7 @@ func (n *Network) finishReception(tx *transmission, nb topology.NodeID, senderDi
 		return // receiver turned off since tx started (audible cleared)
 	}
 	rs.audible = append(rs.audible[:idx], rs.audible[idx+1:]...)
-	if !rs.on || senderDied || tx.corruptedAt(nb) || tx.lostAt(nb) {
+	if !rs.on || senderDied || flags&(rxCorrupted|rxLost) != 0 {
 		// Classify the loss only when someone is listening; the reason
 		// switch is pure observability.
 		if n.drop != nil {
@@ -978,7 +969,7 @@ func (n *Network) finishReception(tx *transmission, nb topology.NodeID, senderDi
 				reason = RxReceiverOff
 			case senderDied:
 				reason = RxSenderOff
-			case tx.corruptedAt(nb):
+			case flags&rxCorrupted != 0:
 				reason = RxCollision
 			}
 			n.reportDrop(tx, nb, reason)
@@ -1034,7 +1025,7 @@ func (n *Network) finishData(tx *transmission) {
 	}
 	// Unicast: did the destination get it?
 	dest := &n.nodes[of.to]
-	gotIt := dest.on && n.field.InRange(ns.id, of.to) && !tx.corruptedAt(of.to) && !tx.lostAt(of.to)
+	gotIt := dest.on && n.field.InRange(ns.id, of.to) && tx.destIntact()
 	if gotIt {
 		// Destination sends an ACK after SIFS, bypassing contention.
 		n.call(n.params.SIFS, opSendAck, dest, ns, of)
@@ -1071,7 +1062,7 @@ func (n *Network) finishAck(ack *transmission) {
 	if !src.on {
 		return
 	}
-	if dest.on && n.field.InRange(dest.id, src.id) && !ack.corruptedAt(src.id) && !ack.lostAt(src.id) {
+	if dest.on && n.field.InRange(dest.id, src.id) && ack.destIntact() {
 		// ACK received: success.
 		src.cw = n.params.CWMin
 		if n.outcome != nil {

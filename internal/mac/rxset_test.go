@@ -2,51 +2,138 @@ package mac
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"time"
 
 	"repro/internal/energy"
 	"repro/internal/geom"
 	"repro/internal/sim"
+	"repro/internal/snap"
 	"repro/internal/topology"
 )
 
-func TestRxSetSortedInsertAndFlags(t *testing.T) {
-	// Randomized cross-check against a map oracle: after any insert order
-	// the set stays sorted ascending, ensure is idempotent, and has() sees
-	// exactly the flags set().
-	rng := rand.New(rand.NewSource(42))
-	for trial := 0; trial < 50; trial++ {
-		var s rxSet
-		oracle := map[topology.NodeID]uint8{}
-		for op := 0; op < 200; op++ {
-			id := topology.NodeID(rng.Intn(64))
-			flag := uint8(1) << uint(rng.Intn(3))
-			s.set(id, flag)
-			oracle[id] |= flag
-		}
-		if len(s) != len(oracle) {
-			t.Fatalf("trial %d: %d entries, oracle has %d", trial, len(s), len(oracle))
-		}
-		for i := range s {
-			if i > 0 && s[i-1].id >= s[i].id {
-				t.Fatalf("trial %d: not strictly ascending at %d: %v", trial, i, s)
+// checkSlotInvariants verifies the slot-addressed receiver sets between
+// kernel steps: every audible (tx, slot) addresses the node's own entry
+// with rxHeard set, every in-flight transmission's destination slot is
+// absent exactly when the destination has no entry and otherwise addresses
+// it, pooled transmissions hold no entries, and end()'s node→slot index is
+// all zeros.
+func checkSlotInvariants(t *testing.T, k *sim.Kernel, n *Network, step int) {
+	t.Helper()
+	for i := range n.nodes {
+		for _, h := range n.nodes[i].audible {
+			if h.slot < 0 || int(h.slot) >= len(h.tx.recv) {
+				t.Fatalf("step %d: node %d hears slot %d of a %d-entry set", step, i, h.slot, len(h.tx.recv))
 			}
-			if s[i].flags != oracle[s[i].id] {
-				t.Fatalf("trial %d: node %d flags %b, oracle %b",
-					trial, s[i].id, s[i].flags, oracle[s[i].id])
+			e := h.tx.recv[h.slot]
+			if e.id != topology.NodeID(i) || e.flags&rxHeard == 0 {
+				t.Fatalf("step %d: node %d's audible slot %d addresses %+v", step, i, h.slot, e)
 			}
 		}
-		for id, want := range oracle {
-			for _, flag := range []uint8{rxHeard, rxCorrupted, rxLost} {
-				if got := s.has(id, flag); got != (want&flag != 0) {
-					t.Fatalf("trial %d: has(%d, %b) = %v, oracle %b", trial, id, flag, got, want)
-				}
+	}
+	for _, ev := range k.PendingEvents() {
+		tx, ok := ev.Runner.(*transmission)
+		if !ok {
+			continue
+		}
+		want := int32(0)
+		for j, e := range tx.recv {
+			if e.id == tx.to {
+				want = int32(j) + 1
 			}
 		}
-		if s.find(topology.NodeID(99)) != -1 {
-			t.Fatal("find reported an entry never inserted")
+		if tx.dst != want {
+			t.Fatalf("step %d: transmission %d→%d has destination slot %d, want %d (entries %+v)",
+				step, tx.from, tx.to, tx.dst, want, tx.recv)
 		}
+	}
+	for _, tx := range n.txFree {
+		if len(tx.recv) != 0 || tx.dst != 0 {
+			t.Fatalf("step %d: pooled transmission holds %d entries, destination slot %d", step, len(tx.recv), tx.dst)
+		}
+	}
+	for id, s := range n.rxSlot {
+		if s != 0 {
+			t.Fatalf("step %d: rxSlot[%d] = %d between frames", step, id, s)
+		}
+	}
+}
+
+func TestReceiverSetSlotInvariants(t *testing.T) {
+	// A contended cluster (everyone in range of everyone, queues full of
+	// broadcasts and unicasts) with one node switched off mid-run and one
+	// receiver moved out of range mid-airtime; the slot invariants must
+	// hold after every kernel step.
+	k, n := clusterNet(t, 0)
+	for i := 0; i < 8; i++ {
+		n.SetReceiver(topology.NodeID(i), (&capture{}).receiver(k))
+	}
+	for round := 0; round < 4; round++ {
+		for i := 0; i < 8; i++ {
+			id := topology.NodeID(i)
+			if err := n.Broadcast(id, Frame{Bytes: 64, Payload: i}); err != nil {
+				t.Fatal(err)
+			}
+			if err := n.Unicast(id, topology.NodeID((i+1)%8), Frame{Bytes: 96, Payload: i}); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	const off, mover = 3, 7
+	switchedOff, moved := false, false
+	for step := 1; k.Step(); step++ {
+		checkSlotInvariants(t, k, n, step)
+		if !switchedOff && step == 300 {
+			n.SetOn(off, false)
+			switchedOff = true
+		}
+		if !moved && len(n.nodes[mover].audible) > 0 {
+			n.field.MoveNode(mover, geom.Point{X: 900, Y: 50000})
+			moved = true
+		}
+	}
+	if !switchedOff || !moved {
+		t.Fatalf("switched off %v, moved %v: the run ended too early", switchedOff, moved)
+	}
+	if n.Stats().Collisions == 0 {
+		t.Fatal("no collisions: the cluster was not contended")
+	}
+}
+
+func TestResidualMoversDeliveredAscending(t *testing.T) {
+	// Sender 0 sits mid-cell; its neighbors lie in four different grid
+	// cells, so the scan order of its neighbor list is 4, 2, 1, 3. Receivers
+	// 4 and then 2 move out of range mid-airtime: the frame must reach the
+	// live neighbors 1 and 3 first, in scan order, then the movers in
+	// ascending ID (2 before 4), not in scan or move order.
+	pts := []geom.Point{{X: 60, Y: 60}, {X: 90, Y: 60}, {X: 30, Y: 60}, {X: 60, Y: 90}, {X: 60, Y: 30}}
+	f, err := topology.FromPositions(geom.Square(0, 0, 1000), 40, pts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := f.Neighbors(0), []topology.NodeID{4, 2, 1, 3}; !slices.Equal(got, want) {
+		t.Fatalf("neighbor scan order %v, want %v", got, want)
+	}
+	k := sim.NewKernel(3)
+	n, err := New(k, f, energy.PaperModel(), DefaultParams())
+	if err != nil {
+		t.Fatal(err)
+	}
+	var order []topology.NodeID
+	for i := 1; i < len(pts); i++ {
+		id := topology.NodeID(i)
+		n.SetReceiver(id, func(topology.NodeID, Frame) { order = append(order, id) })
+	}
+	if err := n.Broadcast(0, Frame{Bytes: 64, Payload: "residual"}); err != nil {
+		t.Fatal(err)
+	}
+	stepUntilOnAir(t, k, n, 0)
+	n.field.MoveNode(4, geom.Point{X: 900, Y: 900})
+	n.field.MoveNode(2, geom.Point{X: 900, Y: 700})
+	k.Run(time.Second)
+	if want := []topology.NodeID{1, 3, 2, 4}; !slices.Equal(order, want) {
+		t.Fatalf("delivery order %v, want %v", order, want)
 	}
 }
 
@@ -169,6 +256,97 @@ func TestReceiverSetMatchesInRangeOracle(t *testing.T) {
 			if got != want {
 				t.Fatalf("iter %d: node %d received %d copies of src %d's frame, oracle says %d",
 					iter, j, got, src, want)
+			}
+		}
+	}
+}
+
+func TestCheckpointRederivesSlots(t *testing.T) {
+	// Slots are not serialized: a restored network must re-derive every
+	// destination slot and audible slot from the decoded receiver sets.
+	// Snapshot the contended cluster at a step where some node hears two
+	// frames at once and a unicast in flight has a destination entry.
+	k, n := clusterNet(t, 0)
+	for i := 0; i < 8; i++ {
+		id := topology.NodeID(i)
+		if err := n.Broadcast(id, Frame{Bytes: 64}); err != nil {
+			t.Fatal(err)
+		}
+		if err := n.Unicast(id, topology.NodeID((i+3)%8), Frame{Bytes: 96}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	ready := func() bool {
+		overlap, unicast := false, false
+		for i := range n.nodes {
+			overlap = overlap || len(n.nodes[i].audible) > 1
+			for _, h := range n.nodes[i].audible {
+				unicast = unicast || h.tx.dst != 0
+			}
+		}
+		return overlap && unicast
+	}
+	for !ready() {
+		if !k.Step() {
+			t.Fatal("kernel drained before two frames overlapped with a unicast in flight")
+		}
+	}
+
+	s := NewSnapshotter(n)
+	var payloads [][]byte
+	var txs []*transmission
+	for _, ev := range k.PendingEvents() {
+		var w snap.Writer
+		ok, err := s.EncodeRunner(&w, ev.Runner)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if ok {
+			payloads = append(payloads, w.Bytes())
+			if tx, isTx := ev.Runner.(*transmission); isTx {
+				txs = append(txs, tx)
+			}
+		}
+	}
+	var sw snap.Writer
+	if err := s.EncodeState(&sw); err != nil {
+		t.Fatal(err)
+	}
+
+	n2, err := New(sim.NewKernel(7), n.field, energy.PaperModel(), DefaultParams())
+	if err != nil {
+		t.Fatal(err)
+	}
+	d := NewRestorer(n2)
+	if err := d.DecodeState(snap.NewReader(sw.Bytes())); err != nil {
+		t.Fatal(err)
+	}
+	restored := map[*transmission]*transmission{}
+	for _, p := range payloads {
+		r, err := d.DecodeRunner(snap.NewReader(p))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if tx, isTx := r.(*transmission); isTx {
+			restored[txs[len(restored)]] = tx
+		}
+	}
+	if err := d.BindAudible(); err != nil {
+		t.Fatal(err)
+	}
+	for orig, got := range restored {
+		if got.dst != orig.dst {
+			t.Errorf("transmission %d→%d: restored destination slot %d, want %d", orig.from, orig.to, got.dst, orig.dst)
+		}
+	}
+	for i := range n.nodes {
+		want, got := n.nodes[i].audible, n2.nodes[i].audible
+		if len(got) != len(want) {
+			t.Fatalf("node %d hears %d frames after restore, want %d", i, len(got), len(want))
+		}
+		for j := range want {
+			if got[j].tx != restored[want[j].tx] || got[j].slot != want[j].slot {
+				t.Errorf("node %d audible %d: restored slot %d, want %d", i, j, got[j].slot, want[j].slot)
 			}
 		}
 	}

@@ -110,12 +110,8 @@ func (n *Network) DeliverRemote(rx RemoteRx) {
 	// Everything locally in flight at this receiver overlaps the crossing
 	// frame's airtime, so it is corrupted here exactly as begin() would
 	// have done had both frames been local.
-	for _, other := range rs.audible {
-		oe := other.recv.ensure(rx.to)
-		if oe.flags&rxCorrupted == 0 {
-			oe.flags |= rxCorrupted
-			n.stats.Collisions++
-		}
+	for _, h := range rs.audible {
+		n.corrupt(&h.tx.recv[h.slot])
 	}
 	if len(rs.audible) > 0 {
 		corrupted = true

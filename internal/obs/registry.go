@@ -5,6 +5,10 @@
 // The design goal is zero cost when disabled: instrument handles are
 // pointers whose methods are nil-receiver no-ops, so instrumented code calls
 // them unconditionally and a run without telemetry pays only a nil check.
+// Instrument handles are resolved once, never per event: Counter, Gauge and
+// Histogram template labels, look up a map and take the mutex, so hot paths
+// hold the handle they got (binding it lazily on first use when an entry
+// must appear only once it is non-zero) and then pay only the increment.
 // Handle mutation is single-threaded by design — each simulation run owns
 // its registry — but registry-level operations (handle creation, Snapshot,
 // Absorb) take an internal mutex, so concurrent sweeps may merge per-run
