@@ -26,7 +26,6 @@ import (
 	"syscall"
 	"time"
 
-	"repro/internal/core"
 	"repro/internal/harness"
 	"repro/internal/obs"
 )
@@ -68,9 +67,9 @@ func validFigures() []string {
 func main() {
 	if err := run(os.Args[1:], os.Stdout); err != nil {
 		fmt.Fprintln(os.Stderr, "experiments:", err)
-		if errors.Is(err, core.ErrInterrupted) {
-			fmt.Fprintln(os.Stderr, "experiments: progress saved — completed cells are on the ledger,"+
-				" interrupted cells left checkpoints; re-run the same command to resume")
+		if errors.Is(err, harness.ErrInterrupted) {
+			fmt.Fprintln(os.Stderr, "experiments: stopped at a cell boundary — with -ledger, finished cells"+
+				" are recorded there; re-run the same command to resume")
 			os.Exit(130)
 		}
 		os.Exit(1)
@@ -95,8 +94,6 @@ func run(args []string, out io.Writer) error {
 		scaleNodes     = fs.String("scale-nodes", "", `override the -fig scale node ladder with a comma-separated ascending list, e.g. "500,5000"`)
 		big            = fs.Bool("big", false, "extend the -fig scale ladder with the 50000-node rung (needs several GB of heap)")
 		ledger         = fs.String("ledger", "", "sweep progress ledger file: completed runs are recorded there and skipped on a re-run, so an interrupted sweep resumes")
-		checkpointDir  = fs.String("checkpoint-dir", "", "directory for per-cell crash checkpoints (created if missing): eligible cells snapshot every -checkpoint-every of virtual time and a re-run resumes them mid-cell; combine with -ledger so completed cells are skipped too")
-		checkpointEvr  = fs.Duration("checkpoint-every", 10*time.Second, "virtual-time interval between per-cell checkpoints (with -checkpoint-dir)")
 		liveAddr       = fs.String("live", "", `serve the live debug endpoint (status, /metrics, /debug/pprof) on this address, e.g. "localhost:6060"`)
 		flightDir      = fs.String("flight-dir", "", "arm a flight recorder on every run, dumping per-cell files into this directory on an invariant violation or panic")
 		forceViolation = fs.Duration("force-violation", 0, "inject a synthetic invariant violation at this virtual time into every chaos-checked run (exercises the flight-dump path)")
@@ -165,19 +162,12 @@ func run(args []string, out io.Writer) error {
 		opts.Progress = func(line string) { fmt.Fprintln(os.Stderr, line) }
 	}
 	opts.Ledger = *ledger
-	if *checkpointDir != "" {
-		if err := os.MkdirAll(*checkpointDir, 0o755); err != nil {
-			return err
-		}
-		opts.CheckpointDir = *checkpointDir
-		opts.CheckpointEvery = *checkpointEvr
-	}
 	opts.SelfTestViolation = *forceViolation
 
-	// On the first SIGINT/SIGTERM the sweep drains gracefully: no new cells
-	// start, in-flight checkpointed cells write a final snapshot, in-flight
-	// uncheckpointed cells finish and land in the ledger, and the process
-	// exits 130 with resume instructions. A second signal kills immediately.
+	// On the first SIGINT/SIGTERM the sweep drains at cell boundaries: no new
+	// cells start, running cells finish and land in the ledger, and the
+	// process exits 130 with resume instructions. A second signal kills
+	// immediately.
 	sigs := make(chan os.Signal, 2)
 	signal.Notify(sigs, os.Interrupt, syscall.SIGTERM)
 	defer signal.Stop(sigs)

@@ -16,15 +16,12 @@
 package main
 
 import (
-	"errors"
 	"flag"
 	"fmt"
 	"io"
 	"os"
-	"os/signal"
 	"runtime/pprof"
 	"strings"
-	"syscall"
 	"time"
 
 	"repro/internal/agg"
@@ -42,15 +39,10 @@ import (
 )
 
 func main() {
-	err := run(os.Args[1:], os.Stdout)
-	if err == nil {
-		return
+	if err := run(os.Args[1:], os.Stdout); err != nil {
+		fmt.Fprintln(os.Stderr, "wsnsim:", err)
+		os.Exit(1)
 	}
-	fmt.Fprintln(os.Stderr, "wsnsim:", err)
-	if errors.Is(err, core.ErrInterrupted) {
-		os.Exit(130)
-	}
-	os.Exit(1)
 }
 
 func run(args []string, out *os.File) error {
@@ -97,10 +89,6 @@ func run(args []string, out *os.File) error {
 		traceOut  = fs.String("trace-out", "", "write the full protocol trace as NDJSON to this file (see cmd/tracestat)")
 		snapEvery = fs.Duration("snapshot-every", 0, "dump per-node protocol state into the NDJSON trace at this virtual-time interval (requires -trace-out)")
 		pprofOut  = fs.String("pprof", "", "write a CPU profile of the run to this file")
-
-		checkpoint      = fs.String("checkpoint", "", "crash-checkpoint file: snapshot the full run state here every -checkpoint-every of virtual time; SIGINT/SIGTERM drains to the next boundary, checkpoints, and exits 130")
-		checkpointEvery = fs.Duration("checkpoint-every", 10*time.Second, "virtual-time interval between checkpoints (with -checkpoint)")
-		resume          = fs.Bool("resume", false, "resume a killed or interrupted run from the -checkpoint file instead of starting fresh (flags must match the original run)")
 
 		flightPath     = fs.String("flight", "", "arm the flight recorder; dump recent trace records to this file on an invariant violation or panic")
 		flightCap      = fs.Int("flight-cap", 0, "flight-recorder ring capacity in records (0 = default)")
@@ -232,13 +220,7 @@ func run(args []string, out *os.File) error {
 	}
 	var nd *trace.FileNDJSON
 	if *traceOut != "" {
-		if *resume {
-			// Reopen without truncating: Restore rewinds the file to the
-			// byte offset recorded in the checkpoint and appends from there.
-			nd, err = trace.ResumeNDJSONFile(*traceOut)
-		} else {
-			nd, err = trace.NewNDJSONFile(*traceOut)
-		}
+		nd, err = trace.NewNDJSONFile(*traceOut)
 		if err != nil {
 			return err
 		}
@@ -285,39 +267,8 @@ func run(args []string, out *os.File) error {
 		defer pprof.StopCPUProfile()
 	}
 
-	if *resume && *checkpoint == "" {
-		return fmt.Errorf("-resume needs -checkpoint to know where the snapshot lives")
-	}
-	if *checkpoint != "" {
-		cfg.CheckpointPath = *checkpoint
-		cfg.CheckpointEvery = *checkpointEvery
-		// First signal: drain to the next checkpoint boundary, snapshot, and
-		// exit 130 with a resume hint. Second signal: kill immediately.
-		sigs := make(chan os.Signal, 2)
-		signal.Notify(sigs, os.Interrupt, syscall.SIGTERM)
-		defer signal.Stop(sigs)
-		interrupt := make(chan struct{})
-		go func() {
-			<-sigs
-			fmt.Fprintln(os.Stderr, "wsnsim: interrupt received, draining to a checkpoint (^C again to kill)")
-			close(interrupt)
-			<-sigs
-			os.Exit(1)
-		}()
-		cfg.Interrupt = interrupt
-	}
-
 	live.SetPhase("simulating")
-	var res core.Output
-	if *resume {
-		res, err = core.Restore(*checkpoint, cfg)
-	} else {
-		res, err = core.Run(cfg)
-	}
-	if errors.Is(err, core.ErrInterrupted) {
-		fmt.Fprintf(out, "interrupted: checkpoint written to %s\nresume with the same command plus -resume\n", *checkpoint)
-		return err
-	}
+	res, err := core.Run(cfg)
 	if err != nil {
 		return err
 	}

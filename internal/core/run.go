@@ -194,23 +194,6 @@ type Config struct {
 	// runs accept a restricted feature envelope; see Output.Shards and
 	// DESIGN.md §8.
 	Shards int
-
-	// CheckpointPath, when non-empty, makes the run crash-durable: the event
-	// loop executes in slices of CheckpointEvery virtual time and atomically
-	// rewrites a restorable snapshot of the full deterministic state at each
-	// boundary (DESIGN.md §12). A run resumed from such a snapshot (Restore)
-	// finishes byte-identical to an uninterrupted one. Checkpointing accepts
-	// a restricted feature envelope; see CheckpointSupported. The file is
-	// removed when the run completes.
-	CheckpointPath string
-	// CheckpointEvery is the virtual-time slice length between snapshots.
-	// Required (positive) when CheckpointPath is set.
-	CheckpointEvery time.Duration
-	// Interrupt, when non-nil, is polled at each checkpoint boundary: once
-	// it is closed (or sent to), the run writes a final snapshot and returns
-	// ErrInterrupted instead of finishing — the graceful-shutdown path for
-	// SIGINT/SIGTERM. Only observed when CheckpointPath is set.
-	Interrupt <-chan struct{}
 }
 
 // DefaultConfig returns the paper's §5.1 methodology: a 200 m field, 40 m
@@ -261,12 +244,6 @@ func (c Config) Validate() error {
 		return fmt.Errorf("core: FlightCapacity set without FlightPath")
 	case c.Shards < 0:
 		return fmt.Errorf("core: negative shard count %d", c.Shards)
-	case c.CheckpointEvery < 0:
-		return fmt.Errorf("core: negative checkpoint interval %v", c.CheckpointEvery)
-	case c.CheckpointPath != "" && c.CheckpointEvery == 0:
-		return fmt.Errorf("core: CheckpointPath set without CheckpointEvery")
-	case c.CheckpointEvery > 0 && c.CheckpointPath == "":
-		return fmt.Errorf("core: CheckpointEvery set without CheckpointPath")
 	}
 	if c.Shards > 1 {
 		if err := c.validateSharded(); err != nil {
@@ -394,35 +371,27 @@ type Lifetime struct {
 
 // Run executes one simulation and returns its metrics. Runs are
 // deterministic in (Config, Seed).
-//
-// When cfg.CheckpointPath is set the event loop runs in CheckpointEvery
-// slices with a restorable snapshot written atomically between them; see
-// checkpoint.go and DESIGN.md §12. Checkpointing accepts a restricted
-// feature envelope (CheckpointSupported) — in particular sharded runs are
-// rejected with a reason rather than silently un-checkpointed.
 func Run(cfg Config) (Output, error) {
 	if err := cfg.Validate(); err != nil {
 		return Output{}, err
 	}
-	if cfg.CheckpointPath != "" {
-		if err := CheckpointSupported(cfg); err != nil {
-			return Output{}, err
-		}
-	}
 	if cfg.Shards > 1 {
 		return runSharded(cfg)
 	}
-	st, err := buildRun(cfg, false)
+	st, err := buildRun(cfg)
 	if err != nil {
 		return Output{}, err
 	}
-	return st.run()
+	if st.flight != nil {
+		runGuarded(st.kernel, cfg.Duration, st.flight, cfg.FlightPath)
+	} else {
+		st.kernel.Run(cfg.Duration)
+	}
+	return st.finish()
 }
 
 // runState is one serial run's assembled substrate: everything buildRun
-// constructs before the event loop starts. The checkpoint layer snapshots it
-// between kernel slices, and Restore rebuilds it deterministically before
-// overlaying the recorded mutable state (DESIGN.md §12).
+// constructs before the event loop starts and finish reads after it.
 type runState struct {
 	cfg       Config
 	wallStart time.Time
@@ -441,16 +410,9 @@ type runState struct {
 	churn     *failure.Churn
 	mover     *topology.Mover
 	life      Lifetime
-
-	// Long-lived core event runners. Being named singletons (not closures)
-	// lets the checkpoint encoder record a pending occurrence by tag alone
-	// and a restore re-bind the event to the rebuilt instance.
-	epochR *mobilityEpoch
-	watchR *batteryWatch
-	tickR  *snapshotTick
 }
 
-// mobilityEpoch is the movement epoch timer as a stable runner: it advances
+// mobilityEpoch is the movement epoch timer as a runner: it advances
 // every mobile node, stamps a topology fault when the adjacency actually
 // changed, and re-arms itself.
 type mobilityEpoch struct {
@@ -469,8 +431,8 @@ func (e *mobilityEpoch) Run() {
 	e.kernel.ScheduleRunner(e.every, e)
 }
 
-// batteryWatch is the once-per-virtual-second battery audit as a stable
-// runner: it permanently kills nodes whose dissipated energy (communication
+// batteryWatch is the once-per-virtual-second battery audit as a runner:
+// it permanently kills nodes whose dissipated energy (communication
 // plus the always-on idle draw) exceeds the budget.
 type batteryWatch struct {
 	kernel    *sim.Kernel
@@ -502,7 +464,7 @@ func (b *batteryWatch) Run() {
 	b.kernel.ScheduleRunner(time.Second, b)
 }
 
-// snapshotTick is the periodic protocol-state dump as a stable runner.
+// snapshotTick is the periodic protocol-state dump as a runner.
 // Snapshot events consume no randomness and only shift kernel sequence
 // numbers, so protocol outcomes are unchanged by snapshotting.
 type snapshotTick struct {
@@ -522,13 +484,8 @@ func (t *snapshotTick) Run() {
 
 // buildRun deterministically assembles a run from its configuration: field
 // generation, workload placement, the MAC, the scheme runtime, and the
-// auxiliary subsystems. With restoring=false it also arms the initial events,
-// leaving the run ready for execute. With restoring=true every Schedule and
-// Start call is skipped — the kernel stays empty so a checkpoint's recorded
-// events can be reinstalled at their exact (at, seq) positions — while the
-// structural random draws (field, placement, per-node protocol state) replay
-// identically because the statement order is shared between both modes.
-func buildRun(cfg Config, restoring bool) (*runState, error) {
+// auxiliary subsystems, with their initial events armed.
+func buildRun(cfg Config) (*runState, error) {
 	st := &runState{cfg: cfg, wallStart: time.Now()}
 	var reg *obs.Registry
 	if cfg.Telemetry != nil {
@@ -669,11 +626,8 @@ func buildRun(cfg Config, restoring bool) (*runState, error) {
 			}
 		}
 		if snapSink != nil && cfg.Telemetry != nil && cfg.Telemetry.SnapshotEvery > 0 {
-			st.tickR = &snapshotTick{kernel: kernel, rt: rt, sink: snapSink,
-				every: cfg.Telemetry.SnapshotEvery}
-			if !restoring {
-				kernel.ScheduleRunner(st.tickR.every, st.tickR)
-			}
+			every := cfg.Telemetry.SnapshotEvery
+			kernel.ScheduleRunner(every, &snapshotTick{kernel: kernel, rt: rt, sink: snapSink, every: every})
 		}
 		startRun = rt.Start
 	}
@@ -724,11 +678,8 @@ func buildRun(cfg Config, restoring bool) (*runState, error) {
 		if err != nil {
 			return nil, err
 		}
-		st.epochR = &mobilityEpoch{kernel: kernel, mover: mover, engine: engine,
-			every: cfg.Mobility.Epoch}
-		if !restoring {
-			kernel.ScheduleRunner(cfg.Mobility.Epoch, st.epochR)
-		}
+		kernel.ScheduleRunner(cfg.Mobility.Epoch, &mobilityEpoch{kernel: kernel, mover: mover,
+			engine: engine, every: cfg.Mobility.Epoch})
 	}
 
 	// Churn: joiners cold-boot with wiped soft state (and a reset invariant
@@ -760,23 +711,18 @@ func buildRun(cfg Config, restoring bool) (*runState, error) {
 		for _, id := range fcfg.Protect {
 			protected[id] = true
 		}
-		st.watchR = &batteryWatch{kernel: kernel, network: network, sched: sched,
-			protected: protected, nodes: field.Len(),
-			idlePower: cfg.Energy.IdlePower, budgetJ: cfg.BatteryJ, life: &st.life}
-		if !restoring {
-			kernel.ScheduleRunner(time.Second, st.watchR)
-		}
+		kernel.ScheduleRunner(time.Second, &batteryWatch{kernel: kernel, network: network,
+			sched: sched, protected: protected, nodes: field.Len(),
+			idlePower: cfg.Energy.IdlePower, budgetJ: cfg.BatteryJ, life: &st.life})
 	}
 
-	if !restoring {
-		startRun()
-		sched.Start()
-		if churn != nil {
-			churn.Start()
-		}
-		if engine != nil {
-			engine.Start()
-		}
+	startRun()
+	sched.Start()
+	if churn != nil {
+		churn.Start()
+	}
+	if engine != nil {
+		engine.Start()
 	}
 
 	st.reg, st.kernel, st.field, st.assign = reg, kernel, field, assign
@@ -784,15 +730,6 @@ func buildRun(cfg Config, restoring bool) (*runState, error) {
 	st.rt, st.flood, st.mcast = rt, flood, mcast
 	st.sched, st.churn, st.mover = sched, churn, mover
 	return st, nil
-}
-
-// run executes the event loop (checkpoint-sliced when configured; see
-// checkpoint.go) and finalizes the output.
-func (st *runState) run() (Output, error) {
-	if err := st.execute(); err != nil {
-		return Output{}, err
-	}
-	return st.finish()
 }
 
 // finish tears the run down and assembles its Output. It runs exactly once,

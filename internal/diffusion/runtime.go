@@ -87,11 +87,11 @@ type Runtime struct {
 	// the field and never grown, so interior pointers (&rt.nodes[i] held by
 	// pooled nodeTimers, receiver closures, and Node()) stay valid for the
 	// runtime's lifetime without a pointer-chase per node.
-	nodes    []node
-	started  bool
-	sent     map[msg.Kind]int
-	tracer   Tracer
-	ins      *Instruments
+	nodes   []node
+	started bool
+	sent    map[msg.Kind]int
+	tracer  Tracer
+	ins     *Instruments
 
 	// owned, when non-nil, restricts the runtime to a subset of the field's
 	// nodes (one shard of a sharded run): only owned nodes get receivers,

@@ -129,36 +129,3 @@ func (e *Meter) RxPackets() int { return e.rxPackets }
 
 // UpTime returns the total powered-on time recorded.
 func (e *Meter) UpTime() time.Duration { return e.upTime }
-
-// MeterState is a meter's mutable accounting, exposed for checkpoint/
-// restore. The model is configuration, rebuilt rather than serialized.
-type MeterState struct {
-	TxJoules   float64
-	RxJoules   float64
-	UpTime     time.Duration
-	ActiveTime time.Duration
-	TxPackets  int
-	RxPackets  int
-}
-
-// State captures the meter's accumulators.
-func (e *Meter) State() MeterState {
-	return MeterState{
-		TxJoules:   e.txJoules,
-		RxJoules:   e.rxJoules,
-		UpTime:     e.upTime,
-		ActiveTime: e.activeTime,
-		TxPackets:  e.txPackets,
-		RxPackets:  e.rxPackets,
-	}
-}
-
-// RestoreState overwrites the meter's accumulators with a captured state.
-func (e *Meter) RestoreState(s MeterState) {
-	e.txJoules = s.TxJoules
-	e.rxJoules = s.RxJoules
-	e.upTime = s.UpTime
-	e.activeTime = s.ActiveTime
-	e.txPackets = s.TxPackets
-	e.rxPackets = s.RxPackets
-}

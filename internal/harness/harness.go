@@ -20,6 +20,11 @@ import (
 	"repro/internal/stats"
 )
 
+// ErrInterrupted is wrapped into the error a figure regeneration returns
+// when Options.Interrupt stopped it. The cells that finished are on the
+// ledger, if Options.Ledger is set, so re-running the same sweep resumes it.
+var ErrInterrupted = errors.New("harness: interrupted before the cell started")
+
 // interrupted reports whether the optional interrupt channel has been closed.
 func interrupted(ch <-chan struct{}) bool {
 	select {
@@ -45,7 +50,9 @@ type Options struct {
 	// so a GOMAXPROCS-limited process doesn't oversubscribe itself; the
 	// experiments binary exposes this as -jobs).
 	Workers int
-	// Progress, when non-nil, receives one line per completed run.
+	// Progress, when non-nil, receives one line per completed run. The
+	// harness never calls it concurrently: sweep workers report under one
+	// lock, so a Progress that appends to a slice needs no lock of its own.
 	Progress func(string)
 	// Telemetry enables per-run metrics registries, merged into each
 	// table's Meta for the provenance manifest. Each run gets a private
@@ -76,21 +83,10 @@ type Options struct {
 	// path instead of failing the sweep. Workers is clamped so
 	// jobs × shards never exceeds GOMAXPROCS; see workers.
 	Shards int
-	// CheckpointDir, when non-empty, arms crash durability: every cell
-	// inside the checkpoint envelope (core.CheckpointSupported) writes a
-	// periodic snapshot into this directory and, on a later sweep over the
-	// same directory, resumes mid-cell from it. Cells outside the envelope
-	// run fresh — determinism makes a re-run equivalent to a resume.
-	// Requires CheckpointEvery.
-	CheckpointDir string
-	// CheckpointEvery is the virtual-time interval between snapshots for
-	// checkpointed cells. Required when CheckpointDir is set.
-	CheckpointEvery time.Duration
-	// Interrupt, when non-nil and closed, requests a graceful stop: cells
-	// not yet started are skipped, in-flight checkpointed cells drain to the
-	// next snapshot boundary and write a final checkpoint, in-flight
-	// uncheckpointed cells finish and land in the ledger, and the sweep
-	// returns an error wrapping core.ErrInterrupted.
+	// Interrupt, when non-nil and closed, requests a graceful stop at cell
+	// boundaries: cells not yet started are skipped, cells already running
+	// finish and land in the ledger, and the figure returns an error
+	// wrapping ErrInterrupted.
 	Interrupt <-chan struct{}
 }
 
@@ -126,8 +122,6 @@ func (o Options) validate() error {
 		return fmt.Errorf("harness: negative worker count")
 	case o.Shards < 0:
 		return fmt.Errorf("harness: negative shard count")
-	case o.CheckpointDir != "" && o.CheckpointEvery <= 0:
-		return fmt.Errorf("harness: CheckpointDir set without a positive CheckpointEvery")
 	default:
 		return nil
 	}
@@ -405,12 +399,6 @@ func sweep(o Options, id, title, xlabel string, schemes []core.Scheme, xs []int,
 			defer wg.Done()
 			sem <- struct{}{}
 			defer func() { <-sem }()
-			// An interrupt stops the sweep from launching further cells;
-			// cells already past this point drain gracefully inside runCell.
-			if interrupted(o.Interrupt) {
-				results[i] = result{job: jobs[i], err: core.ErrInterrupted}
-				return
-			}
 			j := jobs[i]
 			cid := cellID{figure: id, series: j.scheme.String(), x: xs[j.xIdx], field: j.field}
 			out, err := runCell(o, led, tr, cid, j.cfg)
@@ -421,11 +409,6 @@ func sweep(o Options, id, title, xlabel string, schemes []core.Scheme, xs []int,
 
 	meta := newMetaCollector(o)
 	for _, r := range results {
-		if errors.Is(r.err, core.ErrInterrupted) {
-			// Not a cell failure: completed cells are on the ledger and
-			// partial ones have checkpoints, so the caller can resume.
-			return nil, fmt.Errorf("harness: %s interrupted: %w", id, core.ErrInterrupted)
-		}
 		if r.err != nil {
 			return nil, fmt.Errorf("harness: %s %v x-index %d field %d: %w",
 				id, r.job.scheme, r.job.xIdx, r.job.field, r.err)

@@ -3,7 +3,6 @@ package harness
 import (
 	"bytes"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -200,33 +199,35 @@ func openLedger(o Options) (*Ledger, error) {
 	return OpenLedger(o.Ledger)
 }
 
-// progressTracker counts a sweep's finished cells and renders the
-// progress/ETA suffix appended to every progress line. Safe for concurrent
-// workers.
+// progressTracker counts a sweep's finished cells and reports each one to
+// Options.Progress with a progress/ETA suffix. Safe for concurrent workers.
 type progressTracker struct {
 	mu       sync.Mutex
 	total    int
 	fresh    int
 	replayed int
 	start    time.Time
-	wall     time.Duration
 }
 
 func newProgressTracker(total int) *progressTracker {
 	return &progressTracker{total: total, start: time.Now()}
 }
 
-// note accounts one finished cell and returns the "12/60 eta 1m3s" suffix.
-// The ETA extrapolates the mean elapsed-per-fresh-run over the remaining
-// cells; replayed cells are free, so none is shown until a run completes.
-func (p *progressTracker) note(replayed bool, wall time.Duration) string {
+// note accounts one finished cell and, when progress is non-nil, calls it
+// with line plus a "[12/60 eta 1m3s]" suffix. The call is made under the
+// tracker's lock, so sweep workers never call progress concurrently. The
+// ETA extrapolates the mean elapsed-per-fresh-run over the remaining cells;
+// replayed cells are free, so none is shown until a run completes.
+func (p *progressTracker) note(progress func(string), replayed bool, line string) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	if replayed {
 		p.replayed++
 	} else {
 		p.fresh++
-		p.wall += wall
+	}
+	if progress == nil {
+		return
 	}
 	done := p.fresh + p.replayed
 	s := fmt.Sprintf("%d/%d", done, p.total)
@@ -237,7 +238,7 @@ func (p *progressTracker) note(replayed bool, wall time.Duration) string {
 		per := time.Since(p.start) / time.Duration(p.fresh)
 		s += fmt.Sprintf(" eta %v", (per * time.Duration(remaining)).Round(time.Second))
 	}
-	return s
+	progress(fmt.Sprintf("%s [%s]", line, s))
 }
 
 // cellID locates one run within a sweep, for the ledger key, the progress
@@ -255,22 +256,18 @@ func (id cellID) flightName() string {
 	return fmt.Sprintf("%s_%s_x%d_f%d.flight.ndjson", id.figure, series, id.x, id.field)
 }
 
-// snapName is the per-cell checkpoint filename under Options.CheckpointDir.
-func (id cellID) snapName() string {
-	series := strings.NewReplacer("/", "-", "=", "-").Replace(id.series)
-	return fmt.Sprintf("%s_%s_x%d_f%d.snap", id.figure, series, id.x, id.field)
-}
-
 // runCell executes one sweep cell through the ledger: a matching recorded
 // entry replays without simulating; otherwise the run executes and its
 // summary is appended. Fresh runs feed Options.OnRun, and both paths emit
-// one Options.Progress line with the tracker's progress/ETA suffix.
+// one Options.Progress line with the tracker's progress/ETA suffix. Once
+// Options.Interrupt has fired, the cell is skipped with ErrInterrupted.
 func runCell(o Options, led *Ledger, tr *progressTracker, id cellID, cfg core.Config) (LedgerOutput, error) {
+	if interrupted(o.Interrupt) {
+		return LedgerOutput{}, ErrInterrupted
+	}
 	if lo, ok := led.lookup(id.figure, id.series, id.x, id.field, cfg.Seed, cfg.Duration.Seconds(), cfg.Shards); ok {
-		if o.Progress != nil {
-			o.Progress(fmt.Sprintf("%s %s x=%d field=%d replayed from ledger [%s]",
-				id.figure, id.series, id.x, id.field, tr.note(true, 0)))
-		}
+		tr.note(o.Progress, true, fmt.Sprintf("%s %s x=%d field=%d replayed from ledger",
+			id.figure, id.series, id.x, id.field))
 		return lo, nil
 	}
 	if o.FlightDir != "" && cfg.FlightPath == "" {
@@ -281,7 +278,7 @@ func runCell(o Options, led *Ledger, tr *progressTracker, id cellID, cfg core.Co
 		cc.SelfTestViolation = o.SelfTestViolation
 		cfg.Chaos = &cc
 	}
-	out, err := runDurable(o, id, cfg)
+	out, err := core.Run(cfg)
 	if err != nil {
 		return LedgerOutput{}, err
 	}
@@ -295,46 +292,7 @@ func runCell(o Options, led *Ledger, tr *progressTracker, id cellID, cfg core.Co
 	if o.OnRun != nil {
 		o.OnRun(lo)
 	}
-	if o.Progress != nil {
-		o.Progress(fmt.Sprintf("%s %s x=%d field=%d done (%d events, %.0f ev/s) [%s]",
-			id.figure, id.series, id.x, id.field,
-			lo.Kernel.Events, lo.Kernel.EventsPerSec(), tr.note(false, lo.Kernel.WallTime)))
-	}
+	tr.note(o.Progress, false, fmt.Sprintf("%s %s x=%d field=%d done (%d events, %.0f ev/s)",
+		id.figure, id.series, id.x, id.field, lo.Kernel.Events, lo.Kernel.EventsPerSec()))
 	return lo, nil
-}
-
-// runDurable executes one fresh cell, adding crash durability when
-// Options.CheckpointDir is set and the cell is inside the checkpoint
-// envelope: a snapshot left behind by an earlier interrupted or killed sweep
-// resumes mid-run, and periodic checkpoints plus the interrupt channel make
-// this run resumable in turn. Cells outside the envelope (idealized schemes,
-// chaos, churn, sharded) run fresh — the run is deterministic, so a re-run
-// is observationally identical to a resume. A snapshot that fails to restore
-// (corrupted, or written under different options) is discarded and the cell
-// re-runs from scratch.
-func runDurable(o Options, id cellID, cfg core.Config) (core.Output, error) {
-	if o.CheckpointDir == "" || core.CheckpointSupported(cfg) != nil {
-		return core.Run(cfg)
-	}
-	cfg.CheckpointPath = filepath.Join(o.CheckpointDir, id.snapName())
-	cfg.CheckpointEvery = o.CheckpointEvery
-	cfg.Interrupt = o.Interrupt
-	if _, err := os.Stat(cfg.CheckpointPath); err == nil {
-		out, err := core.Restore(cfg.CheckpointPath, cfg)
-		if err == nil && o.Progress != nil {
-			o.Progress(fmt.Sprintf("%s %s x=%d field=%d resumed from checkpoint",
-				id.figure, id.series, id.x, id.field))
-		}
-		if err == nil || errors.Is(err, core.ErrInterrupted) {
-			return out, err
-		}
-		if o.Progress != nil {
-			o.Progress(fmt.Sprintf("%s %s x=%d field=%d: discarding unusable checkpoint: %v",
-				id.figure, id.series, id.x, id.field, err))
-		}
-		if err := os.Remove(cfg.CheckpointPath); err != nil {
-			return core.Output{}, fmt.Errorf("harness: remove unusable checkpoint: %w", err)
-		}
-	}
-	return core.Run(cfg)
 }

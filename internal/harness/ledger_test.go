@@ -2,6 +2,7 @@ package harness
 
 import (
 	"bytes"
+	"errors"
 	"os"
 	"path/filepath"
 	"strings"
@@ -120,5 +121,83 @@ func TestLedgerSkipsTruncatedLines(t *testing.T) {
 	cut.Close()
 	if cut.Loaded() != full.Loaded()-1 {
 		t.Fatalf("truncated ledger loaded %d entries, want %d", cut.Loaded(), full.Loaded()-1)
+	}
+}
+
+// TestSweepInterrupted checks the graceful-stop contract at the sweep level:
+// with the interrupt already raised, no cell starts and the sweep surfaces
+// ErrInterrupted for the caller's exit-130 path.
+func TestSweepInterrupted(t *testing.T) {
+	interrupt := make(chan struct{})
+	close(interrupt)
+	o := ledgerOptions("", nil)
+	o.Interrupt = interrupt
+	o.OnRun = func(LedgerOutput) { t.Error("a cell ran after the interrupt") }
+	if _, err := Fig5(o); !errors.Is(err, ErrInterrupted) {
+		t.Fatalf("interrupted sweep returned %v, want ErrInterrupted", err)
+	}
+}
+
+// TestInterruptDrainsToLedger checks the cell-boundary drain: a one-worker
+// sweep interrupted once its first cell finishes stops with ErrInterrupted
+// and that cell on the ledger, and a re-run over the ledger replays it and
+// renders the same CSV as a sweep that was never interrupted.
+func TestInterruptDrainsToLedger(t *testing.T) {
+	golden, err := Fig5(ledgerOptions("", nil))
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	ledger := filepath.Join(t.TempDir(), "sweep.ledger.ndjson")
+	interrupt := make(chan struct{})
+	o := ledgerOptions(ledger, nil)
+	o.Workers = 1
+	o.Interrupt = interrupt
+	fresh := 0
+	o.OnRun = func(LedgerOutput) {
+		if fresh++; fresh == 1 {
+			close(interrupt)
+		}
+	}
+	if _, err := Fig5(o); !errors.Is(err, ErrInterrupted) {
+		t.Fatalf("interrupted sweep returned %v, want ErrInterrupted", err)
+	}
+	if fresh != 1 {
+		t.Fatalf("interrupted sweep simulated %d cells, want 1", fresh)
+	}
+	led, err := OpenLedger(ledger)
+	if err != nil {
+		t.Fatal(err)
+	}
+	led.Close()
+	if led.Loaded() != 1 {
+		t.Fatalf("ledger holds %d cells after the interrupt, want the 1 that finished", led.Loaded())
+	}
+
+	var lines []string
+	resumed, err := Fig5(ledgerOptions(ledger, func(s string) { lines = append(lines, s) }))
+	if err != nil {
+		t.Fatal(err)
+	}
+	replayed := 0
+	for _, l := range lines {
+		if strings.Contains(l, "replayed from ledger") {
+			replayed++
+		}
+	}
+	if replayed != 1 {
+		t.Fatalf("resumed sweep replayed %d cells, want 1:\n%s", replayed, strings.Join(lines, "\n"))
+	}
+
+	var want, got bytes.Buffer
+	if err := golden.CSV(&want); err != nil {
+		t.Fatal(err)
+	}
+	if err := resumed.CSV(&got); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(want.Bytes(), got.Bytes()) {
+		t.Fatalf("resumed CSV differs from an uninterrupted sweep:\n--- uninterrupted ---\n%s--- resumed ---\n%s",
+			want.String(), got.String())
 	}
 }

@@ -20,13 +20,13 @@ func TestWorkersShardClamp(t *testing.T) {
 	cases := []struct {
 		workers, shards, want int
 	}{
-		{4, 0, 4},  // serial: untouched
-		{4, 1, 4},  // shards=1 is the serial path too
-		{4, 2, 2},  // 2×2 = 4 cores
-		{1, 2, 1},  // explicit low request survives
-		{4, 8, 1},  // a run wider than the machine still gets one worker
-		{0, 2, 2},  // default workers clamp from GOMAXPROCS
-		{3, 4, 1},  // 4 shards on 4 cores leaves one worker
+		{4, 0, 4}, // serial: untouched
+		{4, 1, 4}, // shards=1 is the serial path too
+		{4, 2, 2}, // 2×2 = 4 cores
+		{1, 2, 1}, // explicit low request survives
+		{4, 8, 1}, // a run wider than the machine still gets one worker
+		{0, 2, 2}, // default workers clamp from GOMAXPROCS
+		{3, 4, 1}, // 4 shards on 4 cores leaves one worker
 	}
 	for _, tc := range cases {
 		o := Options{Workers: tc.workers, Shards: tc.shards}

@@ -322,8 +322,7 @@ type nodeState struct {
 
 	// sense is the node's prebuilt carrier-sense step; every contention
 	// wait schedules this same runner record instead of capturing a fresh
-	// closure per backoff, which also keeps pending backoffs identifiable
-	// for checkpoint snapshots (DESIGN.md §12).
+	// closure per backoff.
 	sense senseEvent
 }
 

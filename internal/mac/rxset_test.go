@@ -9,7 +9,6 @@ import (
 	"repro/internal/energy"
 	"repro/internal/geom"
 	"repro/internal/sim"
-	"repro/internal/snap"
 	"repro/internal/topology"
 )
 
@@ -256,97 +255,6 @@ func TestReceiverSetMatchesInRangeOracle(t *testing.T) {
 			if got != want {
 				t.Fatalf("iter %d: node %d received %d copies of src %d's frame, oracle says %d",
 					iter, j, got, src, want)
-			}
-		}
-	}
-}
-
-func TestCheckpointRederivesSlots(t *testing.T) {
-	// Slots are not serialized: a restored network must re-derive every
-	// destination slot and audible slot from the decoded receiver sets.
-	// Snapshot the contended cluster at a step where some node hears two
-	// frames at once and a unicast in flight has a destination entry.
-	k, n := clusterNet(t, 0)
-	for i := 0; i < 8; i++ {
-		id := topology.NodeID(i)
-		if err := n.Broadcast(id, Frame{Bytes: 64}); err != nil {
-			t.Fatal(err)
-		}
-		if err := n.Unicast(id, topology.NodeID((i+3)%8), Frame{Bytes: 96}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	ready := func() bool {
-		overlap, unicast := false, false
-		for i := range n.nodes {
-			overlap = overlap || len(n.nodes[i].audible) > 1
-			for _, h := range n.nodes[i].audible {
-				unicast = unicast || h.tx.dst != 0
-			}
-		}
-		return overlap && unicast
-	}
-	for !ready() {
-		if !k.Step() {
-			t.Fatal("kernel drained before two frames overlapped with a unicast in flight")
-		}
-	}
-
-	s := NewSnapshotter(n)
-	var payloads [][]byte
-	var txs []*transmission
-	for _, ev := range k.PendingEvents() {
-		var w snap.Writer
-		ok, err := s.EncodeRunner(&w, ev.Runner)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if ok {
-			payloads = append(payloads, w.Bytes())
-			if tx, isTx := ev.Runner.(*transmission); isTx {
-				txs = append(txs, tx)
-			}
-		}
-	}
-	var sw snap.Writer
-	if err := s.EncodeState(&sw); err != nil {
-		t.Fatal(err)
-	}
-
-	n2, err := New(sim.NewKernel(7), n.field, energy.PaperModel(), DefaultParams())
-	if err != nil {
-		t.Fatal(err)
-	}
-	d := NewRestorer(n2)
-	if err := d.DecodeState(snap.NewReader(sw.Bytes())); err != nil {
-		t.Fatal(err)
-	}
-	restored := map[*transmission]*transmission{}
-	for _, p := range payloads {
-		r, err := d.DecodeRunner(snap.NewReader(p))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if tx, isTx := r.(*transmission); isTx {
-			restored[txs[len(restored)]] = tx
-		}
-	}
-	if err := d.BindAudible(); err != nil {
-		t.Fatal(err)
-	}
-	for orig, got := range restored {
-		if got.dst != orig.dst {
-			t.Errorf("transmission %d→%d: restored destination slot %d, want %d", orig.from, orig.to, got.dst, orig.dst)
-		}
-	}
-	for i := range n.nodes {
-		want, got := n.nodes[i].audible, n2.nodes[i].audible
-		if len(got) != len(want) {
-			t.Fatalf("node %d hears %d frames after restore, want %d", i, len(got), len(want))
-		}
-		for j := range want {
-			if got[j].tx != restored[want[j].tx] || got[j].slot != want[j].slot {
-				t.Errorf("node %d audible %d: restored slot %d, want %d", i, j, got[j].slot, want[j].slot)
 			}
 		}
 	}

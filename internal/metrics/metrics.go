@@ -98,84 +98,6 @@ func (c *Collector) Delivered(sink topology.NodeID, item msg.Item, delay time.Du
 	}
 }
 
-// CollectorState is the collector's mutable state in canonical order, for
-// checkpoint/restore. Key sets are sorted; Delays and Hops keep insertion
-// order (one entry per counted delivery — Finalize sorts a copy, so the
-// order never leaks into results, but preserving it keeps re-encoding a
-// restored collector byte-identical).
-type CollectorState struct {
-	Generated []msg.ItemKey
-	Delivered []SinkDeliveries
-	DelaySum  time.Duration
-	DelayN    int
-	Delays    []time.Duration
-	Hops      []int
-	FanMax    int
-}
-
-// SinkDeliveries lists one sink's distinct delivered keys, sorted.
-type SinkDeliveries struct {
-	Sink topology.NodeID
-	Keys []msg.ItemKey
-}
-
-func sortKeys(keys []msg.ItemKey) {
-	sort.Slice(keys, func(i, j int) bool {
-		if keys[i].Source != keys[j].Source {
-			return keys[i].Source < keys[j].Source
-		}
-		return keys[i].Seq < keys[j].Seq
-	})
-}
-
-// State captures the collector for a checkpoint. Window bounds and the
-// clock are configuration, rebuilt rather than serialized.
-func (c *Collector) State() CollectorState {
-	s := CollectorState{
-		DelaySum: c.delaySum,
-		DelayN:   c.delayN,
-		Delays:   append([]time.Duration(nil), c.delays...),
-		Hops:     append([]int(nil), c.hops...),
-		FanMax:   c.fanMax,
-	}
-	for k := range c.generated {
-		s.Generated = append(s.Generated, k)
-	}
-	sortKeys(s.Generated)
-	for sink, m := range c.delivered {
-		sd := SinkDeliveries{Sink: sink}
-		for k := range m {
-			sd.Keys = append(sd.Keys, k)
-		}
-		sortKeys(sd.Keys)
-		s.Delivered = append(s.Delivered, sd)
-	}
-	sort.Slice(s.Delivered, func(i, j int) bool { return s.Delivered[i].Sink < s.Delivered[j].Sink })
-	return s
-}
-
-// RestoreState overwrites the collector's accumulators with a captured
-// state.
-func (c *Collector) RestoreState(s CollectorState) {
-	c.generated = make(map[msg.ItemKey]bool, len(s.Generated))
-	for _, k := range s.Generated {
-		c.generated[k] = true
-	}
-	c.delivered = make(map[topology.NodeID]map[msg.ItemKey]bool, len(s.Delivered))
-	for _, sd := range s.Delivered {
-		m := make(map[msg.ItemKey]bool, len(sd.Keys))
-		for _, k := range sd.Keys {
-			m[k] = true
-		}
-		c.delivered[sd.Sink] = m
-	}
-	c.delaySum = s.DelaySum
-	c.delayN = s.DelayN
-	c.delays = append([]time.Duration(nil), s.Delays...)
-	c.hops = append([]int(nil), s.Hops...)
-	c.fanMax = s.FanMax
-}
-
 // GeneratedCount returns the number of distinct events generated in-window.
 func (c *Collector) GeneratedCount() int { return len(c.generated) }
 

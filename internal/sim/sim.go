@@ -20,6 +20,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"sort"
 	"time"
 )
 
@@ -106,7 +107,6 @@ type Kernel struct {
 	cancelled int // cancelled records still sitting in the heap
 	seq       uint64
 	rng       *rand.Rand
-	src       *countingSource // the rng's underlying source, draw-counted for checkpoint/restore
 	running   bool
 	stopped   bool
 
@@ -116,14 +116,9 @@ type Kernel struct {
 	maxQueue  int
 }
 
-// NewKernel returns a kernel whose randomness is derived from seed. The
-// source is wrapped in a draw counter (see checkpoint.go) so a restore can
-// fast-forward a fresh source to the same stream position; the wrapper
-// delegates every call, so the stream is bit-identical to an unwrapped
-// rand.NewSource(seed).
+// NewKernel returns a kernel whose randomness is derived from seed.
 func NewKernel(seed int64) *Kernel {
-	src := &countingSource{src: rand.NewSource(seed).(rand.Source64)}
-	return &Kernel{rng: rand.New(src), src: src}
+	return &Kernel{rng: rand.New(rand.NewSource(seed))}
 }
 
 // Now returns the current virtual time.
@@ -148,6 +143,34 @@ func (k *Kernel) QueueHighWater() int { return k.maxQueue }
 // live — a memory-footprint signal: a steady-state run should see it
 // plateau at the queue high-water mark rather than grow with event count.
 func (k *Kernel) PoolSize() int { return len(k.pool) }
+
+// PendingEvent is one live queued event, as PendingEvents reports it.
+type PendingEvent struct {
+	At  Time
+	Seq uint64
+	// Runner is the scheduled object of a ScheduleRunner event; nil for a
+	// closure event.
+	Runner Runner
+}
+
+// PendingEvents returns every live queued event in firing order (at, seq),
+// so tests stepping a run can inspect what is in flight. Cancelled records
+// still sitting in the heap are left out.
+func (k *Kernel) PendingEvents() []PendingEvent {
+	out := make([]PendingEvent, 0, len(k.heap))
+	for _, idx := range k.heap {
+		if ev := &k.pool[idx]; ev.state == evPending {
+			out = append(out, PendingEvent{At: ev.at, Seq: ev.seq, Runner: ev.runner})
+		}
+	}
+	sort.Slice(out, func(i, j int) bool {
+		if out[i].At != out[j].At {
+			return out[i].At < out[j].At
+		}
+		return out[i].Seq < out[j].Seq
+	})
+	return out
+}
 
 // ErrNegativeDelay is returned (via panic recovery in tests) when scheduling
 // into the past is attempted.
