@@ -5,6 +5,9 @@
 //
 //	go test -bench=. -benchmem -run '^$' . | benchdiff -out BENCH_1.json
 //
+// Repeated runs of one benchmark (`go test -count N`) collapse to the
+// median of each quantity, in snapshot and compare mode alike.
+//
 // Compare mode gates a new run against a committed baseline and exits
 // non-zero on regression. The current run may be raw benchmark output or a
 // previously snapshotted JSON file (detected by content):

@@ -60,9 +60,12 @@ func main() {
 	fmt.Printf("  optimal Steiner tree           %3d   (GIT is %.2fx optimal)\n\n",
 		opt, float64(git.Transmissions())/float64(opt))
 
-	for name, tree := range map[string]datacentric.Tree{"GIT": git, "SPT": spt} {
+	for _, drawn := range []struct {
+		name string
+		tree datacentric.Tree
+	}{{"GIT", git}, {"SPT", spt}} {
 		m := plot.FieldMap{
-			Title: name + " on the field:",
+			Title: drawn.name + " on the field:",
 			MinX:  0, MinY: 0, MaxX: 200, MaxY: 200,
 			Legend: map[rune]string{'S': "sink", 'o': "source", '*': "tree node", '.': "idle"},
 			Width:  60, Height: 20,
@@ -80,7 +83,7 @@ func main() {
 				nd.Mark = 'S'
 			case isSource[id]:
 				nd.Mark = 'o'
-			case tree.Contains(id):
+			case drawn.tree.Contains(id):
 				nd.Mark = '*'
 			}
 			m.Nodes = append(m.Nodes, nd)

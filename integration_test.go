@@ -1,7 +1,7 @@
 package repro
 
 import (
-	"os"
+	"bytes"
 	"os/exec"
 	"path/filepath"
 	"testing"
@@ -170,11 +170,14 @@ func diff(a, b int) int {
 	return b - a
 }
 
-// TestExamplesCompile keeps every example buildable: each is a main package
-// outside the test dependency graph, so only an explicit build catches rot.
-func TestExamplesCompile(t *testing.T) {
+// TestExamplesDeterministic builds every example, runs it twice and
+// requires byte-identical standard output. Each example is a main package
+// outside the test dependency graph, so only an explicit build catches rot;
+// each is a fixed-seed scenario, so a difference between runs means output
+// that depends on map order or unseeded state.
+func TestExamplesDeterministic(t *testing.T) {
 	if testing.Short() {
-		t.Skip("compiles all example binaries")
+		t.Skip("builds and runs every example twice")
 	}
 	dirs, err := filepath.Glob("examples/*")
 	if err != nil {
@@ -183,10 +186,22 @@ func TestExamplesCompile(t *testing.T) {
 	if len(dirs) == 0 {
 		t.Fatal("no examples found")
 	}
+	bin := t.TempDir()
 	for _, dir := range dirs {
-		out, err := exec.Command("go", "build", "-o", os.DevNull, "./"+dir).CombinedOutput()
-		if err != nil {
+		name := filepath.Base(dir)
+		exe := filepath.Join(bin, name)
+		if out, err := exec.Command("go", "build", "-o", exe, "./"+dir).CombinedOutput(); err != nil {
 			t.Errorf("%s does not build: %v\n%s", dir, err, out)
+			continue
+		}
+		var runs [2][]byte
+		for i := range runs {
+			if runs[i], err = exec.Command(exe).Output(); err != nil {
+				t.Errorf("%s run %d: %v", name, i+1, err)
+			}
+		}
+		if !bytes.Equal(runs[0], runs[1]) {
+			t.Errorf("%s printed different output on two runs:\n--- first\n%s\n--- second\n%s", name, runs[0], runs[1])
 		}
 	}
 }

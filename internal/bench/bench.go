@@ -55,6 +55,8 @@ func (b *Baseline) Lookup(name string) (Result, bool) {
 // Parse reads `go test -bench -benchmem` output and collects the benchmark
 // lines into a Baseline. Non-benchmark lines (headers, PASS, ok) are
 // skipped except for the goos/goarch/cpu header trio, which is recorded.
+// Repeated runs of one benchmark (`-count N`) collapse to one result
+// holding the median of each quantity.
 func Parse(r io.Reader) (*Baseline, error) {
 	b := &Baseline{SchemaVersion: SchemaVersion}
 	sc := bufio.NewScanner(r)
@@ -83,8 +85,73 @@ func Parse(r io.Reader) (*Baseline, error) {
 	if err := sc.Err(); err != nil {
 		return nil, err
 	}
-	sort.Slice(b.Results, func(i, j int) bool { return b.Results[i].Name < b.Results[j].Name })
+	sort.SliceStable(b.Results, func(i, j int) bool { return b.Results[i].Name < b.Results[j].Name })
+	b.Results = collapseRepeats(b.Results)
 	return b, nil
+}
+
+// collapseRepeats merges each run of equal names in the name-sorted results
+// into one result: the median of every quantity taken separately, so a
+// noisy metric reads its typical run rather than whichever ran first.
+func collapseRepeats(results []Result) []Result {
+	out := results[:0]
+	for len(results) > 0 {
+		n := 1
+		for n < len(results) && results[n].Name == results[0].Name {
+			n++
+		}
+		runs := results[:n]
+		results = results[n:]
+		if n == 1 {
+			out = append(out, runs[0])
+			continue
+		}
+		med := func(get func(Result) float64) float64 {
+			vs := make([]float64, len(runs))
+			for i, r := range runs {
+				vs[i] = get(r)
+			}
+			return median(vs)
+		}
+		m := Result{
+			Name:        runs[0].Name,
+			Iters:       int64(med(func(r Result) float64 { return float64(r.Iters) })),
+			NsPerOp:     med(func(r Result) float64 { return r.NsPerOp }),
+			BytesPerOp:  med(func(r Result) float64 { return r.BytesPerOp }),
+			AllocsPerOp: med(func(r Result) float64 { return r.AllocsPerOp }),
+		}
+		// A custom metric takes the median over the runs that reported it.
+		for _, r := range runs {
+			for unit := range r.Metrics {
+				if _, done := m.Metrics[unit]; done {
+					continue
+				}
+				var vs []float64
+				for _, r := range runs {
+					if v, ok := r.Metrics[unit]; ok {
+						vs = append(vs, v)
+					}
+				}
+				if m.Metrics == nil {
+					m.Metrics = make(map[string]float64)
+				}
+				m.Metrics[unit] = median(vs)
+			}
+		}
+		out = append(out, m)
+	}
+	return out
+}
+
+// median returns the middle value of vs (the mean of the middle two for an
+// even count), reordering vs.
+func median(vs []float64) float64 {
+	sort.Float64s(vs)
+	mid := len(vs) / 2
+	if len(vs)%2 == 1 {
+		return vs[mid]
+	}
+	return (vs[mid-1] + vs[mid]) / 2
 }
 
 // parseLine decodes one benchmark result line:

@@ -177,3 +177,32 @@ func TestCompareZeroBaseline(t *testing.T) {
 		t.Fatal("growth past a zero baseline not flagged")
 	}
 }
+
+func TestParseCollapsesRepeatsToMedian(t *testing.T) {
+	// Three -count runs of one benchmark: each quantity takes its own
+	// median, so the collapsed result mixes runs rather than picking one.
+	out := `BenchmarkScaleSweep/nodes=5000-8   1   300 ns/op   48 B/op   3 allocs/op   9956 bytes/node   7 events/s
+BenchmarkOther-8   5   7 ns/op   0 B/op   0 allocs/op
+BenchmarkScaleSweep/nodes=5000-8   1   100 ns/op   64 B/op   2 allocs/op   8514 bytes/node
+BenchmarkScaleSweep/nodes=5000-8   1   200 ns/op   40 B/op   4 allocs/op   9000 bytes/node   5 events/s
+`
+	b, err := Parse(strings.NewReader(out))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(b.Results) != 2 {
+		t.Fatalf("parsed %d results, want 2 after collapsing repeats", len(b.Results))
+	}
+	r, _ := b.Lookup("BenchmarkScaleSweep/nodes=5000")
+	if r.Iters != 1 || r.NsPerOp != 200 || r.BytesPerOp != 48 || r.AllocsPerOp != 3 {
+		t.Fatalf("standard quantities not medians: %+v", r)
+	}
+	// bytes/node is in all three runs; events/s only in two (mean of the
+	// middle pair).
+	if r.Metrics["bytes/node"] != 9000 || r.Metrics["events/s"] != 6 {
+		t.Fatalf("custom metrics not medians: %+v", r.Metrics)
+	}
+	if o, _ := b.Lookup("BenchmarkOther"); o.Iters != 5 || o.NsPerOp != 7 {
+		t.Fatalf("single run altered: %+v", o)
+	}
+}

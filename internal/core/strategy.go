@@ -24,7 +24,7 @@
 package core
 
 import (
-	"sort"
+	"slices"
 	"time"
 
 	"repro/internal/diffusion"
@@ -90,67 +90,72 @@ func (Strategy) ChooseUpstream(e *diffusion.ExplorEntry, exclude map[topology.No
 // from events to sources (preserving cost ratios), compute the greedy
 // set cover of the sources, and negatively reinforce every neighbor none of
 // whose aggregates made the cover (§4.3's "more energy-efficient rule").
-func (s Strategy) Truncate(window []diffusion.ReceivedAgg) []topology.NodeID {
+// Windows hold tens of aggregates, so membership tests are scans over ws.
+func (s Strategy) Truncate(window []diffusion.ReceivedAgg, ws *diffusion.TruncateWorkspace) []topology.NodeID {
 	// Only items that were new on arrival count: an aggregate that
 	// delivered nothing unseen (a redundant branch or a transient echo)
-	// covers nothing and its sender must not survive on it.
-	family := make([]setcover.Subset[msg.ItemKey], len(window))
-	for i, a := range window {
-		keys := make([]msg.ItemKey, len(a.NewItems))
-		for j, it := range a.NewItems {
-			keys[j] = it.Key()
-		}
-		family[i] = setcover.Subset[msg.ItemKey]{
-			Label:    int(a.From),
-			Elements: keys,
-			Weight:   float64(a.W),
-		}
+	// covers nothing and its sender must not survive on it. One flat key
+	// buffer, sized up front, backs every subset.
+	n := 0
+	for i := range window {
+		n += len(window[i].NewItems)
 	}
-
-	var inCover map[topology.NodeID]bool
-	if s.TruncateOnEvents {
-		inCover = coverLabels(family)
-	} else {
-		bySource := setcover.TransformToSources(family, func(k msg.ItemKey) topology.NodeID {
-			return k.Source
-		})
-		inCover = coverLabels(bySource)
-	}
-
-	seen := make(map[topology.NodeID]bool)
-	var victims []topology.NodeID
+	keys := slices.Grow(ws.Keys[:0], n)
+	family := ws.Events[:0]
 	for _, a := range window {
-		if !seen[a.From] {
-			seen[a.From] = true
-			if !inCover[a.From] {
-				victims = append(victims, a.From)
-			}
+		start := len(keys)
+		for _, it := range a.NewItems {
+			keys = append(keys, it.Key())
+		}
+		family = append(family, setcover.Subset[msg.ItemKey]{
+			Label:    int(a.From),
+			Elements: keys[start:len(keys):len(keys)],
+			Weight:   float64(a.W),
+		})
+	}
+	ws.Keys, ws.Events = keys, family
+
+	// Each cover's universe is every element of its family: a flat buffer
+	// lists them subset by subset, and the solver keeps the first
+	// occurrence of each. Both families carry the same labels at the same
+	// indexes, so chosen indexes read labels from either.
+	var chosen []int
+	if s.TruncateOnEvents {
+		chosen = cover(&ws.EventCover, keys, family)
+	} else {
+		ws.BySource, ws.Sources = setcover.TransformToSources(ws.BySource[:0], ws.Sources[:0], family, itemSource)
+		chosen = cover(&ws.SourceCover, ws.Sources, ws.BySource)
+	}
+
+	victims := ws.Victims[:0]
+	for _, a := range window {
+		if !slices.Contains(victims, a.From) && !chosenLabel(family, chosen, a.From) {
+			victims = append(victims, a.From)
 		}
 	}
-	sort.Slice(victims, func(i, j int) bool { return victims[i] < victims[j] })
+	slices.Sort(victims)
+	ws.Victims = victims
 	return victims
 }
 
-// coverLabels runs the greedy set cover over the family's full element
-// universe and returns the labels (neighbor IDs) of the chosen subsets.
-func coverLabels[E comparable](family []setcover.Subset[E]) map[topology.NodeID]bool {
-	universe := make(map[E]bool)
-	var univ []E
-	for _, s := range family {
-		for _, e := range s.Elements {
-			if !universe[e] {
-				universe[e] = true
-				univ = append(univ, e)
-			}
-		}
-	}
-	cover, err := setcover.Greedy(univ, family)
+func itemSource(k msg.ItemKey) topology.NodeID { return k.Source }
+
+// cover runs the greedy set cover of universe by family and returns the
+// chosen family indexes, valid until sv's next call.
+func cover[E comparable](sv *setcover.Solver[E], universe []E, family []setcover.Subset[E]) []int {
+	c, err := sv.Solve(universe, family)
 	if err != nil {
 		panic(err) // weights are non-negative by construction
 	}
-	in := make(map[topology.NodeID]bool, len(cover.Chosen))
-	for _, idx := range cover.Chosen {
-		in[topology.NodeID(family[idx].Label)] = true
+	return c.Chosen
+}
+
+// chosenLabel reports whether nbr labels any chosen subset of family.
+func chosenLabel(family []setcover.Subset[msg.ItemKey], chosen []int, nbr topology.NodeID) bool {
+	for _, i := range chosen {
+		if family[i].Label == int(nbr) {
+			return true
+		}
 	}
-	return in
+	return false
 }

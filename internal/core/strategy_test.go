@@ -1,11 +1,15 @@
 package core
 
 import (
+	"math/rand"
+	"slices"
+	"sort"
 	"testing"
 	"time"
 
 	"repro/internal/diffusion"
 	"repro/internal/msg"
+	"repro/internal/setcover"
 	"repro/internal/topology"
 )
 
@@ -146,7 +150,7 @@ func TestTruncatePaperExample(t *testing.T) {
 			W:        7,
 		},
 	}
-	victims := Strategy{}.Truncate(window)
+	victims := Strategy{}.Truncate(window, &diffusion.TruncateWorkspace{})
 	if len(victims) != 2 || victims[0] != hNbr || victims[1] != kNbr {
 		t.Fatalf("victims = %v, want [H K] = [%d %d]", victims, hNbr, kNbr)
 	}
@@ -159,7 +163,7 @@ func TestTruncateDuplicateOnlyNeighborPruned(t *testing.T) {
 		{From: 1, Items: []msg.Item{it(10, 1)}, NewItems: []msg.Item{it(10, 1)}, W: 9},
 		{From: 2, Items: []msg.Item{it(10, 1)}, W: 1}, // duplicate, cheap
 	}
-	victims := Strategy{}.Truncate(window)
+	victims := Strategy{}.Truncate(window, &diffusion.TruncateWorkspace{})
 	if len(victims) != 1 || victims[0] != 2 {
 		t.Fatalf("victims = %v, want [2]", victims)
 	}
@@ -169,13 +173,13 @@ func TestTruncateSingleUpstreamKept(t *testing.T) {
 	window := []diffusion.ReceivedAgg{
 		{From: 4, Items: []msg.Item{it(10, 1)}, NewItems: []msg.Item{it(10, 1)}, W: 3},
 	}
-	if victims := (Strategy{}).Truncate(window); len(victims) != 0 {
+	if victims := (Strategy{}).Truncate(window, &diffusion.TruncateWorkspace{}); len(victims) != 0 {
 		t.Fatalf("victims = %v, want none for a single useful upstream", victims)
 	}
 }
 
 func TestTruncateEmptyWindow(t *testing.T) {
-	if victims := (Strategy{}).Truncate(nil); len(victims) != 0 {
+	if victims := (Strategy{}).Truncate(nil, &diffusion.TruncateWorkspace{}); len(victims) != 0 {
 		t.Fatalf("victims = %v for empty window", victims)
 	}
 }
@@ -189,5 +193,140 @@ func TestSchemeString(t *testing.T) {
 	}
 	if _, err := Scheme(0).Strategy(); err == nil {
 		t.Fatal("unknown scheme should not yield a strategy")
+	}
+}
+
+// referenceTruncate is the map-based Truncate the workspace version
+// replaced, kept as its oracle. Its set covers go through the one-shot
+// setcover.Greedy and TransformToSources, which own fresh state per call.
+func referenceTruncate(s Strategy, window []diffusion.ReceivedAgg) []topology.NodeID {
+	family := make([]setcover.Subset[msg.ItemKey], len(window))
+	for i, a := range window {
+		keys := make([]msg.ItemKey, len(a.NewItems))
+		for j, it := range a.NewItems {
+			keys[j] = it.Key()
+		}
+		family[i] = setcover.Subset[msg.ItemKey]{
+			Label:    int(a.From),
+			Elements: keys,
+			Weight:   float64(a.W),
+		}
+	}
+
+	var inCover map[topology.NodeID]bool
+	if s.TruncateOnEvents {
+		inCover = referenceCoverLabels(family)
+	} else {
+		bySource, _ := setcover.TransformToSources(nil, nil, family, func(k msg.ItemKey) topology.NodeID {
+			return k.Source
+		})
+		inCover = referenceCoverLabels(bySource)
+	}
+
+	seen := make(map[topology.NodeID]bool)
+	var victims []topology.NodeID
+	for _, a := range window {
+		if !seen[a.From] {
+			seen[a.From] = true
+			if !inCover[a.From] {
+				victims = append(victims, a.From)
+			}
+		}
+	}
+	sort.Slice(victims, func(i, j int) bool { return victims[i] < victims[j] })
+	return victims
+}
+
+func referenceCoverLabels[E comparable](family []setcover.Subset[E]) map[topology.NodeID]bool {
+	universe := make(map[E]bool)
+	var univ []E
+	for _, s := range family {
+		for _, e := range s.Elements {
+			if !universe[e] {
+				universe[e] = true
+				univ = append(univ, e)
+			}
+		}
+	}
+	cover, err := setcover.Greedy(univ, family)
+	if err != nil {
+		panic(err)
+	}
+	in := make(map[topology.NodeID]bool, len(cover.Chosen))
+	for _, idx := range cover.Chosen {
+		in[topology.NodeID(family[idx].Label)] = true
+	}
+	return in
+}
+
+// randomWindow draws a truncation window over a few senders and sources:
+// senders repeat, some aggregates deliver nothing new, items recur across
+// aggregates and weights tie often.
+func randomWindow(rng *rand.Rand) []diffusion.ReceivedAgg {
+	window := make([]diffusion.ReceivedAgg, rng.Intn(12))
+	if rng.Intn(10) == 0 {
+		window = make([]diffusion.ReceivedAgg, 20+rng.Intn(30))
+	}
+	senders := 1 + rng.Intn(6)
+	for i := range window {
+		a := &window[i]
+		a.From = topology.NodeID(100 + rng.Intn(senders))
+		a.W = rng.Intn(6)
+		if rng.Intn(20) == 0 {
+			a.W = 1 << 20
+		}
+		a.Items = make([]msg.Item, 1+rng.Intn(5))
+		for j := range a.Items {
+			a.Items[j] = it(topology.NodeID(rng.Intn(5)), rng.Intn(4))
+		}
+		if rng.Intn(4) > 0 {
+			a.NewItems = a.Items[:rng.Intn(len(a.Items)+1)]
+		}
+	}
+	return window
+}
+
+// TestTruncateMatchesReference runs thousands of random windows through one
+// reused workspace, for both truncation rules, and requires the reference
+// victims exactly.
+func TestTruncateMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(16))
+	var ws diffusion.TruncateWorkspace
+	pruned := 0
+	for trial := 0; trial < 5000; trial++ {
+		window := randomWindow(rng)
+		for _, s := range []Strategy{{}, {TruncateOnEvents: true}} {
+			want := referenceTruncate(s, window)
+			got := s.Truncate(window, &ws)
+			if !slices.Equal(got, want) {
+				t.Fatalf("trial %d %s: victims %v, want %v\nwindow %+v", trial, s.Name(), got, want, window)
+			}
+			if len(want) > 0 {
+				pruned++
+			}
+		}
+	}
+	if pruned < 2000 {
+		t.Fatalf("weak draw: only %d windows pruned anyone", pruned)
+	}
+}
+
+// A warmed workspace makes truncation allocation-free under both rules.
+func TestTruncateWarmAllocatesNothing(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	windows := make([][]diffusion.ReceivedAgg, 30)
+	for i := range windows {
+		windows[i] = randomWindow(rng)
+	}
+	var ws diffusion.TruncateWorkspace
+	run := func() {
+		for _, w := range windows {
+			Strategy{}.Truncate(w, &ws)
+			Strategy{TruncateOnEvents: true}.Truncate(w, &ws)
+		}
+	}
+	run() // warm
+	if n := testing.AllocsPerRun(50, run); n != 0 {
+		t.Fatalf("warmed Truncate: %v allocs per pass, want 0", n)
 	}
 }

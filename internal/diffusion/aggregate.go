@@ -2,6 +2,7 @@ package diffusion
 
 import (
 	"math"
+	"slices"
 	"time"
 
 	"repro/internal/msg"
@@ -123,30 +124,31 @@ func (n *node) addPending(st *interestState, c contribution) {
 }
 
 // sufficientForFlush reports whether the pending buffer already holds items
-// from every recently active source.
+// from every recently active source. The buffer holds a handful of items,
+// so scanning it beats building a set.
 func (n *node) sufficientForFlush(st *interestState) bool {
 	active := n.activeSources(st)
 	if len(active) < 2 {
 		return true
 	}
-	have := n.rt.sc.have
-	if have == nil {
-		have = make(map[topology.NodeID]bool)
-		n.rt.sc.have = have
-	} else {
-		clear(have)
-	}
-	for _, c := range st.pending.contribs {
-		for _, it := range c.newItems {
-			have[it.Source] = true
-		}
-	}
 	for _, src := range active {
-		if !have[src] {
+		if !pendingHas(st.pending.contribs, src) {
 			return false
 		}
 	}
 	return true
+}
+
+// pendingHas reports whether any contribution carries a new item from src.
+func pendingHas(contribs []contribution, src topology.NodeID) bool {
+	for i := range contribs {
+		for _, it := range contribs[i].newItems {
+			if it.Source == src {
+				return true
+			}
+		}
+	}
+	return false
 }
 
 // flush aggregates the pending contributions into one outgoing message per
@@ -160,13 +162,6 @@ func (n *node) flush(st *interestState) {
 		return
 	}
 
-	seen := n.rt.sc.seen
-	if seen == nil {
-		seen = make(map[msg.ItemKey]bool)
-		n.rt.sc.seen = seen
-	} else {
-		clear(seen)
-	}
 	total := 0
 	for i := range contribs {
 		total += len(contribs[i].newItems)
@@ -182,35 +177,35 @@ func (n *node) flush(st *interestState) {
 		}
 	}
 	// The merged payload escapes into the outgoing message, so it is the one
-	// slice here that must be freshly allocated.
+	// slice here that must be freshly allocated. Its keys, deduplicated by a
+	// scan (payloads hold tens of items), are the set-cover universe.
 	items := make([]msg.Item, 0, total)
+	universe := n.rt.sc.universe[:0]
 	for _, c := range contribs {
 		for _, it := range c.newItems {
-			if !seen[it.Key()] {
-				seen[it.Key()] = true
-				if it.Hops < math.MaxUint16 {
-					it.Hops++
-				}
-				if fanIn >= 2 && uint16(fanIn) > it.FanIn {
-					it.FanIn = uint16(fanIn)
-				}
-				items = append(items, it)
+			k := it.Key()
+			if slices.Contains(universe, k) {
+				continue
 			}
+			universe = append(universe, k)
+			if it.Hops < math.MaxUint16 {
+				it.Hops++
+			}
+			if fanIn >= 2 && uint16(fanIn) > it.FanIn {
+				it.FanIn = uint16(fanIn)
+			}
+			items = append(items, it)
 		}
 	}
+	n.rt.sc.universe = universe
 	if len(items) == 0 {
 		return
 	}
 
-	universe := n.rt.sc.universe[:0]
-	for _, it := range items {
-		universe = append(universe, it.Key())
-	}
-	n.rt.sc.universe = universe
-
 	// One flat key buffer backs every subset; pre-sizing it up front keeps
-	// the per-subset subslices valid across appends. Greedy copies its
-	// inputs, so the scratch is free again as soon as it returns.
+	// the per-subset subslices in one backing array. The solver keeps no
+	// reference to its inputs, so the scratch is free again as soon as it
+	// returns.
 	keyCount := 0
 	for i := range contribs {
 		keyCount += len(contribs[i].items)
@@ -234,7 +229,7 @@ func (n *node) flush(st *interestState) {
 	n.rt.sc.family = family
 
 	n.rt.ins.setCover(len(family))
-	cover, err := setcover.Greedy(universe, family)
+	cover, err := n.rt.sc.cover.Solve(universe, family)
 	if err != nil {
 		panic(err) // weights are non-negative by construction
 	}
@@ -286,7 +281,7 @@ func (n *node) truncationPass() {
 		if len(window) == 0 {
 			continue
 		}
-		victims := n.rt.strategy.Truncate(window)
+		victims := n.rt.strategy.Truncate(window, &n.rt.sc.trunc)
 		n.rt.ins.truncation(len(victims))
 		for _, victim := range victims {
 			n.unicast(victim, msg.Message{

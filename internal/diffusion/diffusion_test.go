@@ -28,7 +28,7 @@ func (firstCopyStrategy) ChooseUpstream(e *ExplorEntry, exclude map[topology.Nod
 	return c.Nbr, ok
 }
 
-func (firstCopyStrategy) Truncate(window []ReceivedAgg) []topology.NodeID {
+func (firstCopyStrategy) Truncate(window []ReceivedAgg, _ *TruncateWorkspace) []topology.NodeID {
 	fresh := map[topology.NodeID]bool{}
 	seen := map[topology.NodeID]bool{}
 	for _, a := range window {
@@ -429,9 +429,9 @@ func TestNewValidation(t *testing.T) {
 
 func TestRecordCopy(t *testing.T) {
 	e := &entryState{}
-	e.recordCopy(5, 3, 100)
-	e.recordCopy(7, 2, 200)
-	e.recordCopy(5, 1, 300) // improves node 5's cost, keeps arrival order
+	e.recordCopy(5, 3, 100, 8)
+	e.recordCopy(7, 2, 200, 8)
+	e.recordCopy(5, 1, 300, 8) // improves node 5's cost, keeps arrival order
 
 	if !e.HasE || e.BestE != 1 {
 		t.Fatalf("BestE = %d (HasE=%v), want 1", e.BestE, e.HasE)
@@ -444,6 +444,28 @@ func TestRecordCopy(t *testing.T) {
 	}
 	if e.Copies[1].Nbr != 7 || e.Copies[1].E != 2 {
 		t.Fatalf("second copy = %+v", e.Copies[1])
+	}
+}
+
+// Copies past the inline buffer move once to a slice sized to the node's
+// degree; a degree that later grows (mobility) still appends correctly.
+func TestRecordCopyOverflowSizedToDegree(t *testing.T) {
+	for _, degree := range []int{2, 37} {
+		e := &entryState{}
+		for i := 0; i < 40; i++ {
+			e.recordCopy(topology.NodeID(i), i, time.Duration(i), degree)
+			if i == len(e.copiesBuf) && degree > len(e.copiesBuf) && cap(e.Copies) != degree {
+				t.Fatalf("degree %d: cap after overflow = %d, want %d", degree, cap(e.Copies), degree)
+			}
+		}
+		if len(e.Copies) != 40 {
+			t.Fatalf("degree %d: %d copies, want 40", degree, len(e.Copies))
+		}
+		for i, c := range e.Copies {
+			if c.Nbr != topology.NodeID(i) || c.E != i || c.Arrival != time.Duration(i) {
+				t.Fatalf("degree %d: copy %d = %+v", degree, i, c)
+			}
+		}
 	}
 }
 

@@ -102,8 +102,11 @@ type entryState struct {
 }
 
 // recordCopy notes a flood delivery from nbr at the given accumulated cost,
-// keeping the cheapest cost per neighbor and first-arrival order.
-func (e *entryState) recordCopy(nbr topology.NodeID, cost int, at time.Duration) {
+// keeping the cheapest cost per neighbor and first-arrival order. degree is
+// the node's current neighbor count: a flood can reach a node once per
+// neighbor, so when copies outgrow the inline buffer they move to a slice
+// sized for that many in one allocation rather than a doubling chain.
+func (e *entryState) recordCopy(nbr topology.NodeID, cost int, at time.Duration, degree int) {
 	if !e.HasE || cost < e.BestE {
 		e.HasE = true
 		e.BestE = cost
@@ -116,8 +119,14 @@ func (e *entryState) recordCopy(nbr topology.NodeID, cost int, at time.Duration)
 			return
 		}
 	}
-	if e.Copies == nil {
+	switch {
+	case e.Copies == nil:
 		e.Copies = e.copiesBuf[:0]
+	case len(e.Copies) == len(e.copiesBuf) && degree > len(e.copiesBuf):
+		// The inline buffer is full (Copies never shrinks, so a length of
+		// exactly len(copiesBuf) means it is still inline). Mobility can
+		// add neighbors later; append then grows past degree.
+		e.Copies = append(make([]Copy, 0, degree), e.Copies...)
 	}
 	e.Copies = append(e.Copies, Copy{Nbr: nbr, E: cost, Arrival: at})
 }
@@ -460,7 +469,7 @@ func (n *node) onExploratory(from topology.NodeID, m msg.Message) {
 		st.entries.put(m.ID, e)
 	}
 	improved := !e.HasE || cost < e.BestE
-	e.recordCopy(from, cost, n.now())
+	e.recordCopy(from, cost, n.now(), len(n.rt.field.Neighbors(n.id)))
 	if e.skeleton || !seen {
 		// First actual flood copy: fill in the event the skeleton (created
 		// by an incremental cost message that outran the flood) lacked.

@@ -58,19 +58,19 @@ func (r Roles) Validate(n int) error {
 // single-threaded and the MAC delivers through scheduled events (no
 // synchronous cross-node reentry), so one instance serves every node: a
 // buffer's contents only need to survive the single protocol action that
-// filled it. Maps are lazily created and cleared in place; slices grow to
-// the high-water mark and stay.
+// filled it. The exclude map is lazily created and cleared in place; slices
+// and solvers grow to the high-water mark and stay.
 type scratch struct {
 	sources  []topology.NodeID        // activeSources results
 	grads    []topology.NodeID        // dataGradients results
 	healthy  []topology.NodeID        // sendDataHealing quality filter
 	lqDrop   []topology.NodeID        // repairEntry link-quality exclusions
-	have     map[topology.NodeID]bool // sufficientForFlush coverage test
 	exclude  map[topology.NodeID]bool // reinforceEntry merged exclusions
-	seen     map[msg.ItemKey]bool     // flush payload dedup
-	universe []msg.ItemKey            // flush set-cover universe
+	universe []msg.ItemKey            // flush payload keys: dedup and set-cover universe
 	keys     []msg.ItemKey            // flush set-cover family backing
 	family   []setcover.Subset[msg.ItemKey]
+	cover    setcover.Solver[msg.ItemKey] // flush set cover
+	trunc    TruncateWorkspace            // handed to Strategy.Truncate
 }
 
 // Runtime wires a diffusion instantiation over every node of a field and

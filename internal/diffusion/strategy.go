@@ -4,6 +4,7 @@ import (
 	"time"
 
 	"repro/internal/msg"
+	"repro/internal/setcover"
 	"repro/internal/topology"
 )
 
@@ -123,9 +124,27 @@ type Strategy interface {
 	// exploratory events with incremental cost messages.
 	UsesIncrementalCost() bool
 
-	// Truncate returns the neighbors to negatively reinforce given the
-	// aggregates received during the last Tn window from upstream
-	// neighbors; one element per received aggregate, so the same neighbor
-	// may appear several times.
-	Truncate(window []ReceivedAgg) []topology.NodeID
+	// Truncate returns the neighbors to negatively reinforce, each once and
+	// in ascending order, given the aggregates received during the last Tn
+	// window from upstream neighbors. It works in ws, which the runtime
+	// owns; the returned slice may alias ws and is read before the next
+	// call.
+	Truncate(window []ReceivedAgg, ws *TruncateWorkspace) []topology.NodeID
+}
+
+// TruncateWorkspace holds the buffers and set-cover solvers a Strategy's
+// Truncate works in, so a warm truncation pass allocates nothing. Each
+// Runtime owns one and hands it to every call; its contents are valid for
+// that one call only. It lives in the Runtime rather than in the Strategy
+// value because sharded runs share one Strategy across shard goroutines.
+type TruncateWorkspace struct {
+	Victims []topology.NodeID // the result
+	Keys    []msg.ItemKey     // the event family's elements, back to back
+	Sources []topology.NodeID // the source family's elements, or any node set
+
+	Events   []setcover.Subset[msg.ItemKey]
+	BySource []setcover.Subset[topology.NodeID]
+
+	EventCover  setcover.Solver[msg.ItemKey]
+	SourceCover setcover.Solver[topology.NodeID]
 }

@@ -15,7 +15,7 @@
 package opportunistic
 
 import (
-	"sort"
+	"slices"
 	"time"
 
 	"repro/internal/diffusion"
@@ -49,22 +49,22 @@ func (Strategy) ChooseUpstream(e *diffusion.ExplorEntry, exclude map[topology.No
 }
 
 // Truncate implements diffusion.Strategy: degrade neighbors whose window
-// delivered no previously unseen events.
-func (Strategy) Truncate(window []diffusion.ReceivedAgg) []topology.NodeID {
-	fresh := make(map[topology.NodeID]bool)
-	seen := make(map[topology.NodeID]bool)
+// delivered no previously unseen events. Windows hold tens of aggregates,
+// so membership tests are scans over ws.
+func (Strategy) Truncate(window []diffusion.ReceivedAgg, ws *diffusion.TruncateWorkspace) []topology.NodeID {
+	fresh := ws.Sources[:0]
 	for _, a := range window {
-		seen[a.From] = true
-		if len(a.NewItems) > 0 {
-			fresh[a.From] = true
+		if len(a.NewItems) > 0 && !slices.Contains(fresh, a.From) {
+			fresh = append(fresh, a.From)
 		}
 	}
-	var victims []topology.NodeID
-	for nbr := range seen {
-		if !fresh[nbr] {
-			victims = append(victims, nbr)
+	victims := ws.Victims[:0]
+	for _, a := range window {
+		if !slices.Contains(fresh, a.From) && !slices.Contains(victims, a.From) {
+			victims = append(victims, a.From)
 		}
 	}
-	sort.Slice(victims, func(i, j int) bool { return victims[i] < victims[j] })
+	slices.Sort(victims)
+	ws.Sources, ws.Victims = fresh, victims
 	return victims
 }

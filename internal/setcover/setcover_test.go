@@ -1,8 +1,10 @@
 package setcover
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -45,7 +47,7 @@ func TestPaperExampleSourceTransform(t *testing.T) {
 		{Label: 3, Elements: []string{"a2", "b2"}, Weight: 7},       // from K
 	}
 	src := func(e string) string { return e[:1] } // a1 -> a, b2 -> b
-	tf := TransformToSources(family, src)
+	tf, _ := TransformToSources(nil, nil, family, src)
 
 	if w := tf[0].Weight; math.Abs(w-10.0/3) > 1e-12 {
 		t.Errorf("S1* weight = %v, want 10/3", w)
@@ -186,7 +188,7 @@ func TestTransformPreservesLabelsAndDedup(t *testing.T) {
 	family := []Subset[int]{
 		{Label: 42, Elements: []int{10, 11, 20}, Weight: 6},
 	}
-	tf := TransformToSources(family, func(e int) int { return e / 10 })
+	tf, _ := TransformToSources(nil, nil, family, func(e int) int { return e / 10 })
 	if tf[0].Label != 42 {
 		t.Fatalf("label lost: %+v", tf[0])
 	}
@@ -199,7 +201,7 @@ func TestTransformPreservesLabelsAndDedup(t *testing.T) {
 }
 
 func TestTransformEmptySubset(t *testing.T) {
-	tf := TransformToSources([]Subset[int]{{Weight: 3}}, func(e int) int { return e })
+	tf, _ := TransformToSources(nil, nil, []Subset[int]{{Weight: 3}}, func(e int) int { return e })
 	if tf[0].Weight != 3 || len(tf[0].Elements) != 0 {
 		t.Fatalf("empty subset mishandled: %+v", tf[0])
 	}
@@ -308,7 +310,7 @@ func TestPropertyTransformPreservesRatios(t *testing.T) {
 			elems[i] = int(r)
 		}
 		fam := []Subset[int]{{Elements: elems, Weight: float64(w) + 1}}
-		tf := TransformToSources(fam, func(e int) int { return e % 4 })
+		tf, _ := TransformToSources(nil, nil, fam, func(e int) int { return e % 4 })
 		origRatio := fam[0].Weight / float64(len(dedup(elems)))
 		// |S*| = distinct mapped values.
 		mapped := map[int]bool{}
@@ -338,4 +340,255 @@ func dedup(xs []int) []int {
 		}
 	}
 	return out
+}
+
+// referenceGreedy is the map-based heuristic Solver replaced, kept as the
+// oracle it must agree with exactly: same Chosen order, same Weight
+// (summed in chosen order), same Uncovered (first-occurrence universe
+// order, each once) and the same error.
+func referenceGreedy[E comparable](universe []E, family []Subset[E]) (Cover[E], error) {
+	for i, s := range family {
+		if s.Weight < 0 || math.IsNaN(s.Weight) {
+			return Cover[E]{}, fmt.Errorf("setcover: subset %d has invalid weight %v", i, s.Weight)
+		}
+	}
+
+	need := make(map[E]bool, len(universe))
+	for _, e := range universe {
+		need[e] = true
+	}
+
+	members := make([]map[E]bool, len(family))
+	for i, s := range family {
+		members[i] = make(map[E]bool, len(s.Elements))
+		for _, e := range s.Elements {
+			if need[e] { // elements outside the universe are irrelevant
+				members[i][e] = true
+			}
+		}
+	}
+
+	uncovered := len(need)
+	covered := make(map[E]bool, len(need))
+	used := make([]bool, len(family))
+	var chosen []int
+
+	for uncovered > 0 {
+		best, bestRatio, bestGain := -1, math.Inf(1), 0
+		for i := range family {
+			if used[i] {
+				continue
+			}
+			gain := 0
+			for e := range members[i] {
+				if !covered[e] {
+					gain++
+				}
+			}
+			if gain == 0 {
+				continue
+			}
+			ratio := family[i].Weight / float64(gain)
+			if ratio < bestRatio || (ratio == bestRatio && i < best) {
+				best, bestRatio, bestGain = i, ratio, gain
+			}
+		}
+		if best < 0 {
+			break // remaining elements are uncoverable
+		}
+		used[best] = true
+		chosen = append(chosen, best)
+		for e := range members[best] {
+			covered[e] = true
+		}
+		uncovered -= bestGain
+	}
+
+	chosen = referenceRemoveRedundant(chosen, members, covered)
+
+	var weight float64
+	for _, i := range chosen {
+		weight += family[i].Weight
+	}
+	var miss []E
+	for _, e := range universe {
+		if need[e] && !covered[e] {
+			miss = append(miss, e)
+			need[e] = false // report duplicates once
+		}
+	}
+	return Cover[E]{Chosen: chosen, Weight: weight, Uncovered: miss}, nil
+}
+
+func referenceRemoveRedundant[E comparable](chosen []int, members []map[E]bool, covered map[E]bool) []int {
+	if len(chosen) <= 1 {
+		return chosen
+	}
+	counts := make(map[E]int, len(covered))
+	for _, i := range chosen {
+		for e := range members[i] {
+			counts[e]++
+		}
+	}
+	keep := make(map[int]bool, len(chosen))
+	for _, i := range chosen {
+		keep[i] = true
+	}
+	for k := len(chosen) - 1; k >= 0; k-- {
+		i := chosen[k]
+		redundant := true
+		for e := range members[i] {
+			if counts[e] < 2 {
+				redundant = false
+				break
+			}
+		}
+		if redundant {
+			keep[i] = false
+			for e := range members[i] {
+				counts[e]--
+			}
+		}
+	}
+	out := chosen[:0]
+	for _, i := range chosen {
+		if keep[i] {
+			out = append(out, i)
+		}
+	}
+	return out
+}
+
+// referenceTransform is the map-based source transform TransformToSources
+// replaced.
+func referenceTransform[E comparable, S comparable](family []Subset[E], key func(E) S) []Subset[S] {
+	out := make([]Subset[S], len(family))
+	for i, s := range family {
+		seen := make(map[S]bool, len(s.Elements))
+		var elems []S
+		for _, e := range s.Elements {
+			k := key(e)
+			if !seen[k] {
+				seen[k] = true
+				elems = append(elems, k)
+			}
+		}
+		w := s.Weight
+		if len(s.Elements) > 0 {
+			w = s.Weight * float64(len(elems)) / float64(len(s.Elements))
+		}
+		out[i] = Subset[S]{Label: s.Label, Elements: elems, Weight: w}
+	}
+	return out
+}
+
+// randomInstance draws a small instance over a tight element domain, so
+// duplicates (in subsets and in the universe), elements outside the
+// universe, empty subsets, zero weights, tied ratios and infeasible
+// universes all come up often. Sizes vary call to call, so a reused Solver
+// sees its instances grow and shrink.
+func randomInstance(rng *rand.Rand) ([]int, []Subset[int]) {
+	maxElems := 1 + rng.Intn(8)
+	if rng.Intn(8) == 0 {
+		maxElems = 16 + rng.Intn(24)
+	}
+	domain := maxElems + rng.Intn(4)
+	universe := make([]int, rng.Intn(maxElems+1))
+	for i := range universe {
+		universe[i] = rng.Intn(domain)
+	}
+	weights := []float64{0, 1, 1, 2, 2, 3, 4, 6, 0.5, 1.5}
+	family := make([]Subset[int], rng.Intn(10))
+	for i := range family {
+		elems := make([]int, rng.Intn(maxElems+1))
+		for j := range elems {
+			elems[j] = rng.Intn(domain + 3)
+		}
+		family[i] = Subset[int]{Label: i, Elements: elems, Weight: weights[rng.Intn(len(weights))]}
+	}
+	return universe, family
+}
+
+// TestSolverMatchesReference runs thousands of random instances through one
+// reused Solver and requires exactly the reference heuristic's answers.
+func TestSolverMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(16))
+	var sv Solver[int]
+	var tfBuf []Subset[int]
+	var elemBuf []int
+	infeasible, multi := 0, 0
+	for trial := 0; trial < 6000; trial++ {
+		universe, family := randomInstance(rng)
+		if len(family) > 0 && rng.Intn(50) == 0 {
+			family[rng.Intn(len(family))].Weight = [...]float64{-1, math.NaN()}[rng.Intn(2)]
+		}
+		want, wantErr := referenceGreedy(universe, family)
+		got, gotErr := sv.Solve(universe, family)
+		if (wantErr == nil) != (gotErr == nil) ||
+			(wantErr != nil && wantErr.Error() != gotErr.Error()) {
+			t.Fatalf("trial %d: err = %v, want %v", trial, gotErr, wantErr)
+		}
+		if wantErr != nil {
+			continue
+		}
+		if !slices.Equal(got.Chosen, want.Chosen) || got.Weight != want.Weight ||
+			!slices.Equal(got.Uncovered, want.Uncovered) {
+			t.Fatalf("trial %d: universe %v family %+v:\n got %+v\nwant %+v",
+				trial, universe, family, got, want)
+		}
+		if !want.Covers() {
+			infeasible++
+		}
+		if len(want.Chosen) > 1 {
+			multi++
+		}
+
+		key := func(e int) int { return e % 3 }
+		wantTF := referenceTransform(family, key)
+		tfBuf, elemBuf = TransformToSources(tfBuf[:0], elemBuf[:0], family, key)
+		if len(tfBuf) != len(wantTF) {
+			t.Fatalf("trial %d: transform has %d subsets, want %d", trial, len(tfBuf), len(wantTF))
+		}
+		for i := range wantTF {
+			g, w := tfBuf[i], wantTF[i]
+			if g.Label != w.Label || g.Weight != w.Weight || !slices.Equal(g.Elements, w.Elements) {
+				t.Fatalf("trial %d: transformed subset %d = %+v, want %+v", trial, i, g, w)
+			}
+		}
+	}
+	// The draw must actually exercise both infeasible instances and
+	// multi-subset covers (where redundancy removal runs).
+	if infeasible < 500 || multi < 500 {
+		t.Fatalf("weak draw: %d infeasible, %d multi-subset covers", infeasible, multi)
+	}
+}
+
+// A warmed Solver, and a warmed transform into reused buffers, allocate
+// nothing — including on a smaller instance after a larger one.
+func TestSolverWarmAllocatesNothing(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	type instance struct {
+		universe []int
+		family   []Subset[int]
+	}
+	insts := make([]instance, 20)
+	for i := range insts {
+		insts[i].universe, insts[i].family = randomInstance(rng)
+	}
+	var sv Solver[int]
+	var tfBuf []Subset[int]
+	var elemBuf []int
+	key := func(e int) int { return e / 2 }
+	run := func() {
+		for _, in := range insts {
+			if _, err := sv.Solve(in.universe, in.family); err != nil {
+				t.Fatal(err)
+			}
+			tfBuf, elemBuf = TransformToSources(tfBuf[:0], elemBuf[:0], in.family, key)
+		}
+	}
+	run() // warm
+	if n := testing.AllocsPerRun(50, run); n != 0 {
+		t.Fatalf("warmed Solver and transform: %v allocs per pass, want 0", n)
+	}
 }
