@@ -138,6 +138,9 @@ func BenchmarkAblationAggregationDelay(b *testing.B) {
 
 // BenchmarkSingleRun350 measures one full-methodology simulation at the
 // paper's densest configuration — the unit of work every figure multiplies.
+// It reports events/delivery, kernel events fired per event delivered to a
+// sink: deterministic for a fixed b.N, so CI gates it as the work the
+// simulator does per unit of the paper's output.
 func BenchmarkSingleRun350(b *testing.B) { benchSingleRun350(b, false) }
 
 // BenchmarkSingleRun350Telemetry is BenchmarkSingleRun350 with telemetry
@@ -146,6 +149,8 @@ func BenchmarkSingleRun350(b *testing.B) { benchSingleRun350(b, false) }
 func BenchmarkSingleRun350Telemetry(b *testing.B) { benchSingleRun350(b, true) }
 
 func benchSingleRun350(b *testing.B, telemetry bool) {
+	var events uint64
+	delivered := 0
 	for i := 0; i < b.N; i++ {
 		cfg := core.DefaultConfig()
 		cfg.Nodes = 350
@@ -154,9 +159,15 @@ func benchSingleRun350(b *testing.B, telemetry bool) {
 		if telemetry {
 			cfg.Telemetry = &obs.Config{}
 		}
-		if _, err := core.Run(cfg); err != nil {
+		out, err := core.Run(cfg)
+		if err != nil {
 			b.Fatal(err)
 		}
+		events += out.Kernel.Events
+		delivered += out.Metrics.DeliveredEvents
+	}
+	if delivered > 0 {
+		b.ReportMetric(float64(events)/float64(delivered), "events/delivery")
 	}
 }
 

@@ -51,6 +51,20 @@ func (m Model) Airtime(bytes int) time.Duration {
 	return time.Duration(bits / m.BitRate * float64(time.Second))
 }
 
+// Charge is the cost one receiver pays for one frame: the frame's airtime
+// and the joules above idle spent receiving it. Every receiver of a
+// transmission pays the same charge, so the MAC computes it once per frame.
+type Charge struct {
+	Airtime time.Duration
+	Joules  float64
+}
+
+// RxCharge returns the receive charge of a packet of the given size.
+func (m Model) RxCharge(bytes int) Charge {
+	at := m.Airtime(bytes)
+	return Charge{Airtime: at, Joules: (m.RxPower - m.IdlePower) * at.Seconds()}
+}
+
 // Meter accumulates dissipated energy for one node. The zero value is not
 // usable; create meters with NewMeter.
 type Meter struct {
@@ -85,11 +99,19 @@ func (e *Meter) Transmit(bytes int) time.Duration {
 // given size. Collision victims pay this too: their radio was busy for the
 // corrupted frame's airtime.
 func (e *Meter) Receive(bytes int) time.Duration {
-	at := e.model.Airtime(bytes)
-	e.rxJoules += (e.model.RxPower - e.model.IdlePower) * at.Seconds()
-	e.activeTime += at
+	c := e.model.RxCharge(bytes)
+	e.ChargeReceive(c)
+	return c.Airtime
+}
+
+// ChargeReceive charges the node for one received frame whose charge the
+// caller computed with RxCharge under this meter's model. It adds exactly
+// the values Receive would, in the same order, so totals are bit-identical
+// whichever form charged them.
+func (e *Meter) ChargeReceive(c Charge) {
+	e.rxJoules += c.Joules
+	e.activeTime += c.Airtime
 	e.rxPackets++
-	return at
 }
 
 // AddUpTime extends the node's powered-on time, charging idle power for it.

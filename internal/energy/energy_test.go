@@ -2,6 +2,7 @@ package energy
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 	"testing/quick"
 	"time"
@@ -145,5 +146,77 @@ func TestPowerOrdering(t *testing.T) {
 	}
 	if rx.CommJoules() <= 0 {
 		t.Fatal("rx should cost more than idle")
+	}
+}
+
+// referenceReceive is the per-call receive formula Meter.Receive used before
+// the charge was computed once per frame: the reference RxCharge and
+// ChargeReceive must reproduce bit for bit.
+func referenceReceive(m Model, bytes int) (time.Duration, float64) {
+	at := m.Airtime(bytes)
+	return at, (m.RxPower - m.IdlePower) * at.Seconds()
+}
+
+// referenceModels are the paper's model and two other valid ones: a
+// low-power radio that draws more receiving than transmitting, and one with
+// no idle draw whose bit rate leaves airtimes fractional in nanoseconds
+// before truncation.
+func referenceModels() []Model {
+	return []Model{
+		PaperModel(),
+		{TxPower: 0.0522, RxPower: 0.0591, IdlePower: 0.00042, BitRate: 250e3},
+		{TxPower: 1.3, RxPower: 0.9, IdlePower: 0, BitRate: 11e6 / 3},
+	}
+}
+
+func TestRxChargeMatchesReference(t *testing.T) {
+	for _, m := range referenceModels() {
+		if err := m.Validate(); err != nil {
+			t.Fatal(err)
+		}
+		for b := 1; b <= 2048; b++ {
+			at, j := referenceReceive(m, b)
+			c := m.RxCharge(b)
+			if c.Airtime != at {
+				t.Fatalf("%+v: RxCharge(%d).Airtime = %v, reference %v", m, b, c.Airtime, at)
+			}
+			if math.Float64bits(c.Joules) != math.Float64bits(j) {
+				t.Fatalf("%+v: RxCharge(%d).Joules = %v, reference %v", m, b, c.Joules, j)
+			}
+		}
+	}
+}
+
+func TestChargeReceiveMatchesReceive(t *testing.T) {
+	// One mixed size sequence charged three ways: per call through
+	// Receive, once-per-frame through ChargeReceive, and by summing the
+	// reference formula in the same order.
+	rng := rand.New(rand.NewSource(5))
+	sizes := make([]int, 5000)
+	for i := range sizes {
+		sizes[i] = 1 + rng.Intn(2048)
+	}
+	for _, m := range referenceModels() {
+		perCall, perFrame := NewMeter(m), NewMeter(m)
+		var refJoules float64
+		var refActive time.Duration
+		for _, b := range sizes {
+			if at := perCall.Receive(b); at != m.Airtime(b) {
+				t.Fatalf("%+v: Receive(%d) = %v, want airtime %v", m, b, at, m.Airtime(b))
+			}
+			perFrame.ChargeReceive(m.RxCharge(b))
+			at, j := referenceReceive(m, b)
+			refJoules += j
+			refActive += at
+		}
+		for _, e := range []*Meter{perCall, perFrame} {
+			if math.Float64bits(e.RxJoules()) != math.Float64bits(refJoules) {
+				t.Fatalf("%+v: RxJoules = %v, reference sum %v", m, e.RxJoules(), refJoules)
+			}
+			if e.RxPackets() != len(sizes) || e.activeTime != refActive {
+				t.Fatalf("%+v: %d packets over %v active, reference %d over %v",
+					m, e.RxPackets(), e.activeTime, len(sizes), refActive)
+			}
+		}
 	}
 }

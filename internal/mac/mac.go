@@ -28,10 +28,12 @@
 // The implementation is allocation-free in steady state and degree-bounded
 // per frame: transmissions are pooled and carry a touched-list of the
 // receivers they were put in front of (capacity grows to the radio degree,
-// never the field size), and every receiver holds its slot in that list, so
-// settling a reception needs no search of it. Outbound frames are
-// pooled, contention re-arms through a prebuilt per-node closure, and every
-// delayed MAC step (airtime end, SIFS gaps, ACK timeouts) is dispatched
+// never the field size). Every receiver holds its slot in that list, and
+// every entry holds the position of its hearing in the receiver's audible
+// list, so settling a reception needs no search of either. Receive energy
+// is computed once per frame and charged to each receiver. Outbound frames
+// are pooled, contention re-arms through a prebuilt per-node runner, and
+// every delayed MAC step (airtime end, SIFS gaps, ACK timeouts) is dispatched
 // through pooled sim.Runner records instead of fresh closures. Density
 // sweeps spend most of their events here, so per-frame garbage directly
 // caps simulator throughput, and constant-density scale sweeps depend on
@@ -244,15 +246,20 @@ const (
 )
 
 // rxEntry records one receiver a transmission touched and the fate of its
-// reception.
+// reception. pos is the index of the matching hearing in the receiver's
+// audible list, kept current as that list swap-compacts, so settling the
+// reception finds and removes its hearing without a search.
 type rxEntry struct {
 	id    topology.NodeID
 	flags uint8
+	pos   int32
 }
 
 // hearing is one frame audible at a node: the transmission and the slot of
 // that node's own entry in its receiver set, so marking the reception
-// corrupted is a direct write rather than a search.
+// corrupted is a direct write rather than a search. A node's audible list is
+// unordered: removal swaps the last hearing into the gap, and every reader
+// either marks all entries or reads only the length.
 type hearing struct {
 	tx   *transmission
 	slot int32
@@ -834,6 +841,8 @@ func (n *Network) finishCTS(cts *transmission) {
 // the end-of-airtime event.
 func (n *Network) begin(ns *nodeState, tx *transmission, airtime time.Duration) {
 	ns.txActive = true
+	// Every receiver pays the same charge for this frame.
+	rx := n.model.RxCharge(tx.frame.Bytes)
 	// Half-duplex: anything the sender was hearing is lost to it.
 	for _, h := range ns.audible {
 		n.corrupt(&h.tx.recv[h.slot])
@@ -861,7 +870,7 @@ func (n *Network) begin(ns *nodeState, tx *transmission, airtime time.Duration) 
 			continue
 		}
 		// The receiver's radio is captured for the airtime either way.
-		n.energy[nb].Receive(tx.frame.Bytes)
+		n.energy[nb].ChargeReceive(rx)
 		if n.owner != nil && busyEnd > rs.busyUntil {
 			rs.busyUntil = busyEnd
 		}
@@ -886,7 +895,7 @@ func (n *Network) begin(ns *nodeState, tx *transmission, airtime time.Duration) 
 			}
 		}
 		slot := int32(len(tx.recv))
-		tx.recv = append(tx.recv, rxEntry{id: nb, flags: flags})
+		tx.recv = append(tx.recv, rxEntry{id: nb, flags: flags, pos: int32(len(rs.audible))})
 		if nb == tx.to {
 			tx.dst = slot + 1
 		}
@@ -945,19 +954,21 @@ func (n *Network) end(tx *transmission) {
 func (n *Network) finishReception(tx *transmission, slot int32, senderDied bool) {
 	e := &tx.recv[slot]
 	e.flags &^= rxHeard
-	nb, flags := e.id, e.flags
+	nb, flags, pos := e.id, e.flags, e.pos
 	rs := &n.nodes[nb]
-	idx := -1
-	for i, h := range rs.audible {
-		if h.tx == tx {
-			idx = i
-			break
-		}
-	}
-	if idx < 0 {
+	audible := rs.audible
+	if int(pos) >= len(audible) || audible[pos].tx != tx {
 		return // receiver turned off since tx started (audible cleared)
 	}
-	rs.audible = append(rs.audible[:idx], rs.audible[idx+1:]...)
+	// Swap-remove: nothing reads audible in order, so the last hearing fills
+	// the gap and its entry's back-pointer follows it.
+	last := len(audible) - 1
+	if int(pos) != last {
+		moved := audible[last]
+		audible[pos] = moved
+		moved.tx.recv[moved.slot].pos = pos
+	}
+	rs.audible = audible[:last]
 	if !rs.on || senderDied || flags&(rxCorrupted|rxLost) != 0 {
 		// Classify the loss only when someone is listening; the reason
 		// switch is pure observability.

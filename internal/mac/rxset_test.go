@@ -14,20 +14,24 @@ import (
 
 // checkSlotInvariants verifies the slot-addressed receiver sets between
 // kernel steps: every audible (tx, slot) addresses the node's own entry
-// with rxHeard set, every in-flight transmission's destination slot is
+// with rxHeard set, and that entry's pos points back at the hearing's index
+// in the audible list; every in-flight transmission's destination slot is
 // absent exactly when the destination has no entry and otherwise addresses
 // it, pooled transmissions hold no entries, and end()'s node→slot index is
 // all zeros.
 func checkSlotInvariants(t *testing.T, k *sim.Kernel, n *Network, step int) {
 	t.Helper()
 	for i := range n.nodes {
-		for _, h := range n.nodes[i].audible {
+		for p, h := range n.nodes[i].audible {
 			if h.slot < 0 || int(h.slot) >= len(h.tx.recv) {
 				t.Fatalf("step %d: node %d hears slot %d of a %d-entry set", step, i, h.slot, len(h.tx.recv))
 			}
 			e := h.tx.recv[h.slot]
 			if e.id != topology.NodeID(i) || e.flags&rxHeard == 0 {
 				t.Fatalf("step %d: node %d's audible slot %d addresses %+v", step, i, h.slot, e)
+			}
+			if int(e.pos) != p {
+				t.Fatalf("step %d: node %d's hearing at index %d has its entry pointing at %d", step, i, p, e.pos)
 			}
 		}
 	}
@@ -59,45 +63,143 @@ func checkSlotInvariants(t *testing.T, k *sim.Kernel, n *Network, step int) {
 	}
 }
 
+// staleMeetsRegrown reports whether some frame still in flight holds a heard
+// entry for node id whose position falls inside id's audible list but
+// addresses another frame's hearing: a position left over from before id was
+// power-cycled, which finishReception must recognize as stale.
+func staleMeetsRegrown(k *sim.Kernel, n *Network, id topology.NodeID) bool {
+	audible := n.nodes[id].audible
+	for _, ev := range k.PendingEvents() {
+		tx, ok := ev.Runner.(*transmission)
+		if !ok {
+			continue
+		}
+		for _, e := range tx.recv {
+			if e.id == id && e.flags&rxHeard != 0 && int(e.pos) < len(audible) && audible[e.pos].tx != tx {
+				return true
+			}
+		}
+	}
+	return false
+}
+
 func TestReceiverSetSlotInvariants(t *testing.T) {
-	// A contended cluster (everyone in range of everyone, queues full of
-	// broadcasts and unicasts) with one node switched off mid-run and one
-	// receiver moved out of range mid-airtime; the slot invariants must
-	// hold after every kernel step.
-	k, n := clusterNet(t, 0)
-	for i := 0; i < 8; i++ {
-		n.SetReceiver(topology.NodeID(i), (&capture{}).receiver(k))
-	}
-	for round := 0; round < 4; round++ {
-		for i := 0; i < 8; i++ {
-			id := topology.NodeID(i)
-			if err := n.Broadcast(id, Frame{Bytes: 64, Payload: i}); err != nil {
-				t.Fatal(err)
+	// Queues full of broadcasts and unicasts on two 8-node layouts, with one
+	// node power-cycled mid-run and one receiver moved out of range
+	// mid-airtime; the slot and position invariants must hold after every
+	// kernel step. In the cluster everyone hears everyone, so carrier sense
+	// keeps frames apart except where an ACK skips it; on the hidden-terminal
+	// line the middle nodes hear overlapping frames that end in any order,
+	// so removals swap hearings and re-point their positions. Each power
+	// cycle is one step long and starts while the node hears a frame, so
+	// when another frame starts in the same instant, the stale position of
+	// the first meets the re-grown audible list. Cycles repeat until that
+	// has happened.
+	for _, layout := range []struct {
+		name      string
+		build     func(*testing.T) (*sim.Kernel, *Network)
+		wantMoves bool
+	}{
+		{"cluster", func(t *testing.T) (*sim.Kernel, *Network) { return clusterNet(t, 0) }, false},
+		{"hidden", hiddenNet, true},
+	} {
+		t.Run(layout.name, func(t *testing.T) {
+			k, n := layout.build(t)
+			for i := 0; i < 8; i++ {
+				n.SetReceiver(topology.NodeID(i), (&capture{}).receiver(k))
 			}
-			if err := n.Unicast(id, topology.NodeID((i+1)%8), Frame{Bytes: 96, Payload: i}); err != nil {
-				t.Fatal(err)
+			for round := 0; round < 4; round++ {
+				for i := 0; i < 8; i++ {
+					id := topology.NodeID(i)
+					if err := n.Broadcast(id, Frame{Bytes: 64, Payload: i}); err != nil {
+						t.Fatal(err)
+					}
+					if err := n.Unicast(id, topology.NodeID((i+1)%8), Frame{Bytes: 96, Payload: i}); err != nil {
+						t.Fatal(err)
+					}
+				}
 			}
+			const off, mover, firstCycle = 3, 7, 100
+			cycles, moves, staleMet, moved := 0, 0, false, false
+			// prev holds every hearing's audible index as the last step left
+			// it. A hearing found lower down has been swapped down; one gone
+			// while its frame still marks it heard was dropped for another.
+			prev, cur := map[hearing]int{}, map[hearing]int{}
+			for step := 1; k.Step(); step++ {
+				checkSlotInvariants(t, k, n, step)
+				audibleIndex(n, cur)
+				for h, q := range prev {
+					p, ok := cur[h]
+					switch {
+					case ok && p < q:
+						moves++
+					case !ok && int(h.slot) < len(h.tx.recv) && h.tx.recv[h.slot].flags&rxHeard != 0:
+						t.Fatalf("step %d: node %d lost its hearing of a frame still on the air", step, h.tx.recv[h.slot].id)
+					}
+				}
+				if cycles > 0 && !staleMet {
+					staleMet = staleMeetsRegrown(k, n, off)
+				}
+				switch {
+				case !n.On(off):
+					n.SetOn(off, true)
+				case step >= firstCycle && !staleMet && len(n.nodes[off].audible) > 0:
+					n.SetOn(off, false)
+					cycles++
+				}
+				if !moved && len(n.nodes[mover].audible) > 0 {
+					n.field.MoveNode(mover, geom.Point{X: 900, Y: 50000})
+					moved = true
+				}
+				audibleIndex(n, prev)
+			}
+			if cycles == 0 || !moved {
+				t.Fatalf("power cycles %d, moved %v: the run ended too early", cycles, moved)
+			}
+			if !staleMet {
+				t.Fatalf("after %d power cycles no stale position met node %d's re-grown audible list", cycles, off)
+			}
+			if layout.wantMoves && moves == 0 {
+				t.Fatal("no hearing was swapped down an audible list: positions were never re-pointed")
+			}
+			if n.Stats().Collisions == 0 {
+				t.Fatal("no collisions: the layout was not contended")
+			}
+		})
+	}
+}
+
+// audibleIndex fills into with every hearing's index in its node's audible
+// list.
+func audibleIndex(n *Network, into map[hearing]int) {
+	clear(into)
+	for i := range n.nodes {
+		for p, h := range n.nodes[i].audible {
+			into[h] = p
 		}
 	}
-	const off, mover = 3, 7
-	switchedOff, moved := false, false
-	for step := 1; k.Step(); step++ {
-		checkSlotInvariants(t, k, n, step)
-		if !switchedOff && step == 300 {
-			n.SetOn(off, false)
-			switchedOff = true
-		}
-		if !moved && len(n.nodes[mover].audible) > 0 {
-			n.field.MoveNode(mover, geom.Point{X: 900, Y: 50000})
-			moved = true
-		}
+}
+
+// hiddenNet builds an 8-node line of three groups: nodes 0-2 on the left,
+// 3-4 in the middle and 5-7 on the right. The middle hears both ends, but
+// the ends are out of range of each other (hidden terminals), so their
+// frames overlap at the middle nodes with any start and end order.
+func hiddenNet(t *testing.T) (*sim.Kernel, *Network) {
+	t.Helper()
+	var pts []geom.Point
+	for _, x := range []float64{0, 2, 4, 36, 38, 70, 72, 74} {
+		pts = append(pts, geom.Point{X: x, Y: 0})
 	}
-	if !switchedOff || !moved {
-		t.Fatalf("switched off %v, moved %v: the run ended too early", switchedOff, moved)
+	f, err := topology.FromPositions(geom.Square(0, 0, 100000), 40, pts)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if n.Stats().Collisions == 0 {
-		t.Fatal("no collisions: the cluster was not contended")
+	k := sim.NewKernel(7)
+	n, err := New(k, f, energy.PaperModel(), DefaultParams())
+	if err != nil {
+		t.Fatal(err)
 	}
+	return k, n
 }
 
 func TestResidualMoversDeliveredAscending(t *testing.T) {

@@ -7,13 +7,14 @@
 // RNG so that a (seed, configuration) pair fully determines a run.
 //
 // The event queue is built for allocation-free steady state: event records
-// live in a pooled arena recycled through a free list, the priority queue is
-// a concrete inlined 4-ary min-heap of arena indexes (no interface boxing,
-// no per-Schedule heap allocation once the arena is warm), and Timer handles
-// are generation-counted so Stop and Active stay safe after a record is
-// recycled. Cancelled events are compacted out of the heap lazily once they
-// outnumber live ones, so mass cancellation cannot pin queue memory until
-// the dead deadlines drain.
+// live in a pooled arena recycled through a free list; the priority queue is
+// a concrete inlined 4-ary min-heap of slots that carry each event's (at,
+// seq) key beside its arena index, so sifting compares adjacent memory and
+// never loads a record (no interface boxing, no per-Schedule heap allocation
+// once the arena is warm); and Timer handles are generation-counted so Stop
+// and Active stay safe after a record is recycled. Cancelled events are
+// compacted out of the heap lazily once they outnumber live ones, so mass
+// cancellation cannot pin queue memory until the dead deadlines drain.
 package sim
 
 import (
@@ -42,14 +43,21 @@ type Runner interface {
 
 // event is one pooled event record. Records are recycled through the
 // kernel's free list; gen increments on every recycle so stale Timer
-// handles can never act on a successor event.
+// handles can never act on a successor event. The firing key lives in the
+// event's heap slot, not here.
 type event struct {
-	at     Time
-	seq    uint64 // tie-break: FIFO among same-time events
 	fn     Handler
 	runner Runner
 	gen    uint32
 	state  uint8
+}
+
+// heapSlot is one queue entry: the event's firing key inline beside the
+// index of its pool record.
+type heapSlot struct {
+	at  Time
+	seq uint64 // tie-break: FIFO among same-time events
+	idx int32
 }
 
 // Event record states.
@@ -101,7 +109,7 @@ func (t Timer) Active() bool {
 // concurrent use; a simulation run lives on one goroutine by design.
 type Kernel struct {
 	now       Time
-	heap      []int32 // 4-ary min-heap of pool indexes, ordered by (at, seq)
+	heap      []heapSlot // 4-ary min-heap ordered by (at, seq)
 	pool      []event
 	free      []int32
 	cancelled int // cancelled records still sitting in the heap
@@ -158,9 +166,9 @@ type PendingEvent struct {
 // still sitting in the heap are left out.
 func (k *Kernel) PendingEvents() []PendingEvent {
 	out := make([]PendingEvent, 0, len(k.heap))
-	for _, idx := range k.heap {
-		if ev := &k.pool[idx]; ev.state == evPending {
-			out = append(out, PendingEvent{At: ev.at, Seq: ev.seq, Runner: ev.runner})
+	for _, s := range k.heap {
+		if ev := &k.pool[s.idx]; ev.state == evPending {
+			out = append(out, PendingEvent{At: s.at, Seq: s.seq, Runner: ev.runner})
 		}
 	}
 	sort.Slice(out, func(i, j int) bool {
@@ -219,13 +227,11 @@ func (k *Kernel) at(at Time, fn Handler, r Runner) Timer {
 	}
 	idx := k.alloc()
 	ev := &k.pool[idx]
-	ev.at = at
-	ev.seq = k.seq
 	ev.fn = fn
 	ev.runner = r
 	ev.state = evPending
+	k.heap = append(k.heap, heapSlot{at: at, seq: k.seq, idx: idx})
 	k.seq++
-	k.heap = append(k.heap, idx)
 	k.siftUp(len(k.heap) - 1)
 	if len(k.heap) > k.maxQueue {
 		k.maxQueue = len(k.heap)
@@ -266,15 +272,14 @@ func (k *Kernel) Stop() { k.stopped = true }
 // compute the global lower bound on future events between windows.
 func (k *Kernel) PeekTime() (Time, bool) {
 	for len(k.heap) > 0 {
-		idx := k.heap[0]
-		ev := &k.pool[idx]
-		if ev.state == evCancelled {
+		top := k.heap[0]
+		if k.pool[top.idx].state == evCancelled {
 			k.popHead()
 			k.cancelled--
-			k.release(idx)
+			k.release(top.idx)
 			continue
 		}
-		return ev.at, true
+		return top.at, true
 	}
 	return 0, false
 }
@@ -293,22 +298,22 @@ func (k *Kernel) Run(horizon Time) Time {
 	defer func() { k.running = false }()
 
 	for len(k.heap) > 0 && !k.stopped {
-		idx := k.heap[0]
-		ev := &k.pool[idx]
-		if ev.at > horizon {
+		top := k.heap[0]
+		if top.at > horizon {
 			k.now = horizon
 			return k.now
 		}
+		ev := &k.pool[top.idx]
 		if ev.state == evCancelled {
 			k.popHead()
 			k.cancelled--
-			k.release(idx)
+			k.release(top.idx)
 			continue
 		}
-		k.now = ev.at
+		k.now = top.at
 		fn, r := ev.fn, ev.runner
 		k.popHead()
-		k.release(idx)
+		k.release(top.idx)
 		k.processed++
 		if fn != nil {
 			fn()
@@ -326,18 +331,18 @@ func (k *Kernel) Run(horizon Time) Time {
 // one fired. It is mainly useful in tests that want to single-step a model.
 func (k *Kernel) Step() bool {
 	for len(k.heap) > 0 {
-		idx := k.heap[0]
-		ev := &k.pool[idx]
+		top := k.heap[0]
+		ev := &k.pool[top.idx]
 		if ev.state == evCancelled {
 			k.popHead()
 			k.cancelled--
-			k.release(idx)
+			k.release(top.idx)
 			continue
 		}
-		k.now = ev.at
+		k.now = top.at
 		fn, r := ev.fn, ev.runner
 		k.popHead()
-		k.release(idx)
+		k.release(top.idx)
 		k.processed++
 		if fn != nil {
 			fn()
@@ -353,16 +358,17 @@ func (k *Kernel) Step() bool {
 //
 // A 4-ary layout halves the tree depth of a binary heap, trading a few extra
 // comparisons per level for far fewer cache-missing hops — the standard
-// discrete-event-simulation tuning. Ordering by (at, seq) is a total order,
-// so heap shape never influences pop order and determinism is structural.
+// discrete-event-simulation tuning. Keys sit in the slots themselves, so a
+// level's four children are compared from one contiguous run of memory.
+// Ordering by (at, seq) is a total order, so heap shape never influences pop
+// order and determinism is structural.
 
-// evLess orders pool records a before b.
-func (k *Kernel) evLess(a, b int32) bool {
-	ea, eb := &k.pool[a], &k.pool[b]
-	if ea.at != eb.at {
-		return ea.at < eb.at
+// evLess orders heap slot a before b.
+func evLess(a, b *heapSlot) bool {
+	if a.at != b.at {
+		return a.at < b.at
 	}
-	return ea.seq < eb.seq
+	return a.seq < b.seq
 }
 
 func (k *Kernel) siftUp(i int) {
@@ -370,7 +376,7 @@ func (k *Kernel) siftUp(i int) {
 	x := h[i]
 	for i > 0 {
 		p := (i - 1) / 4
-		if !k.evLess(x, h[p]) {
+		if !evLess(&x, &h[p]) {
 			break
 		}
 		h[i] = h[p]
@@ -394,11 +400,11 @@ func (k *Kernel) siftDown(i int) {
 			end = n
 		}
 		for j := c + 1; j < end; j++ {
-			if k.evLess(h[j], h[m]) {
+			if evLess(&h[j], &h[m]) {
 				m = j
 			}
 		}
-		if !k.evLess(h[m], x) {
+		if !evLess(&h[m], &x) {
 			break
 		}
 		h[i] = h[m]
@@ -433,11 +439,11 @@ func (k *Kernel) maybeCompact() {
 
 func (k *Kernel) compact() {
 	live := k.heap[:0]
-	for _, idx := range k.heap {
-		if k.pool[idx].state == evCancelled {
-			k.release(idx)
+	for _, s := range k.heap {
+		if k.pool[s.idx].state == evCancelled {
+			k.release(s.idx)
 		} else {
-			live = append(live, idx)
+			live = append(live, s)
 		}
 	}
 	k.heap = live
