@@ -202,41 +202,6 @@ func BenchmarkScaleSweep(b *testing.B) {
 	}
 }
 
-// BenchmarkKernelSharded measures the sharded parallel kernel against the
-// serial path on one 5000-node scale rung. events/s is the headline
-// (hardware-dependent, not gated); mails/kevent — cross-shard mailbox
-// traffic per thousand events — is deterministic for a fixed (seed, shard
-// count) and is gated in CI: growth means the decomposition got chattier,
-// which is the first symptom of losing the speedup.
-func BenchmarkKernelSharded(b *testing.B) {
-	const nodes = 5000
-	for _, shards := range []int{1, 2, 4} {
-		b.Run(fmt.Sprintf("shards=%d", shards), func(b *testing.B) {
-			var out core.Output
-			for i := 0; i < b.N; i++ {
-				cfg := core.DefaultConfig()
-				cfg.Nodes = nodes
-				cfg.FieldSide = 200 * math.Sqrt(nodes/150.0)
-				cfg.Seed = 1
-				cfg.Duration = 20 * time.Second
-				cfg.Shards = shards
-				var err error
-				out, err = core.Run(cfg)
-				if err != nil {
-					b.Fatal(err)
-				}
-			}
-			b.ReportMetric(out.Kernel.EventsPerSec(), "events/s")
-			if ss := out.Shards; ss != nil {
-				if ss.Clamped != 0 {
-					b.Fatalf("Clamped = %d, want 0: a model latency fell below the lookahead", ss.Clamped)
-				}
-				b.ReportMetric(float64(ss.Mails)/float64(out.Kernel.Events)*1000, "mails/kevent")
-			}
-		})
-	}
-}
-
 // BenchmarkMACFrameFieldSize is the paired-field-size check behind the
 // degree-bounded receiver sets: the per-broadcast MAC cost must stay flat
 // (±10% ns/op) across a 4× change in field size, because every hot-path

@@ -84,7 +84,6 @@ func run(args []string, out io.Writer) error {
 		duration   = fs.Duration("duration", 0, "simulated seconds per run (default 160s, 60s with -quick)")
 		quick      = fs.Bool("quick", false, "reduced preset: 3 fields, 60 s, 3 densities (scale: 500 nodes only)")
 		jobs       = fs.Int("jobs", 0, "cap on concurrent simulation workers (default GOMAXPROCS)")
-		shards     = fs.Int("shards", 0, "run each eligible cell on the sharded parallel kernel with this many strips (0/1 = serial; jobs×shards is capped at GOMAXPROCS)")
 		outDir     = fs.String("out", "", "directory for CSV output (created if missing)")
 		plots      = fs.Bool("plot", false, "also draw each panel as an ASCII chart")
 		progress   = fs.Bool("progress", false, "log each completed run to stderr with sweep progress and ETA")
@@ -154,10 +153,6 @@ func run(args []string, out io.Writer) error {
 		return fmt.Errorf("negative -jobs %d", *jobs)
 	}
 	opts.Workers = *jobs
-	if *shards < 0 {
-		return fmt.Errorf("negative -shards %d", *shards)
-	}
-	opts.Shards = *shards
 	if *progress {
 		opts.Progress = func(line string) { fmt.Fprintln(os.Stderr, line) }
 	}

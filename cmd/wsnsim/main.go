@@ -63,7 +63,6 @@ func run(args []string, out *os.File) error {
 		rtscts    = fs.Bool("rtscts", false, "enable the 802.11 RTS/CTS handshake for unicast data")
 		repair    = fs.Bool("repair", false, "enable the self-healing layer: link-quality estimation, control retransmission, localized path repair")
 		battery   = fs.Float64("battery", 0, "per-node battery budget in joules (0 = unlimited); depleted nodes die permanently")
-		shards    = fs.Int("shards", 0, "run on the sharded parallel kernel with this many spatial strips (0/1 = serial)")
 
 		mobility     = fs.String("mobility", "", `mobility model: "waypoint" or "walk" ("" = static field)`)
 		mobilityTick = fs.Duration("mobility-epoch", 0, "movement epoch (0 = model default, 1s)")
@@ -108,7 +107,6 @@ func run(args []string, out *os.File) error {
 	cfg.Nodes = *nodes
 	cfg.Seed = *seed
 	cfg.Duration = *duration
-	cfg.Shards = *shards
 	cfg.Workload.Sources = *sources
 	cfg.Workload.Sinks = *sinks
 	switch *placement {
@@ -314,14 +312,6 @@ func run(args []string, out *os.File) error {
 		k := res.Kernel
 		fmt.Fprintf(out, "kernel: %d events in %v (%.0f events/s), queue high water %d\n",
 			k.Events, k.WallTime.Round(time.Millisecond), k.EventsPerSec(), k.QueueHighWater)
-		if ss := res.Shards; ss != nil {
-			fmt.Fprintf(out, "shards: %d strips (requested %d), delta %v, %d windows, %d cross-shard mails (%d clamped, mailbox high water %d)\n",
-				ss.Shards, ss.Requested, ss.Delta, ss.Windows, ss.Mails, ss.Clamped, ss.MailboxHighWater)
-			for i := range ss.Events {
-				fmt.Fprintf(out, "  shard %d: %d events, busy %v, stall %v\n",
-					i, ss.Events[i], ss.Busy[i].Round(time.Millisecond), ss.Stall[i].Round(time.Millisecond))
-			}
-		}
 	}
 
 	if rep := res.Chaos; rep != nil {

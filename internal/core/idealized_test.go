@@ -1,8 +1,14 @@
 package core
 
 import (
+	"strings"
 	"testing"
 	"time"
+
+	"repro/internal/chaos"
+	"repro/internal/diffusion"
+	"repro/internal/obs"
+	"repro/internal/trace"
 )
 
 func TestIdealizedBaselines(t *testing.T) {
@@ -38,5 +44,53 @@ func TestIdealizedBaselines(t *testing.T) {
 	}
 	if gr >= om {
 		t.Errorf("greedy aggregation (%.6g) should beat per-event omniscient multicast (%.6g)", gr, om)
+	}
+}
+
+// TestIdealizedValidate: the idealized references install neither the
+// tracer nor the repair layer, so Validate refuses both on them with an
+// error naming the scheme and the feature. The features a Baselines sweep
+// arms on its idealized cells (telemetry, a flight recorder, the chaos
+// checker) still validate.
+func TestIdealizedValidate(t *testing.T) {
+	cases := []struct {
+		name    string
+		f       func(*Config)
+		feature string // "" = must validate
+	}{
+		{"tracer", func(c *Config) { c.Tracer = trace.NewRecorder(16) }, "tracing"},
+		{"repair", func(c *Config) { c.Diffusion.Repair = diffusion.DefaultRepairParams() }, "repair"},
+		{"baselines cell", func(c *Config) {
+			c.Telemetry = &obs.Config{}
+			c.FlightPath = "baselines.flight.ndjson"
+			c.Chaos = &chaos.Config{CheckInvariants: true}
+		}, ""},
+	}
+	for _, scheme := range []Scheme{SchemeFlooding, SchemeOmniscient} {
+		for _, tc := range cases {
+			t.Run(scheme.String()+"/"+tc.name, func(t *testing.T) {
+				cfg := DefaultConfig()
+				cfg.Scheme = scheme
+				tc.f(&cfg)
+				err := cfg.Validate()
+				switch {
+				case tc.feature == "":
+					if err != nil {
+						t.Fatalf("rejected: %v", err)
+					}
+				case err == nil:
+					t.Fatal("accepted")
+				case !strings.Contains(err.Error(), scheme.String()) || !strings.Contains(err.Error(), tc.feature):
+					t.Fatalf("error %q does not name %s and %s", err, scheme, tc.feature)
+				}
+			})
+		}
+	}
+	// The diffusion schemes keep both features.
+	cfg := DefaultConfig()
+	cfg.Tracer = trace.NewRecorder(16)
+	cfg.Diffusion.Repair = diffusion.DefaultRepairParams()
+	if err := cfg.Validate(); err != nil {
+		t.Fatalf("greedy with tracer and repair rejected: %v", err)
 	}
 }

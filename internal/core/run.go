@@ -143,7 +143,9 @@ type Config struct {
 	DrainTail time.Duration
 
 	// Diffusion, MAC and Energy configure the substrates. Diffusion.Agg is
-	// the aggregation function (paper: perfect; §5.4 uses linear).
+	// the aggregation function (paper: perfect; §5.4 uses linear). The
+	// idealized schemes have no repair layer, so Validate rejects
+	// Diffusion.Repair.Enabled on them.
 	Diffusion diffusion.Params
 	MAC       mac.Params
 	Energy    energy.Model
@@ -155,7 +157,9 @@ type Config struct {
 	// Tracer, when non-nil, receives every protocol send and receive (see
 	// package trace). Tracing a full run is expensive; filter the recorder.
 	// A tracer that also implements trace.SnapshotSink receives periodic
-	// protocol-state snapshots when Telemetry.SnapshotEvery is set.
+	// protocol-state snapshots when Telemetry.SnapshotEvery is set. The
+	// idealized schemes emit no trace events, so Validate rejects a Tracer
+	// on them.
 	Tracer diffusion.Tracer
 
 	// FlightPath, when non-empty, arms the flight recorder: a fixed-size
@@ -183,17 +187,6 @@ type Config struct {
 	// reading of the energy metric, §3's traffic-concentration concern made
 	// operational. Protected endpoints never die.
 	BatteryJ float64
-
-	// Shards, when > 1, runs the simulation on the conservative sharded
-	// parallel kernel: the field splits into that many vertical strips (each
-	// at least one radio range wide — the count is clamped to what the
-	// geometry supports), one kernel and goroutine per strip, synchronized
-	// through lookahead windows. Output is deterministic per (Seed, Shards)
-	// but a sharded run is a different (equally valid) event interleaving
-	// than the serial one. 0 and 1 take the serial path, bit for bit. Sharded
-	// runs accept a restricted feature envelope; see Output.Shards and
-	// DESIGN.md §8.
-	Shards int
 }
 
 // DefaultConfig returns the paper's §5.1 methodology: a 200 m field, 40 m
@@ -222,10 +215,17 @@ func DefaultConfig() Config {
 
 // Validate reports the first problem with the configuration, if any.
 func (c Config) Validate() error {
-	if !c.Scheme.Idealized() {
-		if _, err := c.Scheme.Strategy(); err != nil {
-			return err
+	if c.Scheme.Idealized() {
+		// The idealized references install neither the tracer nor the
+		// repair layer; refuse both rather than run silently without them.
+		switch {
+		case c.Tracer != nil:
+			return fmt.Errorf("core: scheme %v does not support tracing", c.Scheme)
+		case c.Diffusion.Repair.Enabled:
+			return fmt.Errorf("core: scheme %v does not support the repair layer", c.Scheme)
 		}
+	} else if _, err := c.Scheme.Strategy(); err != nil {
+		return err
 	}
 	switch {
 	case c.Nodes < 2:
@@ -242,13 +242,6 @@ func (c Config) Validate() error {
 		return fmt.Errorf("core: negative flight capacity %d", c.FlightCapacity)
 	case c.FlightCapacity > 0 && c.FlightPath == "":
 		return fmt.Errorf("core: FlightCapacity set without FlightPath")
-	case c.Shards < 0:
-		return fmt.Errorf("core: negative shard count %d", c.Shards)
-	}
-	if c.Shards > 1 {
-		if err := c.validateSharded(); err != nil {
-			return err
-		}
 	}
 	if err := c.Workload.Validate(); err != nil {
 		return err
@@ -320,9 +313,6 @@ type Output struct {
 	Flight *FlightReport
 	// Kernel reports event-loop throughput; always filled.
 	Kernel KernelStats
-	// Shards reports the parallel kernel's window machinery when
-	// Config.Shards > 1; nil on serial runs.
-	Shards *ShardStats
 	// Telemetry is the metrics-registry snapshot when Config.Telemetry is
 	// set; nil otherwise.
 	Telemetry []obs.Metric
@@ -374,9 +364,6 @@ type Lifetime struct {
 func Run(cfg Config) (Output, error) {
 	if err := cfg.Validate(); err != nil {
 		return Output{}, err
-	}
-	if cfg.Shards > 1 {
-		return runSharded(cfg)
 	}
 	st, err := buildRun(cfg)
 	if err != nil {

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"strconv"
 	"time"
 
 	"repro/internal/diffusion"
@@ -139,27 +138,6 @@ func bridgeStats(reg *obs.Registry, scheme string, ms mac.Stats, sent map[msg.Ki
 	reg.Gauge("sim_wall_seconds", l).Set(ks.WallTime.Seconds())
 	if virtual > 0 {
 		reg.Gauge("sim_wall_per_virtual_second", l).Set(ks.WallTime.Seconds() / virtual.Seconds())
-	}
-}
-
-// bridgeShardStats folds the parallel kernel's window counters into the
-// registry. Only called on sharded runs, so serial telemetry snapshots (and
-// the goldens over them) are byte-identical to before.
-func bridgeShardStats(reg *obs.Registry, scheme string, ss ShardStats) {
-	if reg == nil || ss.Shards == 0 {
-		return
-	}
-	l := obs.Label{Key: "scheme", Value: scheme}
-	reg.Gauge("shard_count", l).Set(float64(ss.Shards))
-	reg.Counter("shard_windows", l).Add(int64(ss.Windows))
-	reg.Counter("shard_mails", l).Add(int64(ss.Mails))
-	reg.Counter("shard_mail_clamped", l).Add(int64(ss.Clamped))
-	reg.Gauge("shard_mailbox_highwater", l).Set(float64(ss.MailboxHighWater))
-	for i := range ss.Events {
-		sl := obs.Label{Key: "shard", Value: strconv.Itoa(i)}
-		reg.Counter("shard_events", l, sl).Add(int64(ss.Events[i]))
-		reg.Gauge("shard_busy_seconds", l, sl).Set(ss.Busy[i].Seconds())
-		reg.Gauge("shard_stall_seconds", l, sl).Set(ss.Stall[i].Seconds())
 	}
 }
 

@@ -93,12 +93,6 @@ type Runtime struct {
 	tracer  Tracer
 	ins     *Instruments
 
-	// owned, when non-nil, restricts the runtime to a subset of the field's
-	// nodes (one shard of a sharded run): only owned nodes get receivers,
-	// housekeeping, and sink/source activity. Roles stay global so interest
-	// IDs agree across shards; a non-owned sink simply never starts here.
-	owned func(topology.NodeID) bool
-
 	timerFree *nodeTimer // recycled nodeTimer records
 	sc        scratch
 
@@ -189,15 +183,6 @@ func (rt *Runtime) Sent() map[msg.Kind]int {
 // New constructs the runtime. Call Start before running the kernel.
 func New(kernel *sim.Kernel, net *mac.Network, field *topology.Field, params Params,
 	strategy Strategy, roles Roles, observer Observer) (*Runtime, error) {
-	return NewOwned(kernel, net, field, params, strategy, roles, observer, nil)
-}
-
-// NewOwned constructs a runtime hosting only the nodes owned selects — one
-// shard of a sharded run. roles must be the full global assignment (so a
-// sink's interest ID is its global index); net must be the matching sharded
-// network. A nil owned hosts every node, which is New.
-func NewOwned(kernel *sim.Kernel, net *mac.Network, field *topology.Field, params Params,
-	strategy Strategy, roles Roles, observer Observer, owned func(topology.NodeID) bool) (*Runtime, error) {
 	if err := params.Validate(); err != nil {
 		return nil, err
 	}
@@ -217,7 +202,6 @@ func NewOwned(kernel *sim.Kernel, net *mac.Network, field *topology.Field, param
 		observer: observer,
 		nodes:    make([]node, field.Len()),
 		sent:     make(map[msg.Kind]int),
-		owned:    owned,
 	}
 	for i := range rt.nodes {
 		initNode(&rt.nodes[i], rt, topology.NodeID(i))
@@ -231,18 +215,10 @@ func NewOwned(kernel *sim.Kernel, net *mac.Network, field *topology.Field, param
 	}
 	for i := range rt.nodes {
 		id := topology.NodeID(i)
-		if owned != nil && !owned(id) {
-			continue
-		}
 		n := &rt.nodes[i]
 		net.SetReceiver(id, n.receive)
 	}
 	return rt, nil
-}
-
-// Owns reports whether this runtime hosts node id.
-func (rt *Runtime) Owns(id topology.NodeID) bool {
-	return rt.owned == nil || rt.owned(id)
 }
 
 // Strategy returns the scheme in use.
@@ -319,15 +295,9 @@ func (rt *Runtime) Start() {
 		rt.net.SetUnicastOutcomeHook(rt.unicastOutcome)
 	}
 	for _, s := range rt.roles.Sinks {
-		if !rt.Owns(s) {
-			continue
-		}
 		rt.nodes[s].startSink()
 	}
 	for i := range rt.nodes {
-		if !rt.Owns(topology.NodeID(i)) {
-			continue
-		}
 		rt.nodes[i].startHousekeeping()
 	}
 }

@@ -136,7 +136,8 @@ type Strategy interface {
 // Truncate works in, so a warm truncation pass allocates nothing. Each
 // Runtime owns one and hands it to every call; its contents are valid for
 // that one call only. It lives in the Runtime rather than in the Strategy
-// value because sharded runs share one Strategy across shard goroutines.
+// value because strategies are stateless values (core.Scheme.Strategy
+// returns plain structs), while the workspace is per-runtime scratch.
 type TruncateWorkspace struct {
 	Victims []topology.NodeID // the result
 	Keys    []msg.ItemKey     // the event family's elements, back to back

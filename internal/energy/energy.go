@@ -95,19 +95,10 @@ func (e *Meter) Transmit(bytes int) time.Duration {
 	return at
 }
 
-// Receive charges the node for receiving (or overhearing) a packet of the
-// given size. Collision victims pay this too: their radio was busy for the
-// corrupted frame's airtime.
-func (e *Meter) Receive(bytes int) time.Duration {
-	c := e.model.RxCharge(bytes)
-	e.ChargeReceive(c)
-	return c.Airtime
-}
-
-// ChargeReceive charges the node for one received frame whose charge the
-// caller computed with RxCharge under this meter's model. It adds exactly
-// the values Receive would, in the same order, so totals are bit-identical
-// whichever form charged them.
+// ChargeReceive charges the node for receiving (or overhearing) one frame
+// whose charge the caller computed with RxCharge under this meter's model,
+// once for all of the frame's receivers. Collision victims pay this too:
+// their radio was busy for the corrupted frame's airtime.
 func (e *Meter) ChargeReceive(c Charge) {
 	e.rxJoules += c.Joules
 	e.activeTime += c.Airtime

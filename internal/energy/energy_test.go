@@ -71,7 +71,7 @@ func TestMeterAccounting(t *testing.T) {
 	if at != 320*time.Microsecond {
 		t.Fatalf("tx airtime = %v", at)
 	}
-	e.Receive(64)
+	e.ChargeReceive(m.RxCharge(64))
 
 	wantIdle := 0.035 * 10
 	if got := e.IdleJoules(); math.Abs(got-wantIdle) > 1e-9 {
@@ -119,7 +119,7 @@ func TestPropertyMonotoneTotals(t *testing.T) {
 			if tx {
 				e.Transmit(64)
 			} else {
-				e.Receive(36)
+				e.ChargeReceive(PaperModel().RxCharge(36))
 			}
 			cur := e.TotalJoules()
 			if cur < prev {
@@ -140,7 +140,7 @@ func TestPowerOrdering(t *testing.T) {
 	tx := NewMeter(PaperModel())
 	rx := NewMeter(PaperModel())
 	tx.Transmit(64)
-	rx.Receive(64)
+	rx.ChargeReceive(PaperModel().RxCharge(64))
 	if tx.CommJoules() <= rx.CommJoules() {
 		t.Fatal("tx should cost more than rx")
 	}
@@ -149,9 +149,9 @@ func TestPowerOrdering(t *testing.T) {
 	}
 }
 
-// referenceReceive is the per-call receive formula Meter.Receive used before
-// the charge was computed once per frame: the reference RxCharge and
-// ChargeReceive must reproduce bit for bit.
+// referenceReceive is the receive charge of one frame computed from its size
+// alone, per receiver: the reference RxCharge and ChargeReceive must
+// reproduce bit for bit.
 func referenceReceive(m Model, bytes int) (time.Duration, float64) {
 	at := m.Airtime(bytes)
 	return at, (m.RxPower - m.IdlePower) * at.Seconds()
@@ -188,35 +188,29 @@ func TestRxChargeMatchesReference(t *testing.T) {
 }
 
 func TestChargeReceiveMatchesReceive(t *testing.T) {
-	// One mixed size sequence charged three ways: per call through
-	// Receive, once-per-frame through ChargeReceive, and by summing the
-	// reference formula in the same order.
+	// One mixed size sequence charged once per frame through
+	// ChargeReceive and by summing the reference formula in the same order.
 	rng := rand.New(rand.NewSource(5))
 	sizes := make([]int, 5000)
 	for i := range sizes {
 		sizes[i] = 1 + rng.Intn(2048)
 	}
 	for _, m := range referenceModels() {
-		perCall, perFrame := NewMeter(m), NewMeter(m)
+		e := NewMeter(m)
 		var refJoules float64
 		var refActive time.Duration
 		for _, b := range sizes {
-			if at := perCall.Receive(b); at != m.Airtime(b) {
-				t.Fatalf("%+v: Receive(%d) = %v, want airtime %v", m, b, at, m.Airtime(b))
-			}
-			perFrame.ChargeReceive(m.RxCharge(b))
+			e.ChargeReceive(m.RxCharge(b))
 			at, j := referenceReceive(m, b)
 			refJoules += j
 			refActive += at
 		}
-		for _, e := range []*Meter{perCall, perFrame} {
-			if math.Float64bits(e.RxJoules()) != math.Float64bits(refJoules) {
-				t.Fatalf("%+v: RxJoules = %v, reference sum %v", m, e.RxJoules(), refJoules)
-			}
-			if e.RxPackets() != len(sizes) || e.activeTime != refActive {
-				t.Fatalf("%+v: %d packets over %v active, reference %d over %v",
-					m, e.RxPackets(), e.activeTime, len(sizes), refActive)
-			}
+		if math.Float64bits(e.RxJoules()) != math.Float64bits(refJoules) {
+			t.Fatalf("%+v: RxJoules = %v, reference sum %v", m, e.RxJoules(), refJoules)
+		}
+		if e.RxPackets() != len(sizes) || e.activeTime != refActive {
+			t.Fatalf("%+v: %d packets over %v active, reference %d over %v",
+				m, e.RxPackets(), e.activeTime, len(sizes), refActive)
 		}
 	}
 }

@@ -77,12 +77,6 @@ type Options struct {
 	// violation at this virtual time in every chaos-checked run — a drill
 	// that exercises the violation → flight-dump path end to end.
 	SelfTestViolation time.Duration
-	// Shards, when > 1, runs every eligible cell on the sharded parallel
-	// kernel (core.Config.Shards). Cells outside the sharded envelope —
-	// failure waves, chaos, RTS/CTS, idealized schemes — keep the serial
-	// path instead of failing the sweep. Workers is clamped so
-	// jobs × shards never exceeds GOMAXPROCS; see workers.
-	Shards int
 	// Interrupt, when non-nil and closed, requests a graceful stop at cell
 	// boundaries: cells not yet started are skipped, cells already running
 	// finish and land in the ledger, and the figure returns an error
@@ -120,62 +114,16 @@ func (o Options) validate() error {
 		return fmt.Errorf("harness: empty density sweep")
 	case o.Workers < 0:
 		return fmt.Errorf("harness: negative worker count")
-	case o.Shards < 0:
-		return fmt.Errorf("harness: negative shard count")
 	default:
 		return nil
 	}
 }
 
-// workers returns the concurrent-run cap. With sharding on, each run
-// occupies Shards cores by itself, so the requested worker count is clamped
-// to GOMAXPROCS / Shards (at least 1) — jobs × shards never oversubscribes
-// the machine.
 func (o Options) workers() int {
-	w := o.Workers
-	if w <= 0 {
-		w = runtime.GOMAXPROCS(0)
+	if o.Workers > 0 {
+		return o.Workers
 	}
-	if o.Shards > 1 {
-		if budget := runtime.GOMAXPROCS(0) / o.Shards; w > budget {
-			w = budget
-			if w < 1 {
-				w = 1
-			}
-		}
-	}
-	return w
-}
-
-// warnWorkerClamp emits one progress line when the jobs × shards budget cut
-// the requested worker count.
-func (o Options) warnWorkerClamp() {
-	if o.Progress == nil || o.Shards <= 1 {
-		return
-	}
-	req := o.Workers
-	if req <= 0 {
-		req = runtime.GOMAXPROCS(0)
-	}
-	if w := o.workers(); w < req {
-		o.Progress(fmt.Sprintf(
-			"harness: capping workers at %d (%d requested): %d shards per run on GOMAXPROCS=%d",
-			w, req, o.Shards, runtime.GOMAXPROCS(0)))
-	}
-}
-
-// applyShards opts one cell into the sharded kernel when the options ask for
-// it and the cell's configuration is inside the sharded envelope; ineligible
-// cells keep the serial path rather than failing the sweep.
-func (o Options) applyShards(cfg core.Config) core.Config {
-	if o.Shards <= 1 {
-		return cfg
-	}
-	cfg.Shards = o.Shards
-	if cfg.Validate() != nil {
-		cfg.Shards = 0
-	}
-	return cfg
+	return runtime.GOMAXPROCS(0)
 }
 
 // Cell aggregates one (x, scheme) data point over the sampled fields.
@@ -371,7 +319,6 @@ func sweep(o Options, id, title, xlabel string, schemes []core.Scheme, xs []int,
 				if o.Telemetry {
 					cfg.Telemetry = &obs.Config{}
 				}
-				cfg = o.applyShards(cfg)
 				jobs = append(jobs, job{scheme: s, xIdx: xi, field: f, cfg: cfg})
 			}
 		}
@@ -382,7 +329,6 @@ func sweep(o Options, id, title, xlabel string, schemes []core.Scheme, xs []int,
 		return nil, err
 	}
 	defer led.Close()
-	o.warnWorkerClamp()
 	tr := newProgressTracker(len(jobs))
 
 	type result struct {

@@ -69,10 +69,10 @@ type LedgerEntry struct {
 	Field   int     `json:"field"`
 	Seed    int64   `json:"seed"`
 	SimSecs float64 `json:"sim_secs"`
-	// Shards is the run's core.Config.Shards (0 for serial entries, which is
-	// what ledgers written before sharding existed decode to). A sharded run
-	// is a different event interleaving than a serial one, so a replay must
-	// match the shard count too.
+	// Shards is decoded but never written: ledgers from before the sharded
+	// kernel was retired carry the strip count (K >= 2) of a sharded run
+	// there. Such a run was a different event interleaving than the serial
+	// one, so lookup never replays an entry where it is non-zero.
 	Shards int          `json:"shards,omitempty"`
 	Output LedgerOutput `json:"output"`
 }
@@ -146,16 +146,16 @@ func (l *Ledger) Close() error {
 }
 
 // lookup returns the recorded summary for a cell, if one exists and was
-// produced by the same seed, simulated duration, and shard count (a ledger
-// written under different options never replays).
-func (l *Ledger) lookup(figure, series string, x, field int, seed int64, simSecs float64, shards int) (LedgerOutput, bool) {
+// produced by a serial run with the same seed and simulated duration (a
+// ledger written under different options never replays).
+func (l *Ledger) lookup(figure, series string, x, field int, seed int64, simSecs float64) (LedgerOutput, bool) {
 	if l == nil {
 		return LedgerOutput{}, false
 	}
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	e, ok := l.entries[ledgerKey(figure, series, x, field)]
-	if !ok || e.Seed != seed || e.SimSecs != simSecs || e.Shards != shards {
+	if !ok || e.Seed != seed || e.SimSecs != simSecs || e.Shards != 0 {
 		return LedgerOutput{}, false
 	}
 	return e.Output, true
@@ -265,7 +265,7 @@ func runCell(o Options, led *Ledger, tr *progressTracker, id cellID, cfg core.Co
 	if interrupted(o.Interrupt) {
 		return LedgerOutput{}, ErrInterrupted
 	}
-	if lo, ok := led.lookup(id.figure, id.series, id.x, id.field, cfg.Seed, cfg.Duration.Seconds(), cfg.Shards); ok {
+	if lo, ok := led.lookup(id.figure, id.series, id.x, id.field, cfg.Seed, cfg.Duration.Seconds()); ok {
 		tr.note(o.Progress, true, fmt.Sprintf("%s %s x=%d field=%d replayed from ledger",
 			id.figure, id.series, id.x, id.field))
 		return lo, nil
@@ -285,7 +285,7 @@ func runCell(o Options, led *Ledger, tr *progressTracker, id cellID, cfg core.Co
 	lo := summarize(out)
 	if err := led.record(LedgerEntry{
 		Figure: id.figure, Series: id.series, X: id.x, Field: id.field,
-		Seed: cfg.Seed, SimSecs: cfg.Duration.Seconds(), Shards: cfg.Shards, Output: lo,
+		Seed: cfg.Seed, SimSecs: cfg.Duration.Seconds(), Output: lo,
 	}); err != nil {
 		return LedgerOutput{}, err
 	}

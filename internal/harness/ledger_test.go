@@ -2,10 +2,13 @@ package harness
 
 import (
 	"bytes"
+	"encoding/json"
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 )
@@ -121,6 +124,135 @@ func TestLedgerSkipsTruncatedLines(t *testing.T) {
 	cut.Close()
 	if cut.Loaded() != full.Loaded()-1 {
 		t.Fatalf("truncated ledger loaded %d entries, want %d", cut.Loaded(), full.Loaded()-1)
+	}
+}
+
+// TestLedgerNeverReplaysShardedEntries checks the retired-entry guard: a
+// ledger written while the sharded kernel existed may hold a "shards":2
+// line, a different event interleaving than the serial run of that cell.
+// The sweep must re-simulate exactly that cell, replay every serial line,
+// and render the CSV of a sweep with no ledger.
+func TestLedgerNeverReplaysShardedEntries(t *testing.T) {
+	golden, err := Fig5(ledgerOptions("", nil))
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	ledger := filepath.Join(t.TempDir(), "sweep.ledger.ndjson")
+	if _, err := Fig5(ledgerOptions(ledger, nil)); err != nil {
+		t.Fatal(err)
+	}
+	data, err := os.ReadFile(ledger)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lines := bytes.Split(bytes.TrimSpace(data), []byte("\n"))
+	var e LedgerEntry
+	if err := json.Unmarshal(lines[0], &e); err != nil {
+		t.Fatal(err)
+	}
+	// Give the sharded line its own numbers, as a sharded run had, so a
+	// replay would also show in the CSV.
+	e.Shards = 2
+	e.Output.Metrics.AvgDissipatedEnergy *= 2
+	e.Output.Metrics.AvgDelay *= 2
+	if lines[0], err = json.Marshal(e); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Contains(lines[0], []byte(`"shards":2`)) {
+		t.Fatalf("sharded line lost its shard count: %s", lines[0])
+	}
+	if err := os.WriteFile(ledger, append(bytes.Join(lines, []byte("\n")), '\n'), 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	var progress []string
+	resumed, err := Fig5(ledgerOptions(ledger, func(s string) { progress = append(progress, s) }))
+	if err != nil {
+		t.Fatal(err)
+	}
+	cell := fmt.Sprintf("%s %s x=%d field=%d ", e.Figure, e.Series, e.X, e.Field)
+	simulated, replayed := 0, 0
+	for _, l := range progress {
+		switch {
+		case strings.Contains(l, "replayed from ledger"):
+			if strings.HasPrefix(l, cell) {
+				t.Fatalf("sharded entry replayed: %q", l)
+			}
+			replayed++
+		case strings.Contains(l, " done ("):
+			if !strings.HasPrefix(l, cell) {
+				t.Fatalf("serial entry re-simulated: %q", l)
+			}
+			simulated++
+		}
+	}
+	if simulated != 1 || replayed != len(lines)-1 {
+		t.Fatalf("sweep simulated %d and replayed %d cells, want 1 and %d:\n%s",
+			simulated, replayed, len(lines)-1, strings.Join(progress, "\n"))
+	}
+
+	var want, got bytes.Buffer
+	if err := golden.CSV(&want); err != nil {
+		t.Fatal(err)
+	}
+	if err := resumed.CSV(&got); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(want.Bytes(), got.Bytes()) {
+		t.Fatalf("CSV differs from a sweep with no ledger:\n--- no ledger ---\n%s--- sharded line ---\n%s",
+			want.String(), got.String())
+	}
+}
+
+// TestLedgerConcurrentProcesses opens the same ledger file through two
+// independent handles — what two racing sweep invocations look like — and
+// appends from both concurrently. Every line must survive intact.
+func TestLedgerConcurrentProcesses(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "ledger.ndjson")
+	a, err := OpenLedger(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := OpenLedger(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const perHandle = 50
+	var wg sync.WaitGroup
+	for h, led := range []*Ledger{a, b} {
+		wg.Add(1)
+		go func(h int, led *Ledger) {
+			defer wg.Done()
+			for i := 0; i < perHandle; i++ {
+				e := LedgerEntry{
+					Figure: "fig5", Series: fmt.Sprintf("h%d", h),
+					X: i, Seed: int64(i), SimSecs: 60,
+				}
+				if err := led.record(e); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}(h, led)
+	}
+	wg.Wait()
+	a.Close()
+	b.Close()
+	reopened, err := OpenLedger(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer reopened.Close()
+	if got, want := reopened.Loaded(), 2*perHandle; got != want {
+		t.Fatalf("reopened ledger holds %d entries, want %d (a torn line means the append was not atomic)", got, want)
+	}
+	for h := 0; h < 2; h++ {
+		for i := 0; i < perHandle; i++ {
+			if _, ok := reopened.lookup("fig5", fmt.Sprintf("h%d", h), i, 0, int64(i), 60); !ok {
+				t.Fatalf("entry h%d/%d missing after concurrent append", h, i)
+			}
+		}
 	}
 }
 

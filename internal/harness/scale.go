@@ -153,7 +153,6 @@ func Scale(o Options) (*ScaleTable, error) {
 				if o.Telemetry {
 					cfg.Telemetry = &obs.Config{}
 				}
-				cfg = o.applyShards(cfg)
 				cid := cellID{figure: "figscale", series: row.Scheme, x: nodes, field: f}
 				lo, err := runCell(o, led, tr, cid, cfg)
 				if err != nil {

@@ -266,24 +266,6 @@ func (k *Kernel) release(idx int32) {
 // Stop makes Run return after the currently firing event completes.
 func (k *Kernel) Stop() { k.stopped = true }
 
-// PeekTime returns the timestamp of the next live event without firing it,
-// draining any cancelled records sitting at the head. The second result is
-// false when no live events remain. The shard coordinator uses this to
-// compute the global lower bound on future events between windows.
-func (k *Kernel) PeekTime() (Time, bool) {
-	for len(k.heap) > 0 {
-		top := k.heap[0]
-		if k.pool[top.idx].state == evCancelled {
-			k.popHead()
-			k.cancelled--
-			k.release(top.idx)
-			continue
-		}
-		return top.at, true
-	}
-	return 0, false
-}
-
 // Run fires events in order until the queue empties, the horizon passes, or
 // Stop is called. It returns the virtual time at which it stopped.
 //
