@@ -55,7 +55,7 @@ func reportFigure(b *testing.B, t *harness.Table) {
 	b.ReportMetric(o.Ratio.Mean(), "baseline-delivery")
 	b.ReportMetric(g.Delay.Mean()*1000, "greedy-delay-ms")
 	b.ReportMetric(o.Delay.Mean()*1000, "baseline-delay-ms")
-	if eps := t.Meta.EventsPerSec(); eps > 0 {
+	if eps := t.EventsPerSec(); eps > 0 {
 		b.ReportMetric(eps, "events/s")
 	}
 }
@@ -192,7 +192,7 @@ func BenchmarkScaleSweep(b *testing.B) {
 					b.Fatal(err)
 				}
 			}
-			if eps := tbl.Meta.EventsPerSec(); eps > 0 {
+			if eps := tbl.EventsPerSec(); eps > 0 {
 				b.ReportMetric(eps, "events/s")
 			}
 			row := &tbl.Rows[0]

@@ -21,6 +21,7 @@ import (
 	"path/filepath"
 	"runtime"
 	"runtime/pprof"
+	"slices"
 	"strconv"
 	"strings"
 	"syscall"
@@ -30,38 +31,26 @@ import (
 	"repro/internal/obs"
 )
 
-type figureFunc func(harness.Options) (*harness.Table, error)
-
-var figures = []struct {
-	name string
-	fn   figureFunc
-}{
-	{"5", harness.Fig5},
-	{"6", harness.Fig6},
-	{"7", harness.Fig7},
-	{"8", harness.Fig8},
-	{"9", harness.Fig9},
-	{"10", harness.Fig10},
-	{"ablation-truncation", harness.AblationTruncation},
-	{"ablation-tp", harness.AblationReinforceDelay},
-	{"ablation-ta", harness.AblationAggregationDelay},
-	{"ablation-rtscts", harness.AblationRTSCTS},
-	{"baselines", harness.Baselines},
+// table is what every harness figure returns: its text table, its CSV,
+// and the provenance manifest of the run behind them.
+type table interface {
+	Render(io.Writer) error
+	CSV(io.Writer) error
+	Manifest() *obs.Manifest
 }
 
-// extraFigures are the non-Table figures handled by dedicated blocks below;
-// "scale", "repair", and "mobility" are excluded from "all" (run them by
-// name).
-var extraFigures = []string{"git-spt", "lifetime", "chaos", "scale", "repair", "mobility"}
+// experiment is one -fig name: the stem its CSV and manifest are written
+// under, and the regeneration itself. byName figures are left out of
+// "all" and run only when asked for.
+type experiment struct {
+	name, stem string
+	run        func(harness.Options) (table, error)
+	byName     bool
+}
 
-// validFigures lists every accepted -fig value, "all" last.
-func validFigures() []string {
-	names := make([]string, 0, len(figures)+len(extraFigures)+1)
-	for _, f := range figures {
-		names = append(names, f.name)
-	}
-	names = append(names, extraFigures...)
-	return append(names, "all")
+// adapt wraps a harness figure for the experiment list.
+func adapt[T table](regenerate func(harness.Options) (T, error)) func(harness.Options) (table, error) {
+	return func(o harness.Options) (table, error) { return regenerate(o) }
 }
 
 func main() {
@@ -83,7 +72,7 @@ func run(args []string, out io.Writer) error {
 		fields     = fs.Int("fields", 0, "random fields per data point (default: paper's 10, or 3 with -quick)")
 		duration   = fs.Duration("duration", 0, "simulated seconds per run (default 160s, 60s with -quick)")
 		quick      = fs.Bool("quick", false, "reduced preset: 3 fields, 60 s, 3 densities (scale: 500 nodes only)")
-		jobs       = fs.Int("jobs", 0, "cap on concurrent simulation workers (default GOMAXPROCS)")
+		jobs       = fs.Int("jobs", 0, "cap on concurrent simulation workers (default GOMAXPROCS; the scale figure always runs one at a time, for its heap column)")
 		outDir     = fs.String("out", "", "directory for CSV output (created if missing)")
 		plots      = fs.Bool("plot", false, "also draw each panel as an ASCII chart")
 		progress   = fs.Bool("progress", false, "log each completed run to stderr with sweep progress and ETA")
@@ -101,16 +90,55 @@ func run(args []string, out io.Writer) error {
 		return err
 	}
 
-	// Fail fast on a bad figure name, before any profiling or output setup.
-	known := false
-	for _, name := range validFigures() {
-		if *fig == name {
-			known = true
-			break
-		}
+	experiments := []experiment{
+		{name: "5", stem: "fig5", run: adapt(harness.Fig5)},
+		{name: "6", stem: "fig6", run: adapt(harness.Fig6)},
+		{name: "7", stem: "fig7", run: adapt(harness.Fig7)},
+		{name: "8", stem: "fig8", run: adapt(harness.Fig8)},
+		{name: "9", stem: "fig9", run: adapt(harness.Fig9)},
+		{name: "10", stem: "fig10", run: adapt(harness.Fig10)},
+		{name: "ablation-truncation", stem: "figablation-truncation", run: adapt(harness.AblationTruncation)},
+		{name: "ablation-tp", stem: "figablation-tp", run: adapt(harness.AblationReinforceDelay)},
+		{name: "ablation-ta", stem: "figablation-ta", run: adapt(harness.AblationAggregationDelay)},
+		{name: "ablation-rtscts", stem: "figablation-rtscts", run: adapt(harness.AblationRTSCTS)},
+		{name: "baselines", stem: "figbaselines", run: adapt(harness.Baselines)},
+		{name: "git-spt", stem: "figgitspt", run: adapt(harness.GitSpt)},
+		{name: "lifetime", stem: "figlifetime", run: adapt(harness.LifetimeStudy)},
+		{name: "chaos", stem: "figchaos", run: adapt(harness.Chaos)},
+		// The scale sweep runs thousands-of-nodes fields on its own node
+		// ladder.
+		{name: "scale", stem: "figscale", byName: true, run: func(o harness.Options) (table, error) {
+			o.Nodes = harness.ScaleNodes
+			if *quick {
+				o.Nodes = harness.ScaleNodesQuick
+			}
+			if *scaleNodes != "" {
+				ladder, err := parseNodeLadder(*scaleNodes)
+				if err != nil {
+					return nil, err
+				}
+				o.Nodes = ladder
+			}
+			if *big {
+				o.Nodes = append(append([]int(nil), o.Nodes...), harness.ScaleNodesBig...)
+			}
+			return harness.Scale(o)
+		}},
+		// The repair ablation doubles the chaos grid (repair off and on).
+		{name: "repair", stem: "figrepair", byName: true, run: adapt(harness.Repair)},
+		// The mobility grid replays the dynamics scenarios with repair off
+		// and on; its CSV lands as mobility.csv, the artifact name the
+		// experiment contract pins.
+		{name: "mobility", stem: "mobility", byName: true, run: adapt(harness.Mobility)},
 	}
-	if !known {
-		return fmt.Errorf("unknown figure %q (have: %s)", *fig, strings.Join(validFigures(), ", "))
+
+	// Fail fast on a bad figure name, before any profiling or output setup.
+	var valid []string
+	for _, x := range experiments {
+		valid = append(valid, x.name)
+	}
+	if valid = append(valid, "all"); !slices.Contains(valid, *fig) {
+		return fmt.Errorf("unknown figure %q (have: %s)", *fig, strings.Join(valid, ", "))
 	}
 
 	if *cpuprofile != "" {
@@ -206,209 +234,33 @@ func run(args []string, out io.Writer) error {
 
 	start := time.Now()
 	ran := 0
-	for _, f := range figures {
-		if *fig != "all" && *fig != f.name {
+	for _, x := range experiments {
+		if *fig != x.name && (*fig != "all" || x.byName) {
 			continue
 		}
 		ran++
 		t0 := time.Now()
-		live.SetPhase("fig" + f.name)
-		tbl, err := f.fn(opts)
+		live.SetPhase(x.stem)
+		tbl, err := x.run(opts)
 		if err != nil {
-			return fmt.Errorf("fig %s: %w", f.name, err)
+			return fmt.Errorf("fig %s: %w", x.name, err)
 		}
 		if err := tbl.Render(out); err != nil {
 			return err
 		}
-		if *plots {
-			if err := tbl.RenderCharts(out); err != nil {
+		if paper, ok := tbl.(*harness.Table); ok && *plots {
+			if err := paper.RenderCharts(out); err != nil {
 				return err
 			}
 		}
+		man := tbl.Manifest()
 		fmt.Fprintf(out, "(fig %s regenerated in %v, %d kernel events, %.0f events/s)\n\n",
-			f.name, time.Since(t0).Round(time.Second), tbl.Meta.Events, tbl.Meta.EventsPerSec())
+			x.name, time.Since(t0).Round(time.Second), man.KernelEvents, man.EventsPerSec)
 		if csvDir != "" {
-			if err := writeCSV(csvDir, "fig"+f.name+".csv", tbl.CSV); err != nil {
+			if err := harness.WriteCSV(csvDir, x.stem+".csv", tbl.CSV); err != nil {
 				return err
 			}
-			if err := tbl.Manifest().Write(
-				filepath.Join(csvDir, "fig"+f.name+".manifest.json")); err != nil {
-				return err
-			}
-		}
-	}
-
-	if *fig == "all" || *fig == "git-spt" {
-		ran++
-		t0 := time.Now()
-		live.SetPhase("git-spt")
-		tbl, err := harness.GitSpt(opts)
-		if err != nil {
-			return fmt.Errorf("git-spt: %w", err)
-		}
-		if err := tbl.Render(out); err != nil {
-			return err
-		}
-		fmt.Fprintf(out, "(git-spt regenerated in %v, %d kernel events, %.0f events/s)\n\n",
-			time.Since(t0).Round(time.Second), tbl.Meta.Events, tbl.Meta.EventsPerSec())
-		if csvDir != "" {
-			if err := writeCSV(csvDir, "figgitspt.csv", tbl.CSV); err != nil {
-				return err
-			}
-			if err := tbl.Manifest().Write(
-				filepath.Join(csvDir, "figgitspt.manifest.json")); err != nil {
-				return err
-			}
-		}
-	}
-
-	if *fig == "all" || *fig == "lifetime" {
-		ran++
-		t0 := time.Now()
-		live.SetPhase("lifetime")
-		tbl, err := harness.LifetimeStudy(opts)
-		if err != nil {
-			return fmt.Errorf("lifetime: %w", err)
-		}
-		if err := tbl.Render(out); err != nil {
-			return err
-		}
-		fmt.Fprintf(out, "(lifetime regenerated in %v, %d kernel events, %.0f events/s)\n\n",
-			time.Since(t0).Round(time.Second), tbl.Meta.Events, tbl.Meta.EventsPerSec())
-		if csvDir != "" {
-			if err := writeCSV(csvDir, "figlifetime.csv", tbl.CSV); err != nil {
-				return err
-			}
-			if err := tbl.Manifest().Write(
-				filepath.Join(csvDir, "figlifetime.manifest.json")); err != nil {
-				return err
-			}
-		}
-	}
-
-	if *fig == "all" || *fig == "chaos" {
-		ran++
-		t0 := time.Now()
-		live.SetPhase("chaos")
-		tbl, err := harness.Chaos(opts)
-		if err != nil {
-			return fmt.Errorf("chaos: %w", err)
-		}
-		if err := tbl.Render(out); err != nil {
-			return err
-		}
-		if v := tbl.TotalViolations(); v != 0 {
-			fmt.Fprintf(out, "WARNING: %d protocol-invariant violations across the grid\n", v)
-		}
-		fmt.Fprintf(out, "(chaos grid regenerated in %v, %d kernel events, %.0f events/s)\n\n",
-			time.Since(t0).Round(time.Second), tbl.Meta.Events, tbl.Meta.EventsPerSec())
-		if csvDir != "" {
-			if err := writeCSV(csvDir, "figchaos.csv", tbl.CSV); err != nil {
-				return err
-			}
-			if err := tbl.Manifest().Write(
-				filepath.Join(csvDir, "figchaos.manifest.json")); err != nil {
-				return err
-			}
-		}
-	}
-
-	// The scale sweep runs thousands-of-nodes fields and is deliberately not
-	// part of "all"; ask for it by name.
-	if *fig == "scale" {
-		ran++
-		t0 := time.Now()
-		scaleOpts := opts
-		scaleOpts.Nodes = harness.ScaleNodes
-		if *quick {
-			scaleOpts.Nodes = harness.ScaleNodesQuick
-		}
-		if *scaleNodes != "" {
-			ladder, err := parseNodeLadder(*scaleNodes)
-			if err != nil {
-				return fmt.Errorf("scale: %w", err)
-			}
-			scaleOpts.Nodes = ladder
-		}
-		if *big {
-			scaleOpts.Nodes = append(append([]int(nil), scaleOpts.Nodes...), harness.ScaleNodesBig...)
-		}
-		live.SetPhase("scale")
-		tbl, err := harness.Scale(scaleOpts)
-		if err != nil {
-			return fmt.Errorf("scale: %w", err)
-		}
-		if err := tbl.Render(out); err != nil {
-			return err
-		}
-		fmt.Fprintf(out, "(scale regenerated in %v, %d kernel events, %.0f events/s)\n\n",
-			time.Since(t0).Round(time.Second), tbl.Meta.Events, tbl.Meta.EventsPerSec())
-		if csvDir != "" {
-			if err := writeCSV(csvDir, "figscale.csv", tbl.CSV); err != nil {
-				return err
-			}
-			if err := tbl.Manifest().Write(
-				filepath.Join(csvDir, "figscale.manifest.json")); err != nil {
-				return err
-			}
-		}
-	}
-
-	// The repair ablation doubles the chaos grid (repair off and on) and,
-	// like scale, is not part of "all"; ask for it by name.
-	if *fig == "repair" {
-		ran++
-		t0 := time.Now()
-		live.SetPhase("repair")
-		tbl, err := harness.Repair(opts)
-		if err != nil {
-			return fmt.Errorf("repair: %w", err)
-		}
-		if err := tbl.Render(out); err != nil {
-			return err
-		}
-		if v := tbl.TotalViolations(); v != 0 {
-			fmt.Fprintf(out, "WARNING: %d protocol-invariant violations across the grid\n", v)
-		}
-		fmt.Fprintf(out, "(repair ablation regenerated in %v, %d kernel events, %.0f events/s)\n\n",
-			time.Since(t0).Round(time.Second), tbl.Meta.Events, tbl.Meta.EventsPerSec())
-		if csvDir != "" {
-			if err := writeCSV(csvDir, "figrepair.csv", tbl.CSV); err != nil {
-				return err
-			}
-			if err := tbl.Manifest().Write(
-				filepath.Join(csvDir, "figrepair.manifest.json")); err != nil {
-				return err
-			}
-		}
-	}
-
-	// The mobility grid replays the dynamics scenarios with repair off and
-	// on and, like scale and repair, is not part of "all"; ask for it by
-	// name. The CSV lands as results/mobility.csv — the artifact name the
-	// experiment contract pins.
-	if *fig == "mobility" {
-		ran++
-		t0 := time.Now()
-		live.SetPhase("mobility")
-		tbl, err := harness.Mobility(opts)
-		if err != nil {
-			return fmt.Errorf("mobility: %w", err)
-		}
-		if err := tbl.Render(out); err != nil {
-			return err
-		}
-		if v := tbl.RepairOnViolations(); v != 0 {
-			fmt.Fprintf(out, "WARNING: %d protocol-invariant violations on the repair-on arm\n", v)
-		}
-		fmt.Fprintf(out, "(mobility grid regenerated in %v, %d kernel events, %.0f events/s)\n\n",
-			time.Since(t0).Round(time.Second), tbl.Meta.Events, tbl.Meta.EventsPerSec())
-		if csvDir != "" {
-			if err := writeCSV(csvDir, "mobility.csv", tbl.CSV); err != nil {
-				return err
-			}
-			if err := tbl.Manifest().Write(
-				filepath.Join(csvDir, "mobility.manifest.json")); err != nil {
+			if err := man.Write(filepath.Join(csvDir, x.stem+".manifest.json")); err != nil {
 				return err
 			}
 		}
@@ -439,10 +291,4 @@ func parseNodeLadder(s string) ([]int, error) {
 		ladder = append(ladder, n)
 	}
 	return ladder, nil
-}
-
-// writeCSV lands one results CSV atomically (buffer, temp file, fsync,
-// rename) so an interrupted process never leaves a truncated artifact.
-func writeCSV(dir, name string, write func(io.Writer) error) error {
-	return harness.WriteCSV(dir, name, write)
 }

@@ -14,8 +14,10 @@ import (
 	"bytes"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -117,6 +119,91 @@ func TestMobilityQuickGoldenCSV(t *testing.T) {
 		t.Skip("full quick mobility grid; skipped with -short")
 	}
 	compareGolden(t, filepath.Join("testdata", "mobility_quick.golden.csv"), mobilityQuickCSV(t))
+}
+
+// figureOptions is the one-field preset the per-figure goldens below run
+// at: every figure no other golden covers, in well under a second together.
+func figureOptions() harness.Options {
+	return harness.Options{Fields: 1, Duration: 20 * time.Second, Nodes: []int{100}}
+}
+
+// figureCSV renders one figure regeneration's CSV.
+func figureCSV(t *testing.T, tbl interface{ CSV(io.Writer) error }, err error) []byte {
+	t.Helper()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := tbl.CSV(&buf); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// dropColumns removes the named columns from a CSV whose header is its
+// first line not starting with '#'; comment lines pass through.
+func dropColumns(t *testing.T, csv []byte, names ...string) []byte {
+	t.Helper()
+	var keep []bool
+	var b strings.Builder
+	for _, line := range strings.SplitAfter(string(csv), "\n") {
+		if line == "" || strings.HasPrefix(line, "#") {
+			b.WriteString(line)
+			continue
+		}
+		cols := strings.Split(strings.TrimSuffix(line, "\n"), ",")
+		if keep == nil {
+			keep = make([]bool, len(cols))
+			for i, c := range cols {
+				keep[i] = !slices.Contains(names, c)
+			}
+		}
+		if len(cols) != len(keep) {
+			t.Fatalf("ragged CSV line: %q", line)
+		}
+		var kept []string
+		for i, c := range cols {
+			if keep[i] {
+				kept = append(kept, c)
+			}
+		}
+		b.WriteString(strings.Join(kept, ",") + "\n")
+	}
+	return []byte(b.String())
+}
+
+// TestFigureGoldenCSVs pins the CSV of every figure that no other golden
+// covers — the robustness and repair grids, the lifetime study, the
+// abstract GIT/SPT comparison, a Table figure on a non-node axis (Fig10),
+// and one 500-node scale rung — byte for byte. The scale golden drops the
+// four columns that measure the host (wall time, throughput, heap).
+func TestFigureGoldenCSVs(t *testing.T) {
+	if testing.Short() {
+		t.Skip("six one-field figure regenerations; skipped with -short")
+	}
+	o := figureOptions()
+	scale := o
+	scale.Nodes = []int{500}
+	cases := []struct {
+		golden string
+		csv    func(*testing.T) []byte
+	}{
+		{"figchaos_quick", func(t *testing.T) []byte { tbl, err := harness.Chaos(o); return figureCSV(t, tbl, err) }},
+		{"figrepair_quick", func(t *testing.T) []byte { tbl, err := harness.Repair(o); return figureCSV(t, tbl, err) }},
+		{"figlifetime_quick", func(t *testing.T) []byte { tbl, err := harness.LifetimeStudy(o); return figureCSV(t, tbl, err) }},
+		{"figgitspt_quick", func(t *testing.T) []byte { tbl, err := harness.GitSpt(o); return figureCSV(t, tbl, err) }},
+		{"fig10_quick", func(t *testing.T) []byte { tbl, err := harness.Fig10(o); return figureCSV(t, tbl, err) }},
+		{"figscale_quick", func(t *testing.T) []byte {
+			tbl, err := harness.Scale(scale)
+			return dropColumns(t, figureCSV(t, tbl, err),
+				"wall_s", "events_per_sec", "peak_heap_bytes", "bytes_per_node")
+		}},
+	}
+	for _, c := range cases {
+		t.Run(c.golden, func(t *testing.T) {
+			compareGolden(t, filepath.Join("testdata", c.golden+".golden.csv"), c.csv(t))
+		})
+	}
 }
 
 // telemetryLines runs one instrumented quick simulation and renders every

@@ -3,16 +3,14 @@ package harness
 import (
 	"fmt"
 	"io"
+	"slices"
 	"strings"
-	"sync"
 	"time"
 
 	"repro/internal/chaos"
 	"repro/internal/core"
 	"repro/internal/failure"
 	"repro/internal/geom"
-	"repro/internal/obs"
-	"repro/internal/stats"
 )
 
 // chaosNodes is the field size for the robustness grid: the paper's middle
@@ -78,154 +76,48 @@ var ChaosScenarios = []struct {
 	}},
 }
 
-// ChaosRow aggregates one (scenario, scheme) grid point over the sampled
-// fields.
-type ChaosRow struct {
-	Scenario string
-	Scheme   string
-	// Paper panels under fault load.
-	Ratio  stats.Sample
-	Delay  stats.Sample
-	Energy stats.Sample
-	// Recovery panels: seconds to first post-fault delivery (repaired faults
-	// only), delivery-rate dip depth in the post-fault window, and the
-	// fraction of one-second buckets with at least one delivery.
-	TTR          stats.Sample
-	Dip          stats.Sample
-	Availability stats.Sample
-	// Totals over all fields.
-	Faults     int
-	Crashes    int
-	Violations int
-	LinkLoss   int
-}
+// ChaosTable is the regenerated robustness grid ("figchaos"): one row per
+// (scenario, scheme).
+type ChaosTable struct{ Sheet[Row] }
 
-// ChaosTable is the regenerated robustness grid ("figchaos").
-type ChaosTable struct {
-	Fields int
-	Rows   []ChaosRow
-	// Meta is the grid's execution record, always filled by Chaos.
-	Meta *RunMeta
-}
-
-// Manifest builds the provenance record written beside the grid's CSV.
-func (t *ChaosTable) Manifest() *obs.Manifest {
-	schemes := make([]string, len(bothSchemes))
-	for i, s := range bothSchemes {
-		schemes[i] = s.String()
-	}
-	return t.Meta.Manifest("figchaos", schemes, nil)
-}
+var chaosCols = slices.Concat([]column[Row]{
+	{"scenario", func(r *Row) any { return r.Scenario }},
+	{"scheme", func(r *Row) any { return r.Scheme }},
+}, panelCols, ttrCols, []column[Row]{
+	{"dip_mean", func(r *Row) any { return r.Dip.Mean() }},
+	{"avail_mean", func(r *Row) any { return r.Availability.Mean() }},
+	{"faults", func(r *Row) any { return r.Faults }},
+	{"crashes", func(r *Row) any { return r.Crashes }},
+	{"violations", func(r *Row) any { return r.Violations }},
+	{"link_loss", func(r *Row) any { return r.LinkLoss }},
+})
 
 // Chaos runs the robustness grid: every scenario × both schemes at the
 // middle density, averaged over the sampled fields with the same paired
 // seeds as the paper figures. The acceptance bar for the grid is a clean
 // invariant report on every run.
 func Chaos(o Options) (*ChaosTable, error) {
-	if err := o.validate(); err != nil {
-		return nil, err
-	}
-	t := &ChaosTable{Fields: o.Fields}
+	f := figure{meta: RunMeta{Figure: "figchaos", Schemes: schemeNames(bothSchemes)}, cols: chaosCols}
 	for _, sc := range ChaosScenarios {
 		for _, s := range bothSchemes {
-			t.Rows = append(t.Rows, ChaosRow{Scenario: sc.Name, Scheme: s.String()})
+			f.rows = append(f.rows, Row{Series: sc.Name + "/" + s.String(), Scenario: sc.Name, Scheme: s.String(), X: chaosNodes})
 		}
 	}
-
-	type job struct {
-		row   int
-		field int
-		cfg   core.Config
+	f.cfg = func(ri, field int) core.Config {
+		cfg := baseConfig(o, bothSchemes[ri%len(bothSchemes)], chaosNodes, field)
+		cc := ChaosScenarios[ri/len(bothSchemes)].Config(o.Duration)
+		cfg.Chaos = &cc
+		return cfg
 	}
-	var jobs []job
-	for ri := range t.Rows {
-		sc := ChaosScenarios[ri/len(bothSchemes)]
-		scheme := bothSchemes[ri%len(bothSchemes)]
-		for f := 0; f < o.Fields; f++ {
-			cfg := baseConfig(o, scheme, chaosNodes, f)
-			cc := sc.Config(o.Duration)
-			cfg.Chaos = &cc
-			if o.Telemetry {
-				cfg.Telemetry = &obs.Config{}
-			}
-			jobs = append(jobs, job{row: ri, field: f, cfg: cfg})
-		}
-	}
-
-	led, err := openLedger(o)
+	sh, err := f.run(o)
 	if err != nil {
 		return nil, err
 	}
-	defer led.Close()
-	tr := newProgressTracker(len(jobs))
-
-	type result struct {
-		job job
-		out LedgerOutput
-		err error
-	}
-	results := make([]result, len(jobs))
-	var wg sync.WaitGroup
-	sem := make(chan struct{}, o.workers())
-	for i := range jobs {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			sem <- struct{}{}
-			defer func() { <-sem }()
-			j := jobs[i]
-			r := &t.Rows[j.row]
-			cid := cellID{
-				figure: "figchaos",
-				series: fmt.Sprintf("%s/%s", r.Scenario, r.Scheme),
-				x:      chaosNodes,
-				field:  j.field,
-			}
-			out, err := runCell(o, led, tr, cid, j.cfg)
-			results[i] = result{job: j, out: out, err: err}
-		}(i)
-	}
-	wg.Wait()
-
-	meta := newMetaCollector(o)
-	for _, r := range results {
-		row := &t.Rows[r.job.row]
-		if r.err != nil {
-			return nil, fmt.Errorf("harness: figchaos %s/%s field %d: %w",
-				row.Scenario, row.Scheme, r.job.field, r.err)
-		}
-		if err := meta.add(r.out); err != nil {
-			return nil, err
-		}
-		m := r.out.Metrics
-		row.Ratio = append(row.Ratio, m.DeliveryRatio)
-		row.Delay = append(row.Delay, m.AvgDelay)
-		row.Energy = append(row.Energy, m.AvgDissipatedEnergy)
-		rep := r.out.Chaos
-		if rep == nil {
-			return nil, fmt.Errorf("harness: figchaos %s/%s field %d: no chaos report",
-				row.Scenario, row.Scheme, r.job.field)
-		}
-		row.Violations += rep.ViolationCount
-		row.Crashes += rep.Crashes
-		row.LinkLoss += rep.LinkLoss
-		if rec := rep.Recovery; rec != nil {
-			row.Faults += rec.Faults
-			row.Availability = append(row.Availability, rec.Availability)
-			if rec.Repaired > 0 {
-				row.TTR = append(row.TTR, rec.MeanTimeToRepair.Seconds())
-			}
-			if rec.Faults > 0 {
-				row.Dip = append(row.Dip, rec.MeanDipDepth)
-			}
-		}
-	}
-	t.Meta = meta.finish()
-	return t, nil
+	return &ChaosTable{sh}, nil
 }
 
 // Render writes the grid as an aligned text table, one row per
-// (scenario, scheme).
+// (scenario, scheme), and a warning line if any run broke an invariant.
 func (t *ChaosTable) Render(w io.Writer) error {
 	if _, err := fmt.Fprintf(w, "== figchaos: robustness grid (%d nodes, %d fields) ==\n",
 		chaosNodes, t.Fields); err != nil {
@@ -236,49 +128,20 @@ func (t *ChaosTable) Render(w io.Writer) error {
 		"faults", "crashes", "viol", "loss")
 	fmt.Fprintln(w, header)
 	fmt.Fprintln(w, strings.Repeat("-", len(header)))
-	mean := func(s stats.Sample, width int) string {
-		if len(s) == 0 {
-			return fmt.Sprintf("%*s", width, "--")
-		}
-		return fmt.Sprintf("%*.2f", width, s.Mean())
-	}
 	for _, r := range t.Rows {
 		fmt.Fprintf(w, "%10s %14s %7.3f %8.3f %10.3g %s %s %s %7d %7d %6d %6d\n",
 			r.Scenario, r.Scheme,
 			r.Ratio.Mean(), r.Delay.Mean(), r.Energy.Mean(),
-			mean(r.TTR, 7), mean(r.Dip, 6), mean(r.Availability, 6),
+			dash(r.TTR, 7), dash(r.Dip, 6), dash(r.Availability, 6),
 			r.Faults, r.Crashes, r.Violations, r.LinkLoss)
 	}
 	_, err := fmt.Fprintln(w)
+	if v := t.TotalViolations(); v != 0 && err == nil {
+		_, err = fmt.Fprintf(w, "WARNING: %d protocol-invariant violations across the grid\n", v)
+	}
 	return err
-}
-
-// CSV writes the grid in long form, one row per (scenario, scheme).
-func (t *ChaosTable) CSV(w io.Writer) error {
-	if _, err := fmt.Fprintln(w, "figure,scenario,scheme,ratio_mean,ratio_ci,delay_mean,delay_ci,energy_mean,energy_ci,ttr_mean_s,ttr_ci,dip_mean,avail_mean,faults,crashes,violations,link_loss,fields"); err != nil {
-		return err
-	}
-	for _, r := range t.Rows {
-		if _, err := fmt.Fprintf(w, "figchaos,%s,%s,%g,%g,%g,%g,%g,%g,%g,%g,%g,%g,%d,%d,%d,%d,%d\n",
-			r.Scenario, r.Scheme,
-			r.Ratio.Mean(), r.Ratio.CI95(),
-			r.Delay.Mean(), r.Delay.CI95(),
-			r.Energy.Mean(), r.Energy.CI95(),
-			r.TTR.Mean(), r.TTR.CI95(),
-			r.Dip.Mean(), r.Availability.Mean(),
-			r.Faults, r.Crashes, r.Violations, r.LinkLoss, t.Fields); err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
 // TotalViolations sums invariant breaches over the whole grid — the
 // experiment's acceptance criterion is zero.
-func (t *ChaosTable) TotalViolations() int {
-	n := 0
-	for _, r := range t.Rows {
-		n += r.Violations
-	}
-	return n
-}
+func (t *ChaosTable) TotalViolations() int { return violations(t.Rows, false) }

@@ -11,12 +11,12 @@ import (
 func (t *Table) Charts() []plot.Chart {
 	panels := []struct {
 		name string
-		get  func(Cell) float64
+		get  func(Row) float64
 	}{
-		{"(a) average dissipated energy [J/node/event]", func(c Cell) float64 { return c.Energy.Mean() }},
-		{"(a') communication energy [J/node/event]", func(c Cell) float64 { return c.CommEnergy.Mean() }},
-		{"(b) average delay [s/event]", func(c Cell) float64 { return c.Delay.Mean() }},
-		{"(c) distinct-event delivery ratio", func(c Cell) float64 { return c.Ratio.Mean() }},
+		{"(a) average dissipated energy [J/node/event]", func(c Row) float64 { return c.Energy.Mean() }},
+		{"(a') communication energy [J/node/event]", func(c Row) float64 { return c.CommEnergy.Mean() }},
+		{"(b) average delay [s/event]", func(c Row) float64 { return c.Delay.Mean() }},
+		{"(c) distinct-event delivery ratio", func(c Row) float64 { return c.Ratio.Mean() }},
 	}
 	xs := make([]float64, len(t.Xs))
 	for i, x := range t.Xs {
@@ -25,7 +25,7 @@ func (t *Table) Charts() []plot.Chart {
 	var charts []plot.Chart
 	for _, p := range panels {
 		ch := plot.Chart{
-			Title:  t.ID + " " + p.name,
+			Title:  t.Figure + " " + p.name,
 			XLabel: t.XLabel,
 			Xs:     xs,
 		}

@@ -1,11 +1,14 @@
 package harness
 
 import (
+	"fmt"
+	"slices"
 	"time"
 
 	"repro/internal/agg"
 	"repro/internal/core"
 	"repro/internal/failure"
+	"repro/internal/stats"
 	"repro/internal/workload"
 )
 
@@ -21,6 +24,59 @@ func baseConfig(o Options, scheme core.Scheme, nodes, field int) core.Config {
 }
 
 var bothSchemes = []core.Scheme{core.SchemeGreedy, core.SchemeOpportunistic}
+
+// schemeNames returns the schemes' names, in order.
+func schemeNames(schemes []core.Scheme) []string {
+	names := make([]string, len(schemes))
+	for i, s := range schemes {
+		names[i] = s.String()
+	}
+	return names
+}
+
+// Table is one of the paper's figures: a set of per-scheme series over a
+// sweep, one Row per (scheme, x), scheme-major.
+type Table struct {
+	Sheet[Row]
+	Title  string
+	XLabel string
+	// Cells indexes Rows by scheme: Cells[scheme][i] is the row at Xs[i].
+	Cells map[string][]Row
+}
+
+// sweep regenerates one paper figure: cfgFor over xs × schemes × fields,
+// one row per (scheme, x).
+func sweep(o Options, id, title, xlabel string, schemes []core.Scheme, xs []int,
+	cfgFor func(scheme core.Scheme, x, field int) core.Config) (*Table, error) {
+	f := figure{meta: RunMeta{Figure: id, Schemes: schemeNames(schemes), Xs: xs}}
+	for _, s := range schemes {
+		for _, x := range xs {
+			f.rows = append(f.rows, Row{Series: s.String(), Scheme: s.String(), X: x})
+		}
+	}
+	f.cols = slices.Concat([]column[Row]{
+		{"scheme", func(r *Row) any { return r.Scheme }},
+		{xlabel, func(r *Row) any { return r.X }},
+		{"density", func(r *Row) any { return fmt.Sprintf("%.2f", r.Density.Mean()) }},
+	},
+		meanCI("energy", func(r *Row) stats.Sample { return r.Energy }),
+		meanCI("comm", func(r *Row) stats.Sample { return r.CommEnergy }),
+		meanCI("delay", func(r *Row) stats.Sample { return r.Delay }),
+		meanCI("ratio", func(r *Row) stats.Sample { return r.Ratio }),
+		lineageCols)
+	f.cfg = func(ri, field int) core.Config {
+		return cfgFor(schemes[ri/len(xs)], xs[ri%len(xs)], field)
+	}
+	sh, err := f.run(o)
+	if err != nil {
+		return nil, err
+	}
+	t := &Table{Sheet: sh, Title: title, XLabel: xlabel, Cells: map[string][]Row{}}
+	for i, s := range sh.Schemes {
+		t.Cells[s] = sh.Rows[i*len(xs) : (i+1)*len(xs)]
+	}
+	return t, nil
+}
 
 // Fig5 regenerates Figure 5: greedy vs. opportunistic aggregation over
 // network density (50-350 nodes, five corner sources, one sink, perfect

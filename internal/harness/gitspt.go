@@ -4,12 +4,12 @@ import (
 	"fmt"
 	"io"
 	"math/rand"
+	"slices"
 	"strings"
 	"time"
 
 	"repro/internal/datacentric"
 	"repro/internal/geom"
-	"repro/internal/obs"
 	"repro/internal/stats"
 	"repro/internal/topology"
 	"repro/internal/workload"
@@ -28,26 +28,25 @@ type GitSptRow struct {
 
 // GitSptTable is the abstract GIT vs. SPT comparison the paper cites in §1:
 // under the event-radius and random-sources models the savings stay modest,
-// under the paper's corner placement they are much larger.
-type GitSptTable struct {
-	Rows []GitSptRow
-	// SourcesPerInstance and EventRadiusMeters record the workload knobs.
-	Sources     int
-	EventRadius float64
-	// Meta is the sweep's execution record, always filled by GitSpt. The
-	// comparison is graph-level (no kernel runs), so Events stays zero and
-	// Runs counts field instances.
-	Meta *RunMeta
-}
+// under the paper's corner placement they are much larger. The comparison
+// is graph-level (no kernel runs), so its RunMeta's Events stays zero and
+// Runs counts field instances.
+type GitSptTable struct{ Sheet[GitSptRow] }
 
-// Manifest builds the provenance record written beside the table's CSV.
-func (t *GitSptTable) Manifest() *obs.Manifest {
-	var xs []int
-	for _, r := range t.Rows {
-		xs = append(xs, r.Nodes)
-	}
-	return t.Meta.Manifest("git-spt", []string{"event-radius", "random", "corner"}, xs)
-}
+// The workload knobs: sources per instance (random and corner models) and
+// the event radius in meters.
+const (
+	gitSptSources     = 5
+	gitSptEventRadius = 40.0
+)
+
+var gitSptCols = slices.Concat([]column[GitSptRow]{
+	{"nodes", func(r *GitSptRow) any { return r.Nodes }},
+	{"density_mean", func(r *GitSptRow) any { return r.Density.Mean() }},
+},
+	meanCI("event_radius", func(r *GitSptRow) stats.Sample { return r.EventRadius }),
+	meanCI("random", func(r *GitSptRow) stats.Sample { return r.Random }),
+	meanCI("corner", func(r *GitSptRow) stats.Sample { return r.Corner }))
 
 // GitSpt regenerates the abstract comparison over o.Nodes, averaging
 // o.Fields random fields per density.
@@ -55,13 +54,10 @@ func GitSpt(o Options) (*GitSptTable, error) {
 	if err := o.validate(); err != nil {
 		return nil, err
 	}
-	const (
-		sources     = 5
-		eventRadius = 40.0
-	)
-	t := &GitSptTable{Sources: sources, EventRadius: eventRadius}
+	var rows []GitSptRow
 	started := time.Now()
-	meta := &RunMeta{Fields: o.Fields, BaseSeed: o.BaseSeed, Duration: o.Duration}
+	meta := &RunMeta{Figure: "git-spt", Schemes: []string{"event-radius", "random", "corner"}, Xs: o.Nodes,
+		Fields: o.Fields, BaseSeed: o.BaseSeed, Duration: o.Duration}
 	for _, nodes := range o.Nodes {
 		row := GitSptRow{Nodes: nodes}
 		for field := 0; field < o.Fields; field++ {
@@ -84,35 +80,34 @@ func GitSpt(o Options) (*GitSptTable, error) {
 			meta.Runs++
 			row.Density = append(row.Density, f.MeanDegree())
 
-			if srcs := datacentric.EventRadiusSources(f, sink, eventRadius, rng); len(srcs) >= 2 {
+			if srcs := datacentric.EventRadiusSources(f, sink, gitSptEventRadius, rng); len(srcs) >= 2 {
 				if c, err := datacentric.Compare(f, sink, srcs); err == nil {
 					row.EventRadius = append(row.EventRadius, c.Savings())
 				}
 			}
-			if srcs, err := datacentric.RandomSources(f, sink, sources, rng); err == nil {
+			if srcs, err := datacentric.RandomSources(f, sink, gitSptSources, rng); err == nil {
 				if c, err := datacentric.Compare(f, sink, srcs); err == nil {
 					row.Random = append(row.Random, c.Savings())
 				}
 			}
-			if srcs, err := datacentric.CornerSources(f, sink, sources,
+			if srcs, err := datacentric.CornerSources(f, sink, gitSptSources,
 				workload.DefaultSourceRegionSide, rng); err == nil {
 				if c, err := datacentric.Compare(f, sink, srcs); err == nil {
 					row.Corner = append(row.Corner, c.Savings())
 				}
 			}
 		}
-		t.Rows = append(t.Rows, row)
+		rows = append(rows, row)
 	}
 	meta.WallTime = time.Since(started)
-	t.Meta = meta
-	return t, nil
+	return &GitSptTable{Sheet[GitSptRow]{RunMeta: meta, Rows: rows, cols: gitSptCols}}, nil
 }
 
 // Render writes the comparison as an aligned text table of percentage
 // savings.
 func (t *GitSptTable) Render(w io.Writer) error {
 	fmt.Fprintf(w, "== git-spt: GIT transmission savings over SPT (percent, %d sources, event radius %.0f m) ==\n",
-		t.Sources, t.EventRadius)
+		gitSptSources, gitSptEventRadius)
 	header := fmt.Sprintf("%8s %9s %14s %14s %14s", "nodes", "density", "event-radius", "random", "corner")
 	fmt.Fprintln(w, header)
 	fmt.Fprintln(w, strings.Repeat("-", len(header)))
@@ -123,22 +118,4 @@ func (t *GitSptTable) Render(w io.Writer) error {
 	}
 	_, err := fmt.Fprintln(w)
 	return err
-}
-
-// CSV writes the comparison in long form, one row per density, savings as
-// fractions.
-func (t *GitSptTable) CSV(w io.Writer) error {
-	if _, err := fmt.Fprintln(w, "figure,nodes,density_mean,event_radius_mean,event_radius_ci,random_mean,random_ci,corner_mean,corner_ci,fields"); err != nil {
-		return err
-	}
-	for _, r := range t.Rows {
-		if _, err := fmt.Fprintf(w, "git-spt,%d,%g,%g,%g,%g,%g,%g,%g,%d\n",
-			r.Nodes, r.Density.Mean(),
-			r.EventRadius.Mean(), r.EventRadius.CI95(),
-			r.Random.Mean(), r.Random.CI95(),
-			r.Corner.Mean(), r.Corner.CI95(), t.Meta.Fields); err != nil {
-			return err
-		}
-	}
-	return nil
 }

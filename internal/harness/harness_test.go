@@ -278,7 +278,7 @@ func TestLifetimeStudy(t *testing.T) {
 	}
 	// First deaths are within (0, duration].
 	for _, v := range []float64{r.GreedyFirstDeath[0], r.OppFirstDeath[0]} {
-		if v <= 0 || v > tbl.Duration {
+		if v <= 0 || v > tbl.Duration.Seconds() {
 			t.Fatalf("first death %v out of range", v)
 		}
 	}

@@ -6,7 +6,6 @@ import (
 	"strings"
 
 	"repro/internal/core"
-	"repro/internal/obs"
 	"repro/internal/stats"
 )
 
@@ -17,12 +16,31 @@ type LifetimeRow struct {
 	// whole run plus the midpoint of the greedy probe's mean and peak
 	// communication energy).
 	BatteryJ stats.Sample
-	// FirstDeath (seconds; censored at the run duration when nobody dies)
-	// and Deaths per scheme.
+	// FirstDeath (seconds; censored at Censor, the run duration, when
+	// nobody dies) and Deaths per scheme.
 	GreedyFirstDeath stats.Sample
 	GreedyDeaths     stats.Sample
 	OppFirstDeath    stats.Sample
 	OppDeaths        stats.Sample
+	Censor           float64
+}
+
+// absorb folds one battery run into the row; probe runs only calibrate.
+func (r *LifetimeRow) absorb(c cell, lo LedgerOutput) {
+	first := lo.Lifetime.FirstDeath.Seconds()
+	if lo.Lifetime.Deaths == 0 {
+		first = r.Censor
+	}
+	deaths := float64(lo.Lifetime.Deaths)
+	switch c.id.series {
+	case core.SchemeGreedy.String():
+		r.BatteryJ = append(r.BatteryJ, c.cfg.BatteryJ)
+		r.GreedyFirstDeath = append(r.GreedyFirstDeath, first)
+		r.GreedyDeaths = append(r.GreedyDeaths, deaths)
+	case core.SchemeOpportunistic.String():
+		r.OppFirstDeath = append(r.OppFirstDeath, first)
+		r.OppDeaths = append(r.OppDeaths, deaths)
+	}
 }
 
 // LifetimeTable is the network-lifetime study: the paper's closing claim —
@@ -30,98 +48,79 @@ type LifetimeRow struct {
 // lifetime of the highly-dense sensor networks" — measured directly. Every
 // node gets the same battery (calibrated per field so that only
 // hard-working relays can deplete it within the run); the schemes then
-// compete on when their hottest nodes die and how many die.
-type LifetimeTable struct {
-	Rows     []LifetimeRow
-	Duration float64 // run length in seconds (the censoring point)
-	// Meta is the study's execution record (probe runs included), always
-	// filled by LifetimeStudy.
-	Meta *RunMeta
+// compete on when their hottest nodes die and how many die. Its RunMeta
+// counts the probe runs too.
+type LifetimeTable struct{ Sheet[LifetimeRow] }
+
+var lifetimeCols = []column[LifetimeRow]{
+	{"nodes", func(r *LifetimeRow) any { return r.Nodes }},
+	{"battery_j_mean", func(r *LifetimeRow) any { return r.BatteryJ.Mean() }},
+	{"greedy_first_death_mean_s", func(r *LifetimeRow) any { return r.GreedyFirstDeath.Mean() }},
+	{"greedy_first_death_ci", func(r *LifetimeRow) any { return r.GreedyFirstDeath.CI95() }},
+	{"opp_first_death_mean_s", func(r *LifetimeRow) any { return r.OppFirstDeath.Mean() }},
+	{"opp_first_death_ci", func(r *LifetimeRow) any { return r.OppFirstDeath.CI95() }},
+	{"greedy_deaths_mean", func(r *LifetimeRow) any { return r.GreedyDeaths.Mean() }},
+	{"opp_deaths_mean", func(r *LifetimeRow) any { return r.OppDeaths.Mean() }},
+	{"censor_s", func(r *LifetimeRow) any { return r.Censor }},
 }
 
-// Manifest builds the provenance record written beside the study's CSV.
-func (t *LifetimeTable) Manifest() *obs.Manifest {
-	schemes := make([]string, len(bothSchemes))
-	for i, s := range bothSchemes {
-		schemes[i] = s.String()
-	}
-	var xs []int
-	for _, r := range t.Rows {
-		xs = append(xs, r.Nodes)
-	}
-	return t.Meta.Manifest("lifetime", schemes, xs)
-}
-
-// LifetimeStudy runs the study over o.Nodes with o.Fields fields per point.
+// LifetimeStudy runs the study over o.Nodes with o.Fields fields per point:
+// first one greedy probe per (nodes, field) to calibrate that field's
+// battery, then one battery run per scheme. Runs fold in (probe, greedy,
+// opportunistic) order per field.
 func LifetimeStudy(o Options) (*LifetimeTable, error) {
-	if err := o.validate(); err != nil {
-		return nil, err
-	}
-	led, err := openLedger(o)
+	e, err := startEngine(o, len(o.Nodes)*o.Fields*(1+len(bothSchemes)))
 	if err != nil {
 		return nil, err
 	}
-	defer led.Close()
-	// Per (nodes, field): one greedy probe plus one battery run per scheme.
-	tr := newProgressTracker(len(o.Nodes) * o.Fields * (1 + len(bothSchemes)))
-
-	t := &LifetimeTable{Duration: o.Duration.Seconds()}
-	meta := newMetaCollector(o)
-	for _, nodes := range o.Nodes {
-		row := LifetimeRow{Nodes: nodes}
-		for field := 0; field < o.Fields; field++ {
-			probeCfg := baseConfig(o, core.SchemeGreedy, nodes, field)
-			if o.Telemetry {
-				probeCfg.Telemetry = &obs.Config{}
-			}
-			probe, err := runCell(o, led, tr,
-				cellID{figure: "lifetime", series: "probe", x: nodes, field: field}, probeCfg)
-			if err != nil {
-				return nil, err
-			}
-			if err := meta.add(probe); err != nil {
-				return nil, err
-			}
-			c := probe.Metrics.Concentration
-			battery := probeCfg.Energy.IdlePower*o.Duration.Seconds() + (c.MeanNodeJ+c.MaxNodeJ)/2
-			row.BatteryJ = append(row.BatteryJ, battery)
-
-			for _, scheme := range bothSchemes {
-				cfg := baseConfig(o, scheme, nodes, field)
-				cfg.BatteryJ = battery
-				if o.Telemetry {
-					cfg.Telemetry = &obs.Config{}
-				}
-				out, err := runCell(o, led, tr,
-					cellID{figure: "lifetime", series: scheme.String(), x: nodes, field: field}, cfg)
-				if err != nil {
-					return nil, err
-				}
-				if err := meta.add(out); err != nil {
-					return nil, err
-				}
-				first := out.Lifetime.FirstDeath.Seconds()
-				if out.Lifetime.Deaths == 0 {
-					first = t.Duration // censored: nobody died
-				}
-				if scheme == core.SchemeGreedy {
-					row.GreedyFirstDeath = append(row.GreedyFirstDeath, first)
-					row.GreedyDeaths = append(row.GreedyDeaths, float64(out.Lifetime.Deaths))
-				} else {
-					row.OppFirstDeath = append(row.OppFirstDeath, first)
-					row.OppDeaths = append(row.OppDeaths, float64(out.Lifetime.Deaths))
-				}
-			}
+	defer e.close()
+	rows := make([]LifetimeRow, len(o.Nodes))
+	var probes []cell
+	for ri, nodes := range o.Nodes {
+		rows[ri] = LifetimeRow{Nodes: nodes, Censor: o.Duration.Seconds()}
+		for f := 0; f < o.Fields; f++ {
+			probes = append(probes, cell{id: cellID{figure: "lifetime", series: "probe", x: nodes, field: f},
+				cfg: baseConfig(o, core.SchemeGreedy, nodes, f), row: ri})
 		}
-		t.Rows = append(t.Rows, row)
 	}
-	t.Meta = meta.finish()
-	return t, nil
+	probed, err := e.run(probes)
+	if err != nil {
+		return nil, err
+	}
+	var runs []cell
+	for i, p := range probes {
+		c := probed[i].Metrics.Concentration
+		battery := p.cfg.Energy.IdlePower*o.Duration.Seconds() + (c.MeanNodeJ+c.MaxNodeJ)/2
+		for _, s := range bothSchemes {
+			cfg := baseConfig(o, s, p.id.x, p.id.field)
+			cfg.BatteryJ = battery
+			runs = append(runs, cell{id: cellID{figure: "lifetime", series: s.String(), x: p.id.x, field: p.id.field},
+				cfg: cfg, row: p.row})
+		}
+	}
+	ran, err := e.run(runs)
+	if err != nil {
+		return nil, err
+	}
+	n := len(bothSchemes)
+	var cells []cell
+	var outs []LedgerOutput
+	for i, p := range probes {
+		cells = append(append(cells, p), runs[n*i:n*(i+1)]...)
+		outs = append(append(outs, probed[i]), ran[n*i:n*(i+1)]...)
+	}
+	meta, err := fold(o, RunMeta{Figure: "lifetime", Schemes: schemeNames(bothSchemes), Xs: o.Nodes}, outs,
+		func(i int) { rows[cells[i].row].absorb(cells[i], outs[i]) })
+	if err != nil {
+		return nil, err
+	}
+	return &LifetimeTable{Sheet[LifetimeRow]{RunMeta: meta, Rows: rows, cols: lifetimeCols}}, nil
 }
 
 // Render writes the study as an aligned text table.
 func (t *LifetimeTable) Render(w io.Writer) error {
-	fmt.Fprintf(w, "== lifetime: time to first battery death and death counts (censored at %.0f s) ==\n", t.Duration)
+	fmt.Fprintf(w, "== lifetime: time to first battery death and death counts (censored at %.0f s) ==\n",
+		t.Duration.Seconds())
 	header := fmt.Sprintf("%8s %12s %18s %18s %14s %14s",
 		"nodes", "battery J", "greedy 1st death", "opport. 1st death", "greedy deaths", "opport. deaths")
 	fmt.Fprintln(w, header)
@@ -134,22 +133,4 @@ func (t *LifetimeTable) Render(w io.Writer) error {
 	}
 	_, err := fmt.Fprintln(w)
 	return err
-}
-
-// CSV writes the study in long form, one row per density.
-func (t *LifetimeTable) CSV(w io.Writer) error {
-	if _, err := fmt.Fprintln(w, "figure,nodes,battery_j_mean,greedy_first_death_mean_s,greedy_first_death_ci,opp_first_death_mean_s,opp_first_death_ci,greedy_deaths_mean,opp_deaths_mean,censor_s,fields"); err != nil {
-		return err
-	}
-	for _, r := range t.Rows {
-		if _, err := fmt.Fprintf(w, "lifetime,%d,%g,%g,%g,%g,%g,%g,%g,%g,%d\n",
-			r.Nodes, r.BatteryJ.Mean(),
-			r.GreedyFirstDeath.Mean(), r.GreedyFirstDeath.CI95(),
-			r.OppFirstDeath.Mean(), r.OppFirstDeath.CI95(),
-			r.GreedyDeaths.Mean(), r.OppDeaths.Mean(),
-			t.Duration, t.Meta.Fields); err != nil {
-			return err
-		}
-	}
-	return nil
 }

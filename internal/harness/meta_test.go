@@ -23,7 +23,7 @@ func TestSweepMetaAndManifest(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m := tbl.Meta
+	m := tbl.RunMeta
 	if m == nil {
 		t.Fatal("no meta")
 	}
@@ -81,10 +81,10 @@ func TestSweepWithoutTelemetryHasNoMetrics(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if tbl.Meta == nil || tbl.Meta.Runs != 2 {
-		t.Fatalf("meta should be filled regardless: %+v", tbl.Meta)
+	if tbl.RunMeta == nil || tbl.Runs != 2 {
+		t.Fatalf("meta should be filled regardless: %+v", tbl.RunMeta)
 	}
-	if tbl.Meta.Telemetry != nil {
+	if tbl.Telemetry != nil {
 		t.Fatal("metrics collected with telemetry off")
 	}
 	if tbl.Manifest().TelemetryDigest != "" {

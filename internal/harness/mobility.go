@@ -3,16 +3,13 @@ package harness
 import (
 	"fmt"
 	"io"
+	"slices"
 	"strings"
-	"sync"
 	"time"
 
 	"repro/internal/chaos"
 	"repro/internal/core"
-	"repro/internal/diffusion"
 	"repro/internal/failure"
-	"repro/internal/obs"
-	"repro/internal/stats"
 	"repro/internal/topology"
 )
 
@@ -45,55 +42,27 @@ func MobilityScenarios(duration time.Duration) []MobilityScenario {
 	}
 }
 
-// MobilityRow aggregates one (scenario, repair on/off) grid point over the
-// sampled fields.
-type MobilityRow struct {
-	Scenario string
-	Repair   bool
-	// Paper panels under topology dynamics.
-	Ratio  stats.Sample
-	Delay  stats.Sample
-	Energy stats.Sample
-	// DelayP50/P95/P99 and Depth are the lineage-derived per-delivery
-	// latency percentiles and mean hop depth; MaxDepth is the deepest
-	// delivery over the arm's fields.
-	DelayP50 stats.Sample
-	DelayP95 stats.Sample
-	DelayP99 stats.Sample
-	Depth    stats.Sample
-	MaxDepth int
-	// TTR is the per-run mean seconds to first post-fault delivery; MaxTTR
-	// the slowest repair over all fields.
-	TTR    stats.Sample
-	MaxTTR float64
-	// MeanSpeed is the per-run network mean node speed (m/s); zero samples
-	// on the static and churn arms.
-	MeanSpeed stats.Sample
-	// BucketCommJ samples per-run mean communication energy for each speed
-	// bucket (metrics.DefaultSpeedBounds; last bucket is overflow). Only
-	// buckets that held nodes contribute samples.
-	BucketCommJ []stats.Sample
-	// Totals over all fields.
-	LinkChanges int
-	Joins       int
-	Departures  int
-	TopoFaults  int
-	Violations  int
-}
-
 // MobilityTable is the dynamics grid ("figmobility"): each scenario rerun
-// with the repair layer off and on, paired seeds.
-type MobilityTable struct {
-	Fields int
-	Rows   []MobilityRow
-	// Meta is the grid's execution record, always filled by Mobility.
-	Meta *RunMeta
-}
+// with the repair layer off and on, paired seeds, one row per (scenario,
+// repair mode).
+type MobilityTable struct{ Sheet[Row] }
 
-// Manifest builds the provenance record written beside the grid's CSV.
-func (t *MobilityTable) Manifest() *obs.Manifest {
-	return t.Meta.Manifest("figmobility", []string{core.SchemeGreedy.String()}, nil)
-}
+var mobilityCols = slices.Concat([]column[Row]{
+	{"scenario", func(r *Row) any { return r.Scenario }},
+	{"repair", func(r *Row) any { return r.Repair }},
+}, panelCols, ttrCols, []column[Row]{
+	{"ttr_max_s", func(r *Row) any { return r.MaxTTR }},
+	{"mean_speed_mps", func(r *Row) any { return r.MeanSpeed.Mean() }},
+	{"link_changes", func(r *Row) any { return r.LinkChanges }},
+	{"joins", func(r *Row) any { return r.Joins }},
+	{"departures", func(r *Row) any { return r.Departures }},
+	{"topo_faults", func(r *Row) any { return r.TopoFaults }},
+	{"violations", func(r *Row) any { return r.Violations }},
+	{"bucket0_commj", func(r *Row) any { return r.bucket(0) }},
+	{"bucket1_commj", func(r *Row) any { return r.bucket(1) }},
+	{"bucket2_commj", func(r *Row) any { return r.bucket(2) }},
+	{"bucket3_commj", func(r *Row) any { return r.bucket(3) }},
+}, lineageCols)
 
 // Mobility runs the dynamics grid: every mobility/churn scenario with the
 // self-healing layer off and on, greedy scheme, middle density, paired
@@ -101,133 +70,28 @@ func (t *MobilityTable) Manifest() *obs.Manifest {
 // invariant violations on the repair-on arm and a visible delivery-ratio
 // cost as node speed rises.
 func Mobility(o Options) (*MobilityTable, error) {
-	if err := o.validate(); err != nil {
-		return nil, err
-	}
 	scenarios := MobilityScenarios(o.Duration)
-	t := &MobilityTable{Fields: o.Fields}
+	f := figure{meta: RunMeta{Figure: "figmobility", Schemes: []string{core.SchemeGreedy.String()}}, cols: mobilityCols}
 	for _, sc := range scenarios {
-		for _, mode := range repairModes {
-			t.Rows = append(t.Rows, MobilityRow{Scenario: sc.Name, Repair: mode})
-		}
+		f.rows = append(f.rows, repairRows(sc.Name)...)
 	}
-
-	type job struct {
-		row   int
-		field int
-		cfg   core.Config
-	}
-	var jobs []job
-	for ri := range t.Rows {
+	f.cfg = func(ri, field int) core.Config {
 		sc := scenarios[ri/len(repairModes)]
-		mode := repairModes[ri%len(repairModes)]
-		for f := 0; f < o.Fields; f++ {
-			cfg := baseConfig(o, core.SchemeGreedy, chaosNodes, f)
-			cfg.Mobility = sc.Mobility
-			cfg.Churn = sc.Churn
-			cfg.Chaos = &chaos.Config{CheckInvariants: true}
-			if mode {
-				cfg.Diffusion.Repair = diffusion.DefaultRepairParams()
-			}
-			if o.Telemetry {
-				cfg.Telemetry = &obs.Config{}
-			}
-			jobs = append(jobs, job{row: ri, field: f, cfg: cfg})
-		}
+		cfg := repairConfig(o, repairModes[ri%len(repairModes)], field)
+		cfg.Mobility = sc.Mobility
+		cfg.Churn = sc.Churn
+		cfg.Chaos = &chaos.Config{CheckInvariants: true}
+		return cfg
 	}
-
-	led, err := openLedger(o)
+	sh, err := f.run(o)
 	if err != nil {
 		return nil, err
 	}
-	defer led.Close()
-	tr := newProgressTracker(len(jobs))
-
-	type result struct {
-		job job
-		out LedgerOutput
-		err error
-	}
-	results := make([]result, len(jobs))
-	var wg sync.WaitGroup
-	sem := make(chan struct{}, o.workers())
-	for i := range jobs {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			sem <- struct{}{}
-			defer func() { <-sem }()
-			j := jobs[i]
-			r := &t.Rows[j.row]
-			cid := cellID{
-				figure: "figmobility",
-				series: fmt.Sprintf("%s/repair=%t", r.Scenario, r.Repair),
-				x:      chaosNodes,
-				field:  j.field,
-			}
-			out, err := runCell(o, led, tr, cid, j.cfg)
-			results[i] = result{job: j, out: out, err: err}
-		}(i)
-	}
-	wg.Wait()
-
-	meta := newMetaCollector(o)
-	for _, r := range results {
-		row := &t.Rows[r.job.row]
-		if r.err != nil {
-			return nil, fmt.Errorf("harness: figmobility %s/repair=%v field %d: %w",
-				row.Scenario, row.Repair, r.job.field, r.err)
-		}
-		if err := meta.add(r.out); err != nil {
-			return nil, err
-		}
-		m := r.out.Metrics
-		row.Ratio = append(row.Ratio, m.DeliveryRatio)
-		row.Delay = append(row.Delay, m.AvgDelay)
-		row.Energy = append(row.Energy, m.AvgDissipatedEnergy)
-		row.DelayP50 = append(row.DelayP50, m.DelayP50)
-		row.DelayP95 = append(row.DelayP95, m.DelayP95)
-		row.DelayP99 = append(row.DelayP99, m.DelayP99)
-		row.Depth = append(row.Depth, m.MeanDepth)
-		if m.MaxDepth > row.MaxDepth {
-			row.MaxDepth = m.MaxDepth
-		}
-		if mob := r.out.Mobility; mob != nil {
-			row.LinkChanges += mob.LinkChanges
-			row.Joins += mob.Joins
-			row.Departures += mob.Departures
-			if mob.Epochs > 0 {
-				row.MeanSpeed = append(row.MeanSpeed, mob.MeanSpeed)
-			}
-			if row.BucketCommJ == nil {
-				row.BucketCommJ = make([]stats.Sample, len(mob.SpeedBuckets))
-			}
-			for i, b := range mob.SpeedBuckets {
-				if i < len(row.BucketCommJ) && b.Nodes > 0 {
-					row.BucketCommJ[i] = append(row.BucketCommJ[i], b.MeanCommJ)
-				}
-			}
-		}
-		rep := r.out.Chaos
-		if rep == nil {
-			return nil, fmt.Errorf("harness: figmobility %s/repair=%v field %d: no chaos report",
-				row.Scenario, row.Repair, r.job.field)
-		}
-		row.Violations += rep.ViolationCount
-		row.TopoFaults += rep.TopologyFaults
-		if rec := rep.Recovery; rec != nil && rec.Repaired > 0 {
-			row.TTR = append(row.TTR, rec.MeanTimeToRepair.Seconds())
-			if s := rec.MaxTimeToRepair.Seconds(); s > row.MaxTTR {
-				row.MaxTTR = s
-			}
-		}
-	}
-	t.Meta = meta.finish()
-	return t, nil
+	return &MobilityTable{sh}, nil
 }
 
-// Render writes the grid as an aligned text table, one row per
-// (scenario, repair mode).
+// Render writes the grid as an aligned text table, one row per (scenario,
+// repair mode), and a warning line if a repair-on run broke an invariant.
 func (t *MobilityTable) Render(w io.Writer) error {
 	if _, err := fmt.Fprintf(w, "== figmobility: topology dynamics (greedy, %d nodes, %d fields) ==\n",
 		chaosNodes, t.Fields); err != nil {
@@ -238,83 +102,21 @@ func (t *MobilityTable) Render(w io.Writer) error {
 		"links", "joins", "leaves", "viol", "faults")
 	fmt.Fprintln(w, header)
 	fmt.Fprintln(w, strings.Repeat("-", len(header)))
-	mean := func(s stats.Sample, width int) string {
-		if len(s) == 0 {
-			return fmt.Sprintf("%*s", width, "--")
-		}
-		return fmt.Sprintf("%*.2f", width, s.Mean())
-	}
 	for _, r := range t.Rows {
-		onoff := "off"
-		if r.Repair {
-			onoff = "on"
-		}
 		fmt.Fprintf(w, "%14s %6s %7.3f %8.3f %s %7.2f %s %8d %6d %6d %6d %6d\n",
-			r.Scenario, onoff,
+			r.Scenario, onOff(r.Repair),
 			r.Ratio.Mean(), r.Delay.Mean(),
-			mean(r.TTR, 7), r.MaxTTR, mean(r.MeanSpeed, 7),
+			dash(r.TTR, 7), r.MaxTTR, dash(r.MeanSpeed, 7),
 			r.LinkChanges, r.Joins, r.Departures,
 			r.Violations, r.TopoFaults)
 	}
 	_, err := fmt.Fprintln(w)
+	if v := t.RepairOnViolations(); v != 0 && err == nil {
+		_, err = fmt.Fprintf(w, "WARNING: %d protocol-invariant violations on the repair-on arm\n", v)
+	}
 	return err
-}
-
-// CSV writes the grid in long form, one row per (scenario, repair mode).
-func (t *MobilityTable) CSV(w io.Writer) error {
-	if _, err := fmt.Fprintln(w, "figure,scenario,repair,ratio_mean,ratio_ci,delay_mean,delay_ci,energy_mean,energy_ci,"+
-		"ttr_mean_s,ttr_ci,ttr_max_s,mean_speed_mps,link_changes,joins,departures,topo_faults,violations,"+
-		"bucket0_commj,bucket1_commj,bucket2_commj,bucket3_commj,delay_p50,delay_p95,delay_p99,depth_mean,depth_max,fields"); err != nil {
-		return err
-	}
-	bucket := func(r MobilityRow, i int) float64 {
-		if i >= len(r.BucketCommJ) {
-			return 0
-		}
-		return r.BucketCommJ[i].Mean()
-	}
-	for _, r := range t.Rows {
-		if _, err := fmt.Fprintf(w, "figmobility,%s,%t,%g,%g,%g,%g,%g,%g,%g,%g,%g,%g,%d,%d,%d,%d,%d,%g,%g,%g,%g,%g,%g,%g,%g,%d,%d\n",
-			r.Scenario, r.Repair,
-			r.Ratio.Mean(), r.Ratio.CI95(),
-			r.Delay.Mean(), r.Delay.CI95(),
-			r.Energy.Mean(), r.Energy.CI95(),
-			r.TTR.Mean(), r.TTR.CI95(), r.MaxTTR,
-			r.MeanSpeed.Mean(), r.LinkChanges, r.Joins, r.Departures,
-			r.TopoFaults, r.Violations,
-			bucket(r, 0), bucket(r, 1), bucket(r, 2), bucket(r, 3),
-			r.DelayP50.Mean(), r.DelayP95.Mean(), r.DelayP99.Mean(),
-			r.Depth.Mean(), r.MaxDepth,
-			t.Fields); err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
 // RepairOnViolations sums invariant breaches over the repair-on arm — the
 // experiment's acceptance criterion is zero.
-func (t *MobilityTable) RepairOnViolations() int {
-	n := 0
-	for _, r := range t.Rows {
-		if r.Repair {
-			n += r.Violations
-		}
-	}
-	return n
-}
-
-// RatioBySpeed returns the repair-on mean delivery ratio of the static,
-// waypoint-slow, and waypoint-fast arms, in that order — the grid's headline
-// curve.
-func (t *MobilityTable) RatioBySpeed() []float64 {
-	var out []float64
-	for _, name := range []string{"static", "waypoint-slow", "waypoint-fast"} {
-		for _, r := range t.Rows {
-			if r.Scenario == name && r.Repair {
-				out = append(out, r.Ratio.Mean())
-			}
-		}
-	}
-	return out
-}
+func (t *MobilityTable) RepairOnViolations() int { return violations(t.Rows, true) }

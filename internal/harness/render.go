@@ -12,18 +12,18 @@ import (
 // dissipated energy, b: average delay, c: distinct-event delivery ratio)
 // in aligned text, one row per sweep value, one column pair per scheme.
 func (t *Table) Render(w io.Writer) error {
-	if _, err := fmt.Fprintf(w, "== %s: %s ==\n", t.ID, t.Title); err != nil {
+	if _, err := fmt.Fprintf(w, "== %s: %s ==\n", t.Figure, t.Title); err != nil {
 		return err
 	}
 	panels := []struct {
 		name string
-		get  func(Cell) (mean, ci float64)
+		get  func(Row) (mean, ci float64)
 		unit string
 	}{
-		{"(a) average dissipated energy", func(c Cell) (float64, float64) { return c.Energy.Mean(), c.Energy.CI95() }, "J/node/event"},
-		{"(a') communication energy", func(c Cell) (float64, float64) { return c.CommEnergy.Mean(), c.CommEnergy.CI95() }, "J/node/event (tx+rx)"},
-		{"(b) average delay", func(c Cell) (float64, float64) { return c.Delay.Mean(), c.Delay.CI95() }, "s/received distinct event"},
-		{"(c) distinct-event delivery ratio", func(c Cell) (float64, float64) { return c.Ratio.Mean(), c.Ratio.CI95() }, ""},
+		{"(a) average dissipated energy", func(c Row) (float64, float64) { return c.Energy.Mean(), c.Energy.CI95() }, "J/node/event"},
+		{"(a') communication energy", func(c Row) (float64, float64) { return c.CommEnergy.Mean(), c.CommEnergy.CI95() }, "J/node/event (tx+rx)"},
+		{"(b) average delay", func(c Row) (float64, float64) { return c.Delay.Mean(), c.Delay.CI95() }, "s/received distinct event"},
+		{"(c) distinct-event delivery ratio", func(c Row) (float64, float64) { return c.Ratio.Mean(), c.Ratio.CI95() }, ""},
 	}
 	for _, p := range panels {
 		fmt.Fprintf(w, "\n-- %s %s\n", p.name, p.unit)
@@ -55,49 +55,33 @@ func (t *Table) Render(w io.Writer) error {
 	return err
 }
 
-// CSV writes the table in long form: one row per (scheme, x) with mean and
-// 95% CI for each metric.
-func (t *Table) CSV(w io.Writer) error {
-	if _, err := fmt.Fprintf(w, "figure,scheme,%s,density,energy_mean,energy_ci,comm_mean,comm_ci,delay_mean,delay_ci,ratio_mean,ratio_ci,delay_p50,delay_p95,delay_p99,depth_mean,depth_max,fields\n", t.XLabel); err != nil {
-		return err
+// pair returns the rows of schemes a and b at sweep index i.
+func (t *Table) pair(a, b string, i int) (*Row, *Row, error) {
+	ca, okA := t.Cells[a]
+	cb, okB := t.Cells[b]
+	switch {
+	case !okA:
+		return nil, nil, fmt.Errorf("harness: unknown scheme %q", a)
+	case !okB:
+		return nil, nil, fmt.Errorf("harness: unknown scheme %q", b)
+	case i < 0 || i >= len(t.Xs):
+		return nil, nil, fmt.Errorf("harness: index %d out of range", i)
 	}
-	for _, s := range t.Schemes {
-		for i, x := range t.Xs {
-			c := t.Cells[s][i]
-			if _, err := fmt.Fprintf(w, "%s,%s,%d,%.2f,%g,%g,%g,%g,%g,%g,%g,%g,%g,%g,%g,%g,%d,%d\n",
-				t.ID, s, x, c.Density.Mean(),
-				c.Energy.Mean(), c.Energy.CI95(),
-				c.CommEnergy.Mean(), c.CommEnergy.CI95(),
-				c.Delay.Mean(), c.Delay.CI95(),
-				c.Ratio.Mean(), c.Ratio.CI95(),
-				c.DelayP50.Mean(), c.DelayP95.Mean(), c.DelayP99.Mean(),
-				c.Depth.Mean(), c.MaxDepth, len(c.Energy)); err != nil {
-				return err
-			}
-		}
-	}
-	return nil
+	return &ca[i], &cb[i], nil
 }
 
 // Savings returns the percentage by which scheme a's metric undercuts
 // scheme b's at sweep index i, using the communication-energy panel.
 func (t *Table) Savings(a, b string, i int) (float64, error) {
-	ca, ok := t.Cells[a]
-	if !ok {
-		return 0, fmt.Errorf("harness: unknown scheme %q", a)
+	ra, rb, err := t.pair(a, b, i)
+	if err != nil {
+		return 0, err
 	}
-	cb, ok := t.Cells[b]
-	if !ok {
-		return 0, fmt.Errorf("harness: unknown scheme %q", b)
-	}
-	if i < 0 || i >= len(t.Xs) {
-		return 0, fmt.Errorf("harness: index %d out of range", i)
-	}
-	base := cb[i].CommEnergy.Mean()
+	base := rb.CommEnergy.Mean()
 	if base == 0 {
 		return 0, fmt.Errorf("harness: zero baseline energy")
 	}
-	return 100 * (1 - ca[i].CommEnergy.Mean()/base), nil
+	return 100 * (1 - ra.CommEnergy.Mean()/base), nil
 }
 
 // PairedSavings returns the paired per-field communication-energy savings
@@ -105,16 +89,9 @@ func (t *Table) Savings(a, b string, i int) (float64, error) {
 // per-field ratios). Because both schemes run on identical fields, this is
 // the statistically tight version of Savings.
 func (t *Table) PairedSavings(a, b string, i int) (mean, ci95 float64, err error) {
-	ca, ok := t.Cells[a]
-	if !ok {
-		return 0, 0, fmt.Errorf("harness: unknown scheme %q", a)
+	ra, rb, err := t.pair(a, b, i)
+	if err != nil {
+		return 0, 0, err
 	}
-	cb, ok := t.Cells[b]
-	if !ok {
-		return 0, 0, fmt.Errorf("harness: unknown scheme %q", b)
-	}
-	if i < 0 || i >= len(t.Xs) {
-		return 0, 0, fmt.Errorf("harness: index %d out of range", i)
-	}
-	return stats.PairedSavings(ca[i].CommEnergy, cb[i].CommEnergy)
+	return stats.PairedSavings(ra.CommEnergy, rb.CommEnergy)
 }

@@ -3,63 +3,70 @@ package harness
 import (
 	"fmt"
 	"io"
+	"slices"
 	"strings"
-	"sync"
 
 	"repro/internal/core"
 	"repro/internal/diffusion"
-	"repro/internal/msg"
-	"repro/internal/obs"
-	"repro/internal/stats"
 )
 
-// RepairRow aggregates one (scenario, repair on/off) grid point over the
-// sampled fields. The grid fixes the scheme to greedy — the repair layer is
-// strategy-agnostic, and pairing on/off runs on the same seeds isolates its
-// effect.
-type RepairRow struct {
-	Scenario string
-	// Repair reports whether the self-healing layer was enabled.
-	Repair bool
-	// Paper panels under fault load.
-	Ratio  stats.Sample
-	Delay  stats.Sample
-	Energy stats.Sample
-	// TTR is the per-run mean seconds to first post-fault delivery (repaired
-	// faults only); MaxTTR is the slowest repair over all fields.
-	TTR    stats.Sample
-	MaxTTR float64
-	// Outage accounting summed over fields: merged outage seconds, events
-	// generated during outages, and the steady-rate loss estimate.
-	OutageSeconds     stats.Sample
-	GeneratedInOutage int
-	LostInOutage      int
-	// Repair-message overhead, summed over fields: probes on air plus the
-	// layer's own counters (zero on repair-off rows).
-	ProbesSent int
-	Stats      diffusion.RepairStats
-	// Totals over all fields.
-	Faults     int
-	Crashes    int
-	Violations int
-}
-
 // RepairTable is the self-healing ablation grid ("figrepair"): the chaos
-// scenarios rerun with the repair layer off and on, paired seeds.
-type RepairTable struct {
-	Fields int
-	Rows   []RepairRow
-	// Meta is the grid's execution record, always filled by Repair.
-	Meta *RunMeta
-}
-
-// Manifest builds the provenance record written beside the grid's CSV.
-func (t *RepairTable) Manifest() *obs.Manifest {
-	return t.Meta.Manifest("figrepair", []string{core.SchemeGreedy.String()}, nil)
-}
+// scenarios rerun with the repair layer off and on, paired seeds, one row
+// per (scenario, repair mode). The grid fixes the scheme to greedy — the
+// repair layer is strategy-agnostic, and pairing on/off runs on the same
+// seeds isolates its effect.
+type RepairTable struct{ Sheet[Row] }
 
 // repairModes orders the ablation arms: off first, on second.
 var repairModes = []bool{false, true}
+
+// repairRows returns a scenario's rows for the repair-off and repair-on
+// arms.
+func repairRows(scenario string) []Row {
+	rows := make([]Row, len(repairModes))
+	for i, mode := range repairModes {
+		rows[i] = Row{Series: fmt.Sprintf("%s/repair=%t", scenario, mode), Scenario: scenario,
+			Repair: mode, X: chaosNodes}
+	}
+	return rows
+}
+
+// repairConfig is one greedy run at the middle density, with the repair
+// layer on or off.
+func repairConfig(o Options, repair bool, field int) core.Config {
+	cfg := baseConfig(o, core.SchemeGreedy, chaosNodes, field)
+	if repair {
+		cfg.Diffusion.Repair = diffusion.DefaultRepairParams()
+	}
+	return cfg
+}
+
+func onOff(on bool) string {
+	if on {
+		return "on"
+	}
+	return "off"
+}
+
+var repairCols = slices.Concat([]column[Row]{
+	{"scenario", func(r *Row) any { return r.Scenario }},
+	{"repair", func(r *Row) any { return r.Repair }},
+}, panelCols, ttrCols, []column[Row]{
+	{"ttr_max_s", func(r *Row) any { return r.MaxTTR }},
+	{"outage_mean_s", func(r *Row) any { return r.OutageSeconds.Mean() }},
+	{"generated_in_outage", func(r *Row) any { return r.GeneratedInOutage }},
+	{"lost_in_outage", func(r *Row) any { return r.LostInOutage }},
+	{"probes", func(r *Row) any { return r.ProbesSent }},
+	{"watchdog_fires", func(r *Row) any { return r.RepairStats.WatchdogFires }},
+	{"reinforces", func(r *Row) any { return r.RepairStats.Reinforces }},
+	{"probe_replies", func(r *Row) any { return r.RepairStats.ProbeReplies }},
+	{"ctrl_retries", func(r *Row) any { return r.RepairStats.CtrlRetries }},
+	{"data_rebuffers", func(r *Row) any { return r.RepairStats.DataRebuffers }},
+	{"fallback_broadcasts", func(r *Row) any { return r.RepairStats.FallbackBroadcasts }},
+	{"faults", func(r *Row) any { return r.Faults }},
+	{"crashes", func(r *Row) any { return r.Crashes }},
+	{"violations", func(r *Row) any { return r.Violations }},
+})
 
 // Repair runs the self-healing ablation: every chaos scenario with the
 // repair layer off and on, greedy scheme, middle density, the same paired
@@ -67,124 +74,25 @@ var repairModes = []bool{false, true}
 // violations in both arms and a delivery-ratio win for repair-on under the
 // crash and partition scenarios.
 func Repair(o Options) (*RepairTable, error) {
-	if err := o.validate(); err != nil {
-		return nil, err
-	}
-	t := &RepairTable{Fields: o.Fields}
+	f := figure{meta: RunMeta{Figure: "figrepair", Schemes: []string{core.SchemeGreedy.String()}}, cols: repairCols}
 	for _, sc := range ChaosScenarios {
-		for _, mode := range repairModes {
-			t.Rows = append(t.Rows, RepairRow{Scenario: sc.Name, Repair: mode})
-		}
+		f.rows = append(f.rows, repairRows(sc.Name)...)
 	}
-
-	type job struct {
-		row   int
-		field int
-		cfg   core.Config
+	f.cfg = func(ri, field int) core.Config {
+		cfg := repairConfig(o, repairModes[ri%len(repairModes)], field)
+		cc := ChaosScenarios[ri/len(repairModes)].Config(o.Duration)
+		cfg.Chaos = &cc
+		return cfg
 	}
-	var jobs []job
-	for ri := range t.Rows {
-		sc := ChaosScenarios[ri/len(repairModes)]
-		mode := repairModes[ri%len(repairModes)]
-		for f := 0; f < o.Fields; f++ {
-			cfg := baseConfig(o, core.SchemeGreedy, chaosNodes, f)
-			cc := sc.Config(o.Duration)
-			cfg.Chaos = &cc
-			if mode {
-				cfg.Diffusion.Repair = diffusion.DefaultRepairParams()
-			}
-			if o.Telemetry {
-				cfg.Telemetry = &obs.Config{}
-			}
-			jobs = append(jobs, job{row: ri, field: f, cfg: cfg})
-		}
-	}
-
-	led, err := openLedger(o)
+	sh, err := f.run(o)
 	if err != nil {
 		return nil, err
 	}
-	defer led.Close()
-	tr := newProgressTracker(len(jobs))
-
-	type result struct {
-		job job
-		out LedgerOutput
-		err error
-	}
-	results := make([]result, len(jobs))
-	var wg sync.WaitGroup
-	sem := make(chan struct{}, o.workers())
-	for i := range jobs {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			sem <- struct{}{}
-			defer func() { <-sem }()
-			j := jobs[i]
-			r := &t.Rows[j.row]
-			cid := cellID{
-				figure: "figrepair",
-				series: fmt.Sprintf("%s/repair=%t", r.Scenario, r.Repair),
-				x:      chaosNodes,
-				field:  j.field,
-			}
-			out, err := runCell(o, led, tr, cid, j.cfg)
-			results[i] = result{job: j, out: out, err: err}
-		}(i)
-	}
-	wg.Wait()
-
-	meta := newMetaCollector(o)
-	for _, r := range results {
-		row := &t.Rows[r.job.row]
-		if r.err != nil {
-			return nil, fmt.Errorf("harness: figrepair %s/repair=%v field %d: %w",
-				row.Scenario, row.Repair, r.job.field, r.err)
-		}
-		if err := meta.add(r.out); err != nil {
-			return nil, err
-		}
-		m := r.out.Metrics
-		row.Ratio = append(row.Ratio, m.DeliveryRatio)
-		row.Delay = append(row.Delay, m.AvgDelay)
-		row.Energy = append(row.Energy, m.AvgDissipatedEnergy)
-		row.ProbesSent += r.out.Sent[msg.KindRepairProbe]
-		if rs := r.out.Repair; rs != nil {
-			row.Stats.WatchdogFires += rs.WatchdogFires
-			row.Stats.Reinforces += rs.Reinforces
-			row.Stats.Probes += rs.Probes
-			row.Stats.ProbeReplies += rs.ProbeReplies
-			row.Stats.CtrlRetries += rs.CtrlRetries
-			row.Stats.DataRebuffers += rs.DataRebuffers
-			row.Stats.FallbackBroadcasts += rs.FallbackBroadcasts
-		}
-		rep := r.out.Chaos
-		if rep == nil {
-			return nil, fmt.Errorf("harness: figrepair %s/repair=%v field %d: no chaos report",
-				row.Scenario, row.Repair, r.job.field)
-		}
-		row.Violations += rep.ViolationCount
-		row.Crashes += rep.Crashes
-		if rec := rep.Recovery; rec != nil {
-			row.Faults += rec.Faults
-			row.GeneratedInOutage += rec.GeneratedDuringOutage
-			row.LostInOutage += rec.LostDuringOutage
-			row.OutageSeconds = append(row.OutageSeconds, rec.OutageTime.Seconds())
-			if rec.Repaired > 0 {
-				row.TTR = append(row.TTR, rec.MeanTimeToRepair.Seconds())
-				if s := rec.MaxTimeToRepair.Seconds(); s > row.MaxTTR {
-					row.MaxTTR = s
-				}
-			}
-		}
-	}
-	t.Meta = meta.finish()
-	return t, nil
+	return &RepairTable{sh}, nil
 }
 
-// Render writes the grid as an aligned text table, one row per
-// (scenario, repair mode).
+// Render writes the grid as an aligned text table, one row per (scenario,
+// repair mode), and a warning line if any run broke an invariant.
 func (t *RepairTable) Render(w io.Writer) error {
 	if _, err := fmt.Fprintf(w, "== figrepair: self-healing ablation (greedy, %d nodes, %d fields) ==\n",
 		chaosNodes, t.Fields); err != nil {
@@ -195,78 +103,21 @@ func (t *RepairTable) Render(w io.Writer) error {
 		"lost", "probes", "retries", "viol", "faults")
 	fmt.Fprintln(w, header)
 	fmt.Fprintln(w, strings.Repeat("-", len(header)))
-	mean := func(s stats.Sample, width int) string {
-		if len(s) == 0 {
-			return fmt.Sprintf("%*s", width, "--")
-		}
-		return fmt.Sprintf("%*.2f", width, s.Mean())
-	}
 	for _, r := range t.Rows {
-		onoff := "off"
-		if r.Repair {
-			onoff = "on"
-		}
 		fmt.Fprintf(w, "%10s %6s %7.3f %8.3f %s %7.2f %s %6d %7d %7d %6d %6d\n",
-			r.Scenario, onoff,
+			r.Scenario, onOff(r.Repair),
 			r.Ratio.Mean(), r.Delay.Mean(),
-			mean(r.TTR, 7), r.MaxTTR, mean(r.OutageSeconds, 8),
-			r.LostInOutage, r.ProbesSent, r.Stats.CtrlRetries,
+			dash(r.TTR, 7), r.MaxTTR, dash(r.OutageSeconds, 8),
+			r.LostInOutage, r.ProbesSent, r.RepairStats.CtrlRetries,
 			r.Violations, r.Faults)
 	}
 	_, err := fmt.Fprintln(w)
+	if v := t.TotalViolations(); v != 0 && err == nil {
+		_, err = fmt.Fprintf(w, "WARNING: %d protocol-invariant violations across the grid\n", v)
+	}
 	return err
-}
-
-// CSV writes the grid in long form, one row per (scenario, repair mode).
-func (t *RepairTable) CSV(w io.Writer) error {
-	if _, err := fmt.Fprintln(w, "figure,scenario,repair,ratio_mean,ratio_ci,delay_mean,delay_ci,energy_mean,energy_ci,"+
-		"ttr_mean_s,ttr_ci,ttr_max_s,outage_mean_s,generated_in_outage,lost_in_outage,"+
-		"probes,watchdog_fires,reinforces,probe_replies,ctrl_retries,data_rebuffers,fallback_broadcasts,"+
-		"faults,crashes,violations,fields"); err != nil {
-		return err
-	}
-	for _, r := range t.Rows {
-		if _, err := fmt.Fprintf(w, "figrepair,%s,%t,%g,%g,%g,%g,%g,%g,%g,%g,%g,%g,%d,%d,%d,%d,%d,%d,%d,%d,%d,%d,%d,%d,%d\n",
-			r.Scenario, r.Repair,
-			r.Ratio.Mean(), r.Ratio.CI95(),
-			r.Delay.Mean(), r.Delay.CI95(),
-			r.Energy.Mean(), r.Energy.CI95(),
-			r.TTR.Mean(), r.TTR.CI95(), r.MaxTTR,
-			r.OutageSeconds.Mean(), r.GeneratedInOutage, r.LostInOutage,
-			r.ProbesSent, r.Stats.WatchdogFires, r.Stats.Reinforces,
-			r.Stats.ProbeReplies, r.Stats.CtrlRetries, r.Stats.DataRebuffers,
-			r.Stats.FallbackBroadcasts,
-			r.Faults, r.Crashes, r.Violations, t.Fields); err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
 // TotalViolations sums invariant breaches over both arms of the grid — the
 // experiment's acceptance criterion is zero.
-func (t *RepairTable) TotalViolations() int {
-	n := 0
-	for _, r := range t.Rows {
-		n += r.Violations
-	}
-	return n
-}
-
-// RatioDelta returns repair-on minus repair-off mean delivery ratio for the
-// named scenario, and whether both arms were present.
-func (t *RepairTable) RatioDelta(scenario string) (float64, bool) {
-	var off, on float64
-	var haveOff, haveOn bool
-	for _, r := range t.Rows {
-		if r.Scenario != scenario {
-			continue
-		}
-		if r.Repair {
-			on, haveOn = r.Ratio.Mean(), true
-		} else {
-			off, haveOff = r.Ratio.Mean(), true
-		}
-	}
-	return on - off, haveOff && haveOn
-}
+func (t *RepairTable) TotalViolations() int { return violations(t.Rows, false) }
