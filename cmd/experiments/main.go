@@ -80,9 +80,7 @@ func run(args []string, out io.Writer) error {
 		memprofile = fs.String("memprofile", "", "write an allocation heap profile to this file on exit")
 
 		scaleNodes     = fs.String("scale-nodes", "", `override the -fig scale node ladder with a comma-separated ascending list, e.g. "500,5000"`)
-		big            = fs.Bool("big", false, "extend the -fig scale ladder with the 50000-node rung (needs several GB of heap)")
 		ledger         = fs.String("ledger", "", "sweep progress ledger file: completed runs are recorded there and skipped on a re-run, so an interrupted sweep resumes")
-		liveAddr       = fs.String("live", "", `serve the live debug endpoint (status, /metrics, /debug/pprof) on this address, e.g. "localhost:6060"`)
 		flightDir      = fs.String("flight-dir", "", "arm a flight recorder on every run, dumping per-cell files into this directory on an invariant violation or panic")
 		forceViolation = fs.Duration("force-violation", 0, "inject a synthetic invariant violation at this virtual time into every chaos-checked run (exercises the flight-dump path)")
 	)
@@ -118,9 +116,6 @@ func run(args []string, out io.Writer) error {
 					return nil, err
 				}
 				o.Nodes = ladder
-			}
-			if *big {
-				o.Nodes = append(append([]int(nil), o.Nodes...), harness.ScaleNodesBig...)
 			}
 			return harness.Scale(o)
 		}},
@@ -210,20 +205,6 @@ func run(args []string, out io.Writer) error {
 		opts.FlightDir = *flightDir
 	}
 
-	var live *obs.Live
-	if *liveAddr != "" {
-		var err error
-		live, err = obs.NewLive(*liveAddr)
-		if err != nil {
-			return err
-		}
-		defer live.Close()
-		fmt.Fprintf(out, "live debug endpoint on http://%s/\n", live.Addr())
-		opts.OnRun = func(lo harness.LedgerOutput) {
-			live.AddRun(lo.Kernel.Events, lo.Kernel.WallTime, lo.Telemetry)
-		}
-	}
-
 	var csvDir string
 	if *outDir != "" {
 		if err := os.MkdirAll(*outDir, 0o755); err != nil {
@@ -240,7 +221,6 @@ func run(args []string, out io.Writer) error {
 		}
 		ran++
 		t0 := time.Now()
-		live.SetPhase(x.stem)
 		tbl, err := x.run(opts)
 		if err != nil {
 			return fmt.Errorf("fig %s: %w", x.name, err)
@@ -266,7 +246,6 @@ func run(args []string, out io.Writer) error {
 		}
 	}
 
-	live.SetPhase("done")
 	fmt.Fprintf(out, "total: %d table(s) in %v\n", ran, time.Since(start).Round(time.Second))
 	return nil
 }

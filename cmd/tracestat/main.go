@@ -21,6 +21,7 @@ import (
 	"sort"
 
 	"repro/internal/msg"
+	"repro/internal/stats"
 	"repro/internal/topology"
 	"repro/internal/trace"
 )
@@ -42,8 +43,8 @@ type edge struct {
 	from, to topology.NodeID
 }
 
-// stats is everything one pass over the trace accumulates.
-type stats struct {
+// traceStats is everything one pass over the trace accumulates.
+type traceStats struct {
 	events, snapshots   int
 	sends, recvs, drops int
 	repairs             int
@@ -67,8 +68,8 @@ type stats struct {
 	firstAt, lastAt int64
 }
 
-func newStats() *stats {
-	return &stats{
+func newStats() *traceStats {
+	return &traceStats{
 		kinds:       make(map[msg.Kind]*kindRow),
 		dropReasons: make(map[trace.DropReason]int),
 		nodeTraffic: make(map[topology.NodeID]int),
@@ -77,7 +78,7 @@ func newStats() *stats {
 	}
 }
 
-func (s *stats) kind(k msg.Kind) *kindRow {
+func (s *traceStats) kind(k msg.Kind) *kindRow {
 	r := s.kinds[k]
 	if r == nil {
 		r = &kindRow{}
@@ -86,7 +87,7 @@ func (s *stats) kind(k msg.Kind) *kindRow {
 	return r
 }
 
-func (s *stats) addEvent(e trace.Event) {
+func (s *traceStats) addEvent(e trace.Event) {
 	s.events++
 	if s.events == 1 || int64(e.At) < s.firstAt {
 		s.firstAt = int64(e.At)
@@ -133,19 +134,33 @@ func (s *stats) addEvent(e trace.Event) {
 	}
 }
 
-// percentile returns the nearest-rank percentile of sorted (ascending).
-func percentile(sorted []float64, p float64) float64 {
-	if len(sorted) == 0 {
-		return 0
+// delivery summarizes the delivery lineage once for both the text and the
+// -json report: latency percentiles by the nearest-rank rule wsnsim uses,
+// hop depths ascending. It is nil when the trace holds no deliveries.
+func (s *traceStats) delivery() *jsonDelivery {
+	if s.delivers == 0 {
+		return nil
 	}
-	i := int(p*float64(len(sorted))+0.5) - 1
-	if i < 0 {
-		i = 0
+	sorted := append([]float64(nil), s.delays...)
+	sort.Float64s(sorted)
+	d := &jsonDelivery{
+		Count:    s.delivers,
+		DelayP50: stats.NearestRank(sorted, 0.50),
+		DelayP95: stats.NearestRank(sorted, 0.95),
+		DelayP99: stats.NearestRank(sorted, 0.99),
+		MeanHops: float64(s.hopSum) / float64(s.delivers),
+		MaxHops:  s.maxHops,
+		MaxFanIn: s.maxFanIn,
 	}
-	if i >= len(sorted) {
-		i = len(sorted) - 1
+	hops := make([]int, 0, len(s.hopHist))
+	for h := range s.hopHist {
+		hops = append(hops, h)
 	}
-	return sorted[i]
+	sort.Ints(hops)
+	for _, h := range hops {
+		d.HopHist = append(d.HopHist, jsonHopBucket{Hops: h, Count: s.hopHist[h]})
+	}
+	return d
 }
 
 func run(args []string, out io.Writer) error {
@@ -196,6 +211,8 @@ type jsonHopBucket struct {
 	Count int `json:"count"`
 }
 
+// jsonDelivery is the delivery-lineage section of both reports (text and
+// -json).
 type jsonDelivery struct {
 	Count    int             `json:"count"`
 	DelayP50 float64         `json:"delay_p50_s"`
@@ -233,7 +250,7 @@ type jsonSummary struct {
 	Delivery    *jsonDelivery  `json:"delivery,omitempty"`
 }
 
-func reportJSON(w io.Writer, path string, s *stats, top int) error {
+func reportJSON(w io.Writer, path string, s *traceStats, top int) error {
 	sum := jsonSummary{
 		Path:        path,
 		Events:      s.events,
@@ -262,34 +279,13 @@ func reportJSON(w io.Writer, path string, s *stats, top int) error {
 	for _, iid := range sortedInterests(s) {
 		sum.Trees = append(sum.Trees, jsonTree{Interest: iid, Edges: len(s.trees[iid])})
 	}
-	if s.delivers > 0 {
-		sorted := append([]float64(nil), s.delays...)
-		sort.Float64s(sorted)
-		d := &jsonDelivery{
-			Count:    s.delivers,
-			DelayP50: percentile(sorted, 0.50),
-			DelayP95: percentile(sorted, 0.95),
-			DelayP99: percentile(sorted, 0.99),
-			MeanHops: float64(s.hopSum) / float64(s.delivers),
-			MaxHops:  s.maxHops,
-			MaxFanIn: s.maxFanIn,
-		}
-		hops := make([]int, 0, len(s.hopHist))
-		for h := range s.hopHist {
-			hops = append(hops, h)
-		}
-		sort.Ints(hops)
-		for _, h := range hops {
-			d.HopHist = append(d.HopHist, jsonHopBucket{Hops: h, Count: s.hopHist[h]})
-		}
-		sum.Delivery = d
-	}
+	sum.Delivery = s.delivery()
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
 	return enc.Encode(sum)
 }
 
-func scan(path string) (*stats, error) {
+func scan(path string) (*traceStats, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, err
@@ -314,7 +310,7 @@ func scan(path string) (*stats, error) {
 }
 
 // sortedKinds returns the message kinds seen, ascending.
-func sortedKinds(s *stats) []msg.Kind {
+func sortedKinds(s *traceStats) []msg.Kind {
 	kinds := make([]msg.Kind, 0, len(s.kinds))
 	for k := range s.kinds {
 		kinds = append(kinds, k)
@@ -330,7 +326,7 @@ type nt struct {
 }
 
 // busiestNodes returns up to top nodes by event count, busiest first.
-func busiestNodes(s *stats, top int) []nt {
+func busiestNodes(s *traceStats, top int) []nt {
 	if top <= 0 {
 		return nil
 	}
@@ -352,7 +348,7 @@ func busiestNodes(s *stats, top int) []nt {
 
 // sortedInterests returns the interest IDs with reconstructed trees,
 // ascending.
-func sortedInterests(s *stats) []msg.InterestID {
+func sortedInterests(s *traceStats) []msg.InterestID {
 	iids := make([]msg.InterestID, 0, len(s.trees))
 	for iid := range s.trees {
 		iids = append(iids, iid)
@@ -361,7 +357,7 @@ func sortedInterests(s *stats) []msg.InterestID {
 	return iids
 }
 
-func report(w io.Writer, path string, s *stats, top int, edges bool) error {
+func report(w io.Writer, path string, s *traceStats, top int, edges bool) error {
 	span := float64(s.lastAt-s.firstAt) / 1e9
 	fmt.Fprintf(w, "== %s ==\n", path)
 	fmt.Fprintf(w, "%d events over %.1f virtual seconds, %d snapshots\n",
@@ -378,21 +374,14 @@ func report(w io.Writer, path string, s *stats, top int, edges bool) error {
 		fmt.Fprintf(w, "%-14s %10d %10d %10d\n", k, r.sends, r.recvs, r.drops)
 	}
 
-	if s.delivers > 0 {
-		sorted := append([]float64(nil), s.delays...)
-		sort.Float64s(sorted)
-		fmt.Fprintf(w, "\ndeliveries: %d samples\n", s.delivers)
+	if d := s.delivery(); d != nil {
+		fmt.Fprintf(w, "\ndeliveries: %d samples\n", d.Count)
 		fmt.Fprintf(w, "  latency      p50 %.3fs  p95 %.3fs  p99 %.3fs\n",
-			percentile(sorted, 0.50), percentile(sorted, 0.95), percentile(sorted, 0.99))
+			d.DelayP50, d.DelayP95, d.DelayP99)
 		fmt.Fprintf(w, "  tree depth   %.1f hops mean, %d max (fan-in up to %d)\n",
-			float64(s.hopSum)/float64(s.delivers), s.maxHops, s.maxFanIn)
-		hops := make([]int, 0, len(s.hopHist))
-		for h := range s.hopHist {
-			hops = append(hops, h)
-		}
-		sort.Ints(hops)
-		for _, h := range hops {
-			fmt.Fprintf(w, "  %2d hops      %10d\n", h, s.hopHist[h])
+			d.MeanHops, d.MaxHops, d.MaxFanIn)
+		for _, b := range d.HopHist {
+			fmt.Fprintf(w, "  %2d hops      %10d\n", b.Hops, b.Count)
 		}
 	}
 

@@ -30,6 +30,7 @@ import (
 	"repro/internal/diffusion"
 	"repro/internal/failure"
 	"repro/internal/geom"
+	"repro/internal/mac"
 	"repro/internal/msg"
 	"repro/internal/obs"
 	"repro/internal/plot"
@@ -70,7 +71,6 @@ func run(args []string, out *os.File) error {
 		speed        = fs.Float64("speed", 0, "waypoint leg-speed upper bound in m/s (0 = model default)")
 		pause        = fs.Duration("pause", -1, "waypoint pause at each destination (-1 = model default)")
 		step         = fs.Float64("step", 0, "walk per-epoch step bound in meters (0 = model default)")
-		mobileSinks  = fs.Bool("mobile-sinks", false, "let sinks move too (default: sinks stay pinned)")
 		joinFrac     = fs.Float64("join-frac", 0, "fraction of nodes absent at start that cold-join during -join-window")
 		joinWindow   = fs.Duration("join-window", 0, "window over which cold joins are drawn (required with -join-frac)")
 		leaveEvery   = fs.Duration("leave-every", 0, "mean interval between permanent departures (0 = off)")
@@ -90,8 +90,6 @@ func run(args []string, out *os.File) error {
 		pprofOut  = fs.String("pprof", "", "write a CPU profile of the run to this file")
 
 		flightPath     = fs.String("flight", "", "arm the flight recorder; dump recent trace records to this file on an invariant violation or panic")
-		flightCap      = fs.Int("flight-cap", 0, "flight-recorder ring capacity in records (0 = default)")
-		liveAddr       = fs.String("live", "", `serve the live debug endpoint (status, /metrics, /debug/pprof) on this address, e.g. "localhost:6060"`)
 		forceViolation = fs.Duration("force-violation", 0, "inject a synthetic invariant violation at this virtual time (arms -invariants; exercises the flight-dump path)")
 	)
 	if err := fs.Parse(args); err != nil {
@@ -145,18 +143,10 @@ func run(args []string, out *os.File) error {
 		}
 		cc.Partitions = append(cc.Partitions, p)
 	}
-	chaosActive := *loss > 0 || *burst || *asymFrac > 0 || *amnesia > 0 ||
-		*partition != "" || *invariants
-	switch {
-	case chaosActive:
-		if *failures {
-			// Express the wave schedule through the chaos engine so it
-			// composes with the other faults (Config forbids setting both).
-			fc := failure.DefaultConfig()
-			cc.Waves = &fc
-		}
+	if *loss > 0 || *burst || *asymFrac > 0 || *amnesia > 0 || *partition != "" || *invariants {
 		cfg.Chaos = &cc
-	case *failures:
+	}
+	if *failures {
 		fc := failure.DefaultConfig()
 		cfg.Failures = &fc
 	}
@@ -193,7 +183,6 @@ func run(args []string, out *os.File) error {
 			if *step > 0 {
 				mc.Step = *step
 			}
-			mc.MobileSinks = *mobileSinks
 			cfg.Mobility = mc
 		}
 	}
@@ -241,17 +230,6 @@ func run(args []string, out *os.File) error {
 	}
 
 	cfg.FlightPath = *flightPath
-	cfg.FlightCapacity = *flightCap
-
-	var live *obs.Live
-	if *liveAddr != "" {
-		live, err = obs.NewLive(*liveAddr)
-		if err != nil {
-			return err
-		}
-		defer live.Close()
-		fmt.Fprintf(out, "live debug endpoint on http://%s/\n", live.Addr())
-	}
 
 	if *pprofOut != "" {
 		f, err := os.Create(*pprofOut)
@@ -265,13 +243,10 @@ func run(args []string, out *os.File) error {
 		defer pprof.StopCPUProfile()
 	}
 
-	live.SetPhase("simulating")
 	res, err := core.Run(cfg)
 	if err != nil {
 		return err
 	}
-	live.SetPhase("reporting")
-	live.AddRun(res.Kernel.Events, res.Kernel.WallTime, res.Telemetry)
 
 	m := res.Metrics
 	fmt.Fprintf(out, "scheme                      %s\n", m.Scheme)
@@ -306,8 +281,10 @@ func run(args []string, out *os.File) error {
 		st := res.MAC
 		fmt.Fprintf(out, "\nMAC: %d frames (%d ACKs), %d delivered, %d collisions, %d retries, %d backoffs, %d bytes on air\n",
 			st.DataTx, st.AckTx, st.Delivered, st.Collisions, st.Retries, st.Backoffs, st.BytesOnAir)
-		for reason, n := range st.Drops {
-			fmt.Fprintf(out, "  drops[%s] = %d\n", reason, n)
+		for reason := mac.DropQueueFull; reason <= mac.DropNodeOff; reason++ {
+			if n, ok := st.Drops[reason]; ok {
+				fmt.Fprintf(out, "  drops[%s] = %d\n", reason, n)
+			}
 		}
 		k := res.Kernel
 		fmt.Fprintf(out, "kernel: %d events in %v (%.0f events/s), queue high water %d\n",

@@ -50,6 +50,29 @@ func TestCLIVerboseAndMap(t *testing.T) {
 	}
 }
 
+// TestCLIVerboseDropOrder checks that -v prints the MAC's transmit drops
+// in DropReason order. The run below drops frames for two reasons; the
+// drops sit in a map, so printing them in map order would swap the two
+// lines on some runs, which the repeats are there to catch.
+func TestCLIVerboseDropOrder(t *testing.T) {
+	want := []string{"drops[retry-exceeded]", "drops[node-off]"}
+	for i := 0; i < 30; i++ {
+		out, err := runCLI(t, "-nodes", "80", "-duration", "40s", "-failures", "-v")
+		if err != nil {
+			t.Fatal(err)
+		}
+		var got []string
+		for _, line := range strings.Split(out, "\n") {
+			if name, _, ok := strings.Cut(strings.TrimSpace(line), " = "); ok && strings.HasPrefix(name, "drops[") {
+				got = append(got, name)
+			}
+		}
+		if strings.Join(got, ",") != strings.Join(want, ",") {
+			t.Fatalf("run %d: drop lines %v, want %v", i, got, want)
+		}
+	}
+}
+
 func TestCLITrace(t *testing.T) {
 	out, err := runCLI(t, "-nodes", "60", "-duration", "20s", "-trace", "reinforce")
 	if err != nil {

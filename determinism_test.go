@@ -207,10 +207,9 @@ func TestFigureGoldenCSVs(t *testing.T) {
 }
 
 // telemetryLines runs one instrumented quick simulation and renders every
-// registry metric as a stable line. Wall-clock gauges (sim_wall_*) are
-// excluded — they measure the host, not the model — as is
-// sim_queue_highwater, which reflects event-queue memory footprint and is
-// intentionally lowered by cancelled-event compaction.
+// registry metric as a stable line. sim_queue_highwater is excluded: it
+// reflects event-queue memory footprint and is intentionally lowered by
+// cancelled-event compaction.
 func telemetryLines(t *testing.T) []byte {
 	t.Helper()
 	cfg := core.DefaultConfig()
@@ -224,7 +223,7 @@ func telemetryLines(t *testing.T) []byte {
 	}
 	var b strings.Builder
 	for _, m := range out.Telemetry {
-		if strings.HasPrefix(m.Name, "sim_wall") || m.Name == "sim_queue_highwater" {
+		if m.Name == "sim_queue_highwater" {
 			continue
 		}
 		fmt.Fprintf(&b, "%s{%s} %s value=%g max=%g count=%d sum=%g\n",

@@ -40,25 +40,14 @@ func (Perfect) Size(items int) int {
 // Name implements Func.
 func (Perfect) Name() string { return "perfect" }
 
-// Linear is the paper's linear aggregation z(S) = d·|x| + h.
-type Linear struct {
-	// ItemBytes is |x|; zero selects the paper's 28.
-	ItemBytes int
-	// HeaderBytes is h; zero selects the paper's 36.
-	HeaderBytes int
-}
+// Linear is the paper's linear aggregation z(S) = d·|x| + h, with the
+// paper's |x| = msg.LinearItemBytes and h = msg.LinearHeaderBytes.
+type Linear struct{}
 
 // Size implements Func.
-func (l Linear) Size(items int) int {
+func (Linear) Size(items int) int {
 	mustPositive(items)
-	item, header := l.ItemBytes, l.HeaderBytes
-	if item == 0 {
-		item = msg.LinearItemBytes
-	}
-	if header == 0 {
-		header = msg.LinearHeaderBytes
-	}
-	return items*item + header
+	return items*msg.LinearItemBytes + msg.LinearHeaderBytes
 }
 
 // Name implements Func.
@@ -82,28 +71,21 @@ func (Packing) Size(items int) int {
 func (Packing) Name() string { return "packing" }
 
 // Timestamp models the §3 timestamp aggregation: temporally correlated
-// events share their coarse timestamp fields, so each item beyond the first
-// drops the redundant portion of its representation.
-type Timestamp struct {
-	// SharedBytes is the per-item redundancy eliminated when items are
-	// temporally correlated (e.g. hour+minute fields); zero selects 8.
-	SharedBytes int
-}
+// events share their coarse timestamp fields (e.g. hour+minute, 8 bytes),
+// so each item beyond the first drops that redundant portion of its
+// representation.
+type Timestamp struct{}
+
+// timestampSharedBytes is the per-item redundancy Timestamp eliminates.
+const timestampSharedBytes = 8
 
 // Size implements Func.
-func (a Timestamp) Size(items int) int {
+func (Timestamp) Size(items int) int {
 	mustPositive(items)
-	shared := a.SharedBytes
-	if shared == 0 {
-		shared = 8
-	}
-	if shared > msg.EventBytes-msg.LinearHeaderBytes {
-		shared = msg.EventBytes - msg.LinearHeaderBytes
-	}
 	payload := msg.EventBytes - msg.LinearHeaderBytes
 	// First item keeps the full representation; later correlated items
 	// drop the shared fields. One header for the aggregate.
-	return msg.LinearHeaderBytes + payload + (items-1)*(payload-shared)
+	return msg.LinearHeaderBytes + payload + (items-1)*(payload-timestampSharedBytes)
 }
 
 // Name implements Func.
@@ -111,24 +93,16 @@ func (Timestamp) Name() string { return "timestamp" }
 
 // Outline models the §3 escan-style lossy aggregation: topologically
 // adjacent readings collapse into a bounded summary (a polygon), so the
-// aggregate size saturates at a cap regardless of item count.
-type Outline struct {
-	// CapItems is the item count beyond which the summary stops growing;
-	// zero selects 4.
-	CapItems int
-}
+// aggregate size saturates at outlineCapItems regardless of item count.
+type Outline struct{}
+
+// outlineCapItems is the item count beyond which an outline stops growing.
+const outlineCapItems = 4
 
 // Size implements Func.
-func (a Outline) Size(items int) int {
+func (Outline) Size(items int) int {
 	mustPositive(items)
-	cap := a.CapItems
-	if cap == 0 {
-		cap = 4
-	}
-	if items > cap {
-		items = cap
-	}
-	return items*msg.LinearItemBytes + msg.LinearHeaderBytes
+	return (Linear{}).Size(min(items, outlineCapItems))
 }
 
 // Name implements Func.

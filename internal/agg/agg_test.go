@@ -36,13 +36,6 @@ func TestLinearPaperValues(t *testing.T) {
 	}
 }
 
-func TestLinearCustomParams(t *testing.T) {
-	l := Linear{ItemBytes: 10, HeaderBytes: 4}
-	if got := l.Size(3); got != 34 {
-		t.Errorf("Size(3) = %d, want 34", got)
-	}
-}
-
 func TestPacking(t *testing.T) {
 	p := Packing{}
 	// One item: same as a plain event.
@@ -70,11 +63,6 @@ func TestTimestamp(t *testing.T) {
 	if perItem <= 0 {
 		t.Errorf("second item costs %d; timestamp aggregation is lossless, items keep payload", perItem)
 	}
-	// Custom shared bytes respected and clamped.
-	big := Timestamp{SharedBytes: 10_000}
-	if got := big.Size(3); got != msg.EventBytes {
-		t.Errorf("fully shared items should cost nothing beyond the first: %d", got)
-	}
 }
 
 func TestOutline(t *testing.T) {
@@ -84,10 +72,6 @@ func TestOutline(t *testing.T) {
 	}
 	if a.Size(4) != a.Size(100) {
 		t.Errorf("outline must saturate at the cap: %d vs %d", a.Size(4), a.Size(100))
-	}
-	custom := Outline{CapItems: 2}
-	if custom.Size(2) != custom.Size(50) {
-		t.Error("custom cap not respected")
 	}
 }
 

@@ -1,6 +1,7 @@
 // Package chaos is a composable fault-injection layer for the simulator.
-// It subsumes the §5.3 node-failure waves and adds the fault classes the
-// paper's clean outage model leaves out:
+// It runs beside the §5.3 node-failure waves (core.Config.Failures), which
+// it times as fault events, and adds the fault classes the paper's clean
+// outage model leaves out:
 //
 //   - per-link loss: i.i.d. frame drops, a two-state Gilbert–Elliott bursty
 //     channel, and asymmetric (one-directional) link degradation, all hooked
@@ -14,10 +15,10 @@
 // checker (see Checker) and per-fault recovery metrics (metrics.Recovery).
 //
 // Determinism contract: every random choice flows through sim.Kernel.Rand(),
-// and a configuration that enables only Waves consumes exactly the RNG
-// stream — and produces exactly the event schedule — of the plain
-// failure.Schedule path, so the seed's §5.3 numbers are reproduced bit for
-// bit.
+// and a configuration that arms no fault class (at most the checker, which
+// only observes) consumes exactly the RNG stream of a run without the
+// layer, so beside the failure waves the seed's §5.3 numbers are reproduced
+// bit for bit.
 package chaos
 
 import (
@@ -34,12 +35,8 @@ import (
 )
 
 // Config describes the fault mix for one run. The zero value injects
-// nothing; DefaultConfig expresses the paper's §5.3 failure model.
+// nothing.
 type Config struct {
-	// Waves, when non-nil, drives the §5.3 failure waves through the run's
-	// failure.Schedule, with semantics identical to core.Config.Failures.
-	Waves *failure.Config
-
 	// Loss configures the per-link loss models on the MAC delivery path.
 	Loss LossConfig
 
@@ -53,10 +50,6 @@ type Config struct {
 	// diffusion tracer (see Checker for the invariant list).
 	CheckInvariants bool
 
-	// RecoveryWindow is the post-fault observation window for the
-	// delivery-dip metric (0 = metrics.DefaultRecoveryWindow).
-	RecoveryWindow time.Duration
-
 	// SelfTestViolation, when positive, schedules one synthetic invariant
 	// violation at that virtual time. It exists to exercise the
 	// dump-on-violation observability path (flight recorder, CI smoke)
@@ -64,20 +57,8 @@ type Config struct {
 	SelfTestViolation time.Duration
 }
 
-// DefaultConfig expresses failure.DefaultConfig through the chaos layer with
-// the invariant checker enabled and no additional fault classes.
-func DefaultConfig() Config {
-	fc := failure.DefaultConfig()
-	return Config{Waves: &fc, CheckInvariants: true}
-}
-
 // Validate reports the first problem with the configuration, if any.
 func (c Config) Validate() error {
-	if c.Waves != nil {
-		if err := c.Waves.Validate(); err != nil {
-			return err
-		}
-	}
 	if err := c.Loss.Validate(); err != nil {
 		return err
 	}
@@ -88,9 +69,6 @@ func (c Config) Validate() error {
 		if err := p.Validate(); err != nil {
 			return fmt.Errorf("chaos: partition %d: %w", i, err)
 		}
-	}
-	if c.RecoveryWindow < 0 {
-		return fmt.Errorf("chaos: negative recovery window %v", c.RecoveryWindow)
 	}
 	if c.SelfTestViolation < 0 {
 		return fmt.Errorf("chaos: negative self-test violation time %v", c.SelfTestViolation)
@@ -302,7 +280,7 @@ func New(kernel *sim.Kernel, net *mac.Network, field *topology.Field, cfg Config
 		field:    field,
 		cfg:      cfg,
 		protect:  make(map[topology.NodeID]bool),
-		recovery: metrics.NewRecoveryTracker(cfg.RecoveryWindow),
+		recovery: metrics.NewRecoveryTracker(),
 	}
 	if cfg.CheckInvariants {
 		e.checker = newChecker(kernel, net, field)
@@ -315,7 +293,9 @@ func New(kernel *sim.Kernel, net *mac.Network, field *topology.Field, cfg Config
 func (e *Engine) Checker() *Checker { return e.checker }
 
 // Bind connects the engine to the run's substrate. Call after constructing
-// the protocol runtime and failure schedule, before Start.
+// the protocol runtime and failure schedule, before Start. Every wave of the
+// schedule that fails a node becomes a fault event for the recovery
+// metrics.
 func (e *Engine) Bind(b Binding) {
 	if b.Sched == nil {
 		panic("chaos: Bind with nil schedule")
@@ -328,13 +308,11 @@ func (e *Engine) Bind(b Binding) {
 	if e.checker != nil {
 		e.checker.bind(b.Trees, b.Interests, b.EntryTTL)
 	}
-	if e.cfg.Waves != nil {
-		b.Sched.SetOnWave(func(down []topology.NodeID) {
-			if len(down) > 0 {
-				e.recovery.Fault(e.kernel.Now())
-			}
-		})
-	}
+	b.Sched.SetOnWave(func(down []topology.NodeID) {
+		if len(down) > 0 {
+			e.recovery.Fault(e.kernel.Now())
+		}
+	})
 	e.bound = true
 }
 
@@ -376,8 +354,8 @@ func (o *ObserverWrapper) Delivered(sink topology.NodeID, item msg.Item, delay t
 
 // Start launches the configured fault processes. Waves are driven by the
 // failure schedule's own Start; Start here arms everything beyond them, and
-// arms nothing — consuming no randomness and scheduling no events — when
-// only waves are configured, preserving seed-for-seed equivalence with the
+// arms nothing — consuming no randomness and scheduling no events — when no
+// fault class is configured, preserving seed-for-seed equivalence with the
 // plain failure path.
 func (e *Engine) Start() {
 	if !e.bound {

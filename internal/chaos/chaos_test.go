@@ -24,47 +24,69 @@ func testConfig(scheme core.Scheme, seed int64) core.Config {
 	return cfg
 }
 
-// TestWavesEquivalence is the layer's core contract: §5.3 failure waves
-// expressed through the chaos engine must reproduce the plain failure-path
-// run bit for bit — same seed, same metrics — even with the invariant
-// checker watching.
+// TestWavesEquivalence is the layer's core contract: a chaos config that
+// arms no fault class, run beside the §5.3 failure waves, must reproduce
+// the plain failure-path run bit for bit — same seed, same metrics, MAC
+// counters and sends — even with the invariant checker watching.
 func TestWavesEquivalence(t *testing.T) {
 	for _, scheme := range []core.Scheme{core.SchemeGreedy, core.SchemeOpportunistic} {
 		plain := testConfig(scheme, 7)
 		fc := failure.DefaultConfig()
 		plain.Failures = &fc
-
-		viaChaos := testConfig(scheme, 7)
-		cc := chaos.DefaultConfig() // Waves = failure.DefaultConfig, checker on
-		viaChaos.Chaos = &cc
-
 		a, err := core.Run(plain)
 		if err != nil {
 			t.Fatalf("%v plain: %v", scheme, err)
 		}
-		b, err := core.Run(viaChaos)
+		for _, cc := range []chaos.Config{{}, {CheckInvariants: true}} {
+			viaChaos := plain
+			viaChaos.Chaos = &cc
+			b, err := core.Run(viaChaos)
+			if err != nil {
+				t.Fatalf("%v chaos %+v: %v", scheme, cc, err)
+			}
+			if b.Chaos == nil {
+				t.Fatalf("%v: no chaos report", scheme)
+			}
+			if n := b.Chaos.ViolationCount; n != 0 {
+				t.Errorf("%v: %d invariant violations: %v", scheme, n, b.Chaos.Violations)
+			}
+			// The chaos run additionally carries recovery metrics; everything
+			// else must match exactly.
+			bm := b.Metrics
+			bm.Recovery = nil
+			if !reflect.DeepEqual(a.Metrics, bm) {
+				t.Errorf("%v chaos %+v: metrics diverge:\nplain: %+v\nchaos: %+v", scheme, cc, a.Metrics, bm)
+			}
+			if !reflect.DeepEqual(a.MAC, b.MAC) {
+				t.Errorf("%v chaos %+v: MAC stats diverge:\nplain: %+v\nchaos: %+v", scheme, cc, a.MAC, b.MAC)
+			}
+			if !reflect.DeepEqual(a.Sent, b.Sent) {
+				t.Errorf("%v chaos %+v: sends diverge:\nplain: %v\nchaos: %v", scheme, cc, a.Sent, b.Sent)
+			}
+		}
+	}
+}
+
+// TestWaveFaultsCounted checks that a chaos config beside Failures times
+// every failure wave that failed a node as a fault event: the waves start
+// at 0 s and every Wave after, and each fails a fifth of the nodes, so the
+// recovery report counts every wave that starts inside the measurement
+// window.
+func TestWaveFaultsCounted(t *testing.T) {
+	for _, scheme := range []core.Scheme{core.SchemeGreedy, core.SchemeFlooding} {
+		cfg := testConfig(scheme, 7)
+		cfg.Duration = 100 * time.Second
+		fc := failure.DefaultConfig()
+		cfg.Failures = &fc
+		cfg.Chaos = &chaos.Config{}
+		out, err := core.Run(cfg)
 		if err != nil {
-			t.Fatalf("%v chaos: %v", scheme, err)
+			t.Fatalf("%v: %v", scheme, err)
 		}
-		if b.Chaos == nil {
-			t.Fatalf("%v: no chaos report", scheme)
-		}
-		if n := b.Chaos.ViolationCount; n != 0 {
-			t.Errorf("%v: %d invariant violations: %v", scheme, n, b.Chaos.Violations)
-		}
-		// The chaos run additionally carries recovery metrics; everything
-		// else must match exactly.
-		bm := b.Metrics
-		bm.Recovery = nil
-		if !reflect.DeepEqual(a.Metrics, bm) {
-			t.Errorf("%v: metrics diverge:\nplain: %+v\nchaos: %+v", scheme, a.Metrics, bm)
-		}
-		if !reflect.DeepEqual(a.MAC, b.MAC) {
-			t.Errorf("%v: MAC stats diverge:\nplain: %+v\nchaos: %+v", scheme, a.MAC, b.MAC)
-		}
-		if b.Chaos.Recovery == nil || b.Chaos.Recovery.Faults == 0 {
-			t.Errorf("%v: expected wave fault events in the recovery report, got %+v",
-				scheme, b.Chaos.Recovery)
+		window := cfg.Duration - cfg.DrainTail
+		want := int((window + fc.Wave - 1) / fc.Wave) // waves at 0, 30, 60, 90 s
+		if rec := out.Chaos.Recovery; rec == nil || rec.Faults != want {
+			t.Errorf("%v: recovery report %+v, want %d wave faults", scheme, rec, want)
 		}
 	}
 }
@@ -207,8 +229,8 @@ func TestCombinedGridClean(t *testing.T) {
 	fc := failure.DefaultConfig()
 	for _, scheme := range []core.Scheme{core.SchemeGreedy, core.SchemeOpportunistic} {
 		cfg := testConfig(scheme, 23)
+		cfg.Failures = &fc
 		cfg.Chaos = &chaos.Config{
-			Waves:           &fc,
 			Loss:            chaos.LossConfig{Drop: 0.05, AsymmetryFraction: 0.2, AsymmetryDrop: 0.3},
 			Amnesia:         chaos.AmnesiaConfig{MeanInterval: 10 * time.Second, Downtime: 2 * time.Second},
 			CheckInvariants: true,
@@ -233,15 +255,14 @@ func TestConfigValidate(t *testing.T) {
 		{Amnesia: chaos.AmnesiaConfig{MeanInterval: time.Second}}, // no downtime
 		{Partitions: []chaos.Partition{{Start: 2 * time.Second, End: time.Second}}},
 		{Partitions: []chaos.Partition{{End: time.Second, A: geom.Point{X: 1, Y: 1}, B: geom.Point{X: 1, Y: 1}}}},
-		{RecoveryWindow: -time.Second},
 	}
 	for i, c := range bad {
 		if err := c.Validate(); err == nil {
 			t.Errorf("config %d: expected validation error", i)
 		}
 	}
-	if err := chaos.DefaultConfig().Validate(); err != nil {
-		t.Errorf("default config invalid: %v", err)
+	if err := (chaos.Config{CheckInvariants: true}).Validate(); err != nil {
+		t.Errorf("checker-only config invalid: %v", err)
 	}
 }
 
@@ -316,8 +337,9 @@ func TestRepairUnderChaos(t *testing.T) {
 // layer — no hook, no timers, no randomness consumed.
 func TestRepairOffIsInert(t *testing.T) {
 	cfg := testConfig(core.SchemeGreedy, 13)
-	cc := chaos.DefaultConfig()
-	cfg.Chaos = &cc
+	fc := failure.DefaultConfig()
+	cfg.Failures = &fc
+	cfg.Chaos = &chaos.Config{CheckInvariants: true}
 	out, err := core.Run(cfg)
 	if err != nil {
 		t.Fatal(err)

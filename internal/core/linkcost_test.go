@@ -12,63 +12,8 @@ import (
 	"repro/internal/topology"
 )
 
-// TestVariableLinkCostSteersGreedyTree exercises the paper's variable-
-// energy hook: on a symmetric diamond (source - {a, b} - sink) where hops
-// cannot discriminate, an asymmetric link-cost function must steer the
-// greedy reinforcement through the cheap relay.
-func TestVariableLinkCostSteersGreedyTree(t *testing.T) {
-	const (
-		src  = topology.NodeID(0)
-		a    = topology.NodeID(1)
-		b    = topology.NodeID(2)
-		sink = topology.NodeID(3)
-	)
-	pts := []geom.Point{
-		{X: 0, Y: 20},  // source
-		{X: 30, Y: 0},  // relay a: expensive
-		{X: 30, Y: 40}, // relay b: cheap
-		{X: 60, Y: 20}, // sink
-	}
-	f, err := topology.FromPositions(geom.Square(0, 0, 1000), 40, pts)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	params := diffusion.DefaultParams()
-	params.LinkCost = func(from, to topology.NodeID) int {
-		if from == a || to == a {
-			return 5
-		}
-		return 1
-	}
-
-	kernel := sim.NewKernel(1)
-	net, err := mac.New(kernel, f, energy.PaperModel(), mac.DefaultParams())
-	if err != nil {
-		t.Fatal(err)
-	}
-	rt, err := diffusion.New(kernel, net, f, params, Strategy{},
-		diffusion.Roles{Sinks: []topology.NodeID{sink}, Sources: []topology.NodeID{src}}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rt.Start()
-	kernel.Run(30 * time.Second)
-
-	grads := rt.DataGradients(src, 0)
-	if len(grads) != 1 || grads[0] != b {
-		t.Fatalf("source data gradients = %v, want [%d] (the cheap relay)", grads, b)
-	}
-	if g := rt.DataGradients(a, 0); len(g) != 0 {
-		t.Fatalf("expensive relay carries data gradients %v", g)
-	}
-	if g := rt.DataGradients(b, 0); len(g) != 1 || g[0] != sink {
-		t.Fatalf("cheap relay gradients = %v, want [%d]", g, sink)
-	}
-}
-
-// TestDefaultLinkCostIsHops pins the default: without a LinkCost function,
-// E accumulates one unit per hop.
+// TestDefaultLinkCostIsHops pins the exploratory cost: with fixed
+// transmission power, E accumulates one unit per hop.
 func TestDefaultLinkCostIsHops(t *testing.T) {
 	pts := []geom.Point{
 		{X: 0, Y: 0}, {X: 30, Y: 0}, {X: 60, Y: 0}, {X: 90, Y: 0},

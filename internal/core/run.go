@@ -113,23 +113,22 @@ type Config struct {
 	// Workload places sources and sinks.
 	Workload workload.Config
 
-	// Failures, when non-nil, enables §5.3 node-failure dynamics.
-	// ProtectEndpoints exempts sources and sinks from failing (and, with
-	// Chaos, from crash faults).
-	Failures         *failure.Config
-	ProtectEndpoints bool
+	// Failures, when non-nil, enables §5.3 node-failure dynamics. Sources
+	// and sinks never fail (nor, with Chaos, crash), so the metrics measure
+	// protocol robustness rather than workload death.
+	Failures *failure.Config
 
 	// Chaos, when non-nil, enables the composable fault-injection layer:
 	// link loss, crashes with amnesia, partitions, the invariant checker,
-	// and recovery metrics. Chaos.Waves supersedes Failures — setting both
-	// is a configuration error.
+	// and recovery metrics. Beside Failures, every wave that fails a node is
+	// also a fault event for the recovery metrics.
 	Chaos *chaos.Config
 
-	// Mobility, when enabled, makes the topology dynamic: nodes move under
-	// the configured model on a kernel-driven epoch timer, and every layer
-	// consulting the field (MAC range checks, neighbor lists, the chaos
-	// cycle audit) sees live positions. The zero value keeps the historical
-	// static field bit for bit.
+	// Mobility, when enabled, makes the topology dynamic: every node but the
+	// sinks moves under the configured model on a kernel-driven epoch
+	// timer, and every layer consulting the field (MAC range checks,
+	// neighbor lists, the chaos cycle audit) sees live positions. The zero
+	// value keeps the historical static field bit for bit.
 	Mobility topology.MobilityConfig
 
 	// Churn, when enabled, adds population churn on top of the failure
@@ -150,10 +149,6 @@ type Config struct {
 	MAC       mac.Params
 	Energy    energy.Model
 
-	// MaxPlacementTries bounds the retries when a random field leaves the
-	// workload disconnected (sparse fields at 50 nodes often do).
-	MaxPlacementTries int
-
 	// Tracer, when non-nil, receives every protocol send and receive (see
 	// package trace). Tracing a full run is expensive; filter the recorder.
 	// A tracer that also implements trace.SnapshotSink receives periodic
@@ -166,13 +161,11 @@ type Config struct {
 	// ring of recent trace events and protocol-state snapshots kept alongside
 	// any configured Tracer, dumped as NDJSON to FlightPath when the chaos
 	// invariant checker records its first violation or the event loop panics.
-	// Memory stays bounded by FlightCapacity and nothing is written on a
-	// clean run. Only diffusion schemes emit trace events, so the recorder is
-	// inert under the idealized references (the panic backstop still fires).
+	// Memory stays bounded by trace.FlightCapacity records and nothing is
+	// written on a clean run. Only diffusion schemes emit trace events, so the
+	// recorder is inert under the idealized references (the panic backstop
+	// still fires).
 	FlightPath string
-	// FlightCapacity is the flight-recorder ring size in records; 0 selects
-	// trace.DefaultFlightCapacity.
-	FlightCapacity int
 
 	// Telemetry, when non-nil, enables the observability subsystem: the
 	// kernel, MAC, and protocol layers feed a metrics registry whose
@@ -203,13 +196,11 @@ func DefaultConfig() Config {
 			Sinks:     1,
 			Placement: workload.PlaceCorner,
 		},
-		ProtectEndpoints:  true,
-		Duration:          160 * time.Second,
-		DrainTail:         3 * time.Second,
-		Diffusion:         diffusion.DefaultParams(),
-		MAC:               mac.DefaultParams(),
-		Energy:            energy.PaperModel(),
-		MaxPlacementTries: 50,
+		Duration:  160 * time.Second,
+		DrainTail: 3 * time.Second,
+		Diffusion: diffusion.DefaultParams(),
+		MAC:       mac.DefaultParams(),
+		Energy:    energy.PaperModel(),
 	}
 }
 
@@ -234,14 +225,8 @@ func (c Config) Validate() error {
 		return fmt.Errorf("core: non-positive field side %v or range %v", c.FieldSide, c.Range)
 	case c.Duration <= 0 || c.DrainTail < 0 || c.DrainTail >= c.Duration:
 		return fmt.Errorf("core: bad duration %v / drain %v", c.Duration, c.DrainTail)
-	case c.MaxPlacementTries < 1:
-		return fmt.Errorf("core: MaxPlacementTries %d < 1", c.MaxPlacementTries)
 	case c.BatteryJ < 0:
 		return fmt.Errorf("core: negative battery %v", c.BatteryJ)
-	case c.FlightCapacity < 0:
-		return fmt.Errorf("core: negative flight capacity %d", c.FlightCapacity)
-	case c.FlightCapacity > 0 && c.FlightPath == "":
-		return fmt.Errorf("core: FlightCapacity set without FlightPath")
 	}
 	if err := c.Workload.Validate(); err != nil {
 		return err
@@ -254,9 +239,6 @@ func (c Config) Validate() error {
 	if c.Chaos != nil {
 		if err := c.Chaos.Validate(); err != nil {
 			return err
-		}
-		if c.Chaos.Waves != nil && c.Failures != nil {
-			return fmt.Errorf("core: failure waves configured twice (Failures and Chaos.Waves)")
 		}
 	}
 	if c.Telemetry != nil {
@@ -456,7 +438,7 @@ func (b *batteryWatch) Run() {
 // numbers, so protocol outcomes are unchanged by snapshotting.
 type snapshotTick struct {
 	kernel *sim.Kernel
-	rt     snapshotter
+	rt     *diffusion.Runtime
 	sink   trace.SnapshotSink
 	every  time.Duration
 }
@@ -469,6 +451,11 @@ func (t *snapshotTick) Run() {
 	t.kernel.ScheduleRunner(t.every, t)
 }
 
+// maxPlacementTries bounds the fields generated for one run when a random
+// field leaves the workload disconnected (sparse fields at 50 nodes often
+// do).
+const maxPlacementTries = 50
+
 // buildRun deterministically assembles a run from its configuration: field
 // generation, workload placement, the MAC, the scheme runtime, and the
 // auxiliary subsystems, with their initial events armed.
@@ -476,9 +463,7 @@ func buildRun(cfg Config) (*runState, error) {
 	st := &runState{cfg: cfg, wallStart: time.Now()}
 	var reg *obs.Registry
 	if cfg.Telemetry != nil {
-		if reg = cfg.Telemetry.Registry; reg == nil {
-			reg = obs.NewRegistry()
-		}
+		reg = obs.NewRegistry()
 	}
 	kernel := sim.NewKernel(cfg.Seed)
 	area := geom.Square(0, 0, cfg.FieldSide)
@@ -502,9 +487,9 @@ func buildRun(cfg Config) (*runState, error) {
 		if err == nil {
 			break
 		}
-		if try+1 >= cfg.MaxPlacementTries {
+		if try+1 >= maxPlacementTries {
 			return nil, fmt.Errorf("core: no usable placement after %d tries: %w",
-				cfg.MaxPlacementTries, err)
+				maxPlacementTries, err)
 		}
 	}
 
@@ -518,16 +503,10 @@ func buildRun(cfg Config) (*runState, error) {
 	// The flight recorder rides next to the user's tracer: always recording
 	// into its ring, written out only on a violation or a panic.
 	var flight *trace.FlightRecorder
-	if cfg.FlightPath != "" {
-		flight = trace.NewFlightRecorder(cfg.FlightCapacity)
-	}
 	userTracer := cfg.Tracer
-	if flight != nil {
-		if userTracer == nil {
-			userTracer = flight
-		} else {
-			userTracer = teeTracer{userTracer, flight}
-		}
+	if cfg.FlightPath != "" {
+		flight = trace.NewFlightRecorder()
+		userTracer = tee(userTracer, flight)
 	}
 
 	// The chaos engine interposes on the observer and tracer; with no Chaos
@@ -584,11 +563,7 @@ func buildRun(cfg Config) (*runState, error) {
 		tracer := userTracer
 		if engine != nil {
 			if ck := engine.Checker(); ck != nil {
-				if tracer == nil {
-					tracer = ck
-				} else {
-					tracer = teeTracer{tracer, ck}
-				}
+				tracer = tee(tracer, ck)
 			}
 		}
 		if tracer != nil {
@@ -601,18 +576,8 @@ func buildRun(cfg Config) (*runState, error) {
 		// recorder) only; the chaos invariant checker keys on sends and
 		// receives and must not see them.
 		installDropHook(network, kernel, userTracer, reg, cfg.Scheme.String())
-		var snapSink trace.SnapshotSink
-		if ss, ok := cfg.Tracer.(trace.SnapshotSink); ok {
-			snapSink = ss
-		}
-		if flight != nil {
-			if snapSink != nil {
-				snapSink = teeSnapshot{snapSink, flight}
-			} else {
-				snapSink = flight
-			}
-		}
-		if snapSink != nil && cfg.Telemetry != nil && cfg.Telemetry.SnapshotEvery > 0 {
+		snapSink, ok := userTracer.(trace.SnapshotSink)
+		if ok && cfg.Telemetry != nil && cfg.Telemetry.SnapshotEvery > 0 {
 			every := cfg.Telemetry.SnapshotEvery
 			kernel.ScheduleRunner(every, &snapshotTick{kernel: kernel, rt: rt, sink: snapSink, every: every})
 		}
@@ -620,15 +585,10 @@ func buildRun(cfg Config) (*runState, error) {
 	}
 
 	fcfg := failure.Config{Fraction: 0, Wave: time.Second}
-	switch {
-	case cfg.Chaos != nil && cfg.Chaos.Waves != nil:
-		fcfg = *cfg.Chaos.Waves
-	case cfg.Failures != nil:
+	if cfg.Failures != nil {
 		fcfg = *cfg.Failures
 	}
-	if cfg.ProtectEndpoints {
-		fcfg.Protect = append(append([]topology.NodeID(nil), assign.Sinks...), assign.Sources...)
-	}
+	fcfg.Protect = append(append([]topology.NodeID(nil), assign.Sinks...), assign.Sources...)
 	sched, err := failure.New(kernel, network, field.Len(), fcfg)
 	if err != nil {
 		return nil, err
@@ -657,11 +617,7 @@ func buildRun(cfg Config) (*runState, error) {
 	// recovery metrics time the protocol's reaction to movement.
 	var mover *topology.Mover
 	if cfg.Mobility.Enabled() {
-		pinned := append([]topology.NodeID(nil), assign.Sinks...)
-		if cfg.Mobility.MobileSinks {
-			pinned = nil
-		}
-		mover, err = topology.NewMover(field, cfg.Mobility, pinned)
+		mover, err = topology.NewMover(field, cfg.Mobility, assign.Sinks)
 		if err != nil {
 			return nil, err
 		}
@@ -809,7 +765,7 @@ func (st *runState) finish() (Output, error) {
 		if rt != nil {
 			rt.Instruments().FlushCascades()
 		}
-		bridgeStats(reg, cfg.Scheme.String(), network.Stats(), sent, kstats, cfg.Duration)
+		bridgeStats(reg, cfg.Scheme.String(), network.Stats(), sent, kstats)
 		if repair != nil {
 			bridgeRepair(reg, cfg.Scheme.String(), *repair)
 		}
@@ -845,24 +801,15 @@ func (st *runState) finish() (Output, error) {
 	}, nil
 }
 
-// teeTracer fans one protocol event stream out to two tracers (a
-// user-supplied recorder, the flight recorder, the chaos invariant checker).
-type teeTracer struct{ a, b diffusion.Tracer }
-
-// Record implements diffusion.Tracer.
-func (t teeTracer) Record(e trace.Event) {
-	t.a.Record(e)
-	t.b.Record(e)
-}
-
-// teeSnapshot fans protocol-state snapshots out to two sinks (a
-// user-supplied snapshot sink and the flight recorder).
-type teeSnapshot struct{ a, b trace.SnapshotSink }
-
-// RecordSnapshot implements trace.SnapshotSink.
-func (t teeSnapshot) RecordSnapshot(rec trace.SnapshotRecord) {
-	t.a.RecordSnapshot(rec)
-	t.b.RecordSnapshot(rec)
+// tee adds s to the tracer t (a user-supplied recorder, the flight
+// recorder, the chaos invariant checker). It builds a trace.MultiSink only
+// when t is already set, so a lone recorder that keeps no snapshots (a
+// trace.Recorder) arms no snapshot ticks.
+func tee(t diffusion.Tracer, s trace.Sink) diffusion.Tracer {
+	if t == nil {
+		return s
+	}
+	return trace.MultiSink(t, s)
 }
 
 // runGuarded runs the event loop with a panic backstop: if anything inside

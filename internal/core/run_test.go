@@ -34,7 +34,6 @@ func TestConfigValidate(t *testing.T) {
 		{"zero range", func(c *Config) { c.Range = 0 }},
 		{"zero duration", func(c *Config) { c.Duration = 0 }},
 		{"drain exceeds duration", func(c *Config) { c.DrainTail = c.Duration }},
-		{"zero placement tries", func(c *Config) { c.MaxPlacementTries = 0 }},
 		{"no sources", func(c *Config) { c.Workload.Sources = 0 }},
 		{"bad failure fraction", func(c *Config) { c.Failures = &failure.Config{Fraction: 2, Wave: time.Second} }},
 		{"bad diffusion", func(c *Config) { c.Diffusion.DataPeriod = 0 }},

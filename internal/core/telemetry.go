@@ -98,15 +98,11 @@ func dropHook(kernel *sim.Kernel, tracer diffusion.Tracer, reg *obs.Registry, sc
 	}
 }
 
-// snapshotter is the slice of diffusion.Runtime the snapshot scheduler needs.
-type snapshotter interface {
-	Snapshot() []trace.SnapshotRecord
-}
-
 // bridgeStats folds the run's substrate counters into the registry so one
-// snapshot carries protocol, MAC, and kernel telemetry together.
-func bridgeStats(reg *obs.Registry, scheme string, ms mac.Stats, sent map[msg.Kind]int,
-	ks KernelStats, virtual time.Duration) {
+// snapshot carries protocol, MAC, and kernel telemetry together. Wall time
+// stays out (it is in KernelStats): the snapshot holds only what the seed
+// determines, so identical runs have identical digests (obs.Digest).
+func bridgeStats(reg *obs.Registry, scheme string, ms mac.Stats, sent map[msg.Kind]int, ks KernelStats) {
 	if reg == nil {
 		return
 	}
@@ -135,10 +131,6 @@ func bridgeStats(reg *obs.Registry, scheme string, ms mac.Stats, sent map[msg.Ki
 
 	reg.Counter("sim_events", l).Add(int64(ks.Events))
 	reg.Gauge("sim_queue_highwater", l).Set(float64(ks.QueueHighWater))
-	reg.Gauge("sim_wall_seconds", l).Set(ks.WallTime.Seconds())
-	if virtual > 0 {
-		reg.Gauge("sim_wall_per_virtual_second", l).Set(ks.WallTime.Seconds() / virtual.Seconds())
-	}
 }
 
 // bridgeRepair folds the self-healing layer's counters into the registry.

@@ -442,21 +442,11 @@ func (n *node) dataGradients(st *interestState) []topology.NodeID {
 
 // --- exploratory events -----------------------------------------------------
 
-// linkCost prices the transmission from a neighbor to this node for the
-// energy cost attribute E: one per hop by default, or Params.LinkCost.
-func (n *node) linkCost(from topology.NodeID) int {
-	if n.rt.params.LinkCost == nil {
-		return 1
-	}
-	if c := n.rt.params.LinkCost(from, n.id); c > 1 {
-		return c
-	}
-	return 1
-}
-
 func (n *node) onExploratory(from topology.NodeID, m msg.Message) {
 	st := n.state(m.Interest)
-	cost := m.E + n.linkCost(from) // cost of the transmission that just delivered it
+	// With fixed transmission power the paper measures energy as hops: each
+	// transmission that delivered the message costs one.
+	cost := m.E + 1
 
 	e := st.entries.get(m.ID)
 	seen := e != nil

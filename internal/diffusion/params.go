@@ -15,7 +15,6 @@ import (
 	"time"
 
 	"repro/internal/agg"
-	"repro/internal/topology"
 )
 
 // Params holds the protocol timing and aggregation configuration. The zero
@@ -55,14 +54,6 @@ type Params struct {
 	DataCacheTTL time.Duration
 	// Agg is the aggregation function sizing outgoing aggregates.
 	Agg agg.Func
-
-	// LinkCost, when non-nil, prices each link for the energy cost
-	// attribute E instead of the default one-per-hop: the paper notes that
-	// with fixed transmission power "we measure energy as equivalent to
-	// hops, but direct measures of variable energy could also be used" —
-	// this is that hook. Values below 1 are clamped to 1. The function
-	// must be deterministic.
-	LinkCost func(from, to topology.NodeID) int
 
 	// Repair configures the opt-in self-healing layer (repair.go,
 	// linkquality.go). The zero value disables it entirely: no MAC hook is

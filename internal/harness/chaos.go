@@ -22,40 +22,43 @@ const chaosNodes = 150
 // all with the runtime invariant checker armed.
 var ChaosScenarios = []struct {
 	Name string
-	// Config builds a fresh chaos configuration for one run of the given
-	// duration (time-windowed faults scale with it).
-	Config func(d time.Duration) chaos.Config
+	// Apply arms the scenario on one run's configuration: its chaos config
+	// (time-windowed faults scale with cfg.Duration) and, for the wave
+	// scenarios, the §5.3 failure waves beside it.
+	Apply func(cfg *core.Config)
 }{
-	{"baseline", func(time.Duration) chaos.Config {
-		return chaos.Config{CheckInvariants: true}
+	{"baseline", func(cfg *core.Config) {
+		cfg.Chaos = &chaos.Config{CheckInvariants: true}
 	}},
-	{"waves", func(time.Duration) chaos.Config {
-		return chaos.DefaultConfig()
+	{"waves", func(cfg *core.Config) {
+		withWaves(cfg)
+		cfg.Chaos = &chaos.Config{CheckInvariants: true}
 	}},
-	{"loss10", func(time.Duration) chaos.Config {
-		return chaos.Config{Loss: chaos.LossConfig{Drop: 0.10}, CheckInvariants: true}
+	{"loss10", func(cfg *core.Config) {
+		cfg.Chaos = &chaos.Config{Loss: chaos.LossConfig{Drop: 0.10}, CheckInvariants: true}
 	}},
-	{"burst", func(time.Duration) chaos.Config {
+	{"burst", func(cfg *core.Config) {
 		bc := chaos.DefaultBurstConfig()
-		return chaos.Config{
+		cfg.Chaos = &chaos.Config{
 			Loss:            chaos.LossConfig{Burst: &bc},
 			CheckInvariants: true,
 		}
 	}},
-	{"asym", func(time.Duration) chaos.Config {
-		return chaos.Config{
+	{"asym", func(cfg *core.Config) {
+		cfg.Chaos = &chaos.Config{
 			Loss:            chaos.LossConfig{AsymmetryFraction: 0.3, AsymmetryDrop: 0.5},
 			CheckInvariants: true,
 		}
 	}},
-	{"amnesia", func(time.Duration) chaos.Config {
-		return chaos.Config{
+	{"amnesia", func(cfg *core.Config) {
+		cfg.Chaos = &chaos.Config{
 			Amnesia:         chaos.AmnesiaConfig{MeanInterval: 10 * time.Second, Downtime: 2 * time.Second},
 			CheckInvariants: true,
 		}
 	}},
-	{"partition", func(d time.Duration) chaos.Config {
-		return chaos.Config{
+	{"partition", func(cfg *core.Config) {
+		d := cfg.Duration
+		cfg.Chaos = &chaos.Config{
 			// A diagonal cut across the 200 m field for the middle third of
 			// the run, separating the corner workload from the far corner.
 			Partitions: []chaos.Partition{{
@@ -65,15 +68,20 @@ var ChaosScenarios = []struct {
 			CheckInvariants: true,
 		}
 	}},
-	{"combined", func(time.Duration) chaos.Config {
-		fc := failure.DefaultConfig()
-		return chaos.Config{
-			Waves:           &fc,
+	{"combined", func(cfg *core.Config) {
+		withWaves(cfg)
+		cfg.Chaos = &chaos.Config{
 			Loss:            chaos.LossConfig{Drop: 0.05, AsymmetryFraction: 0.2, AsymmetryDrop: 0.3},
 			Amnesia:         chaos.AmnesiaConfig{MeanInterval: 15 * time.Second, Downtime: 2 * time.Second},
 			CheckInvariants: true,
 		}
 	}},
+}
+
+// withWaves turns on the paper's §5.3 failure waves.
+func withWaves(cfg *core.Config) {
+	fc := failure.DefaultConfig()
+	cfg.Failures = &fc
 }
 
 // ChaosTable is the regenerated robustness grid ("figchaos"): one row per
@@ -105,8 +113,7 @@ func Chaos(o Options) (*ChaosTable, error) {
 	}
 	f.cfg = func(ri, field int) core.Config {
 		cfg := baseConfig(o, bothSchemes[ri%len(bothSchemes)], chaosNodes, field)
-		cc := ChaosScenarios[ri/len(bothSchemes)].Config(o.Duration)
-		cfg.Chaos = &cc
+		ChaosScenarios[ri/len(bothSchemes)].Apply(&cfg)
 		return cfg
 	}
 	sh, err := f.run(o)

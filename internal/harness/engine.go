@@ -43,7 +43,14 @@ func startEngine(o Options, total int) (*engine, error) {
 	return &engine{o: o, led: led, tr: newProgressTracker(total)}, nil
 }
 
-func (e *engine) close() { e.led.Close() }
+// close closes the ledger. Its fsync is what makes a finished sweep
+// durable, so its error replaces *err when the figure otherwise succeeded;
+// an earlier error wins.
+func (e *engine) close(err *error) {
+	if cerr := e.led.Close(); cerr != nil && *err == nil {
+		*err = cerr
+	}
+}
 
 // run executes cells through runCell on at most o.workers() goroutines,
 // started in cell order, and returns their outputs in that order. The
@@ -129,12 +136,12 @@ type figure struct {
 
 // run regenerates the figure: it runs every cell on the engine and folds
 // each output into its row and the figure's RunMeta.
-func (f figure) run(o Options) (Sheet[Row], error) {
+func (f figure) run(o Options) (_ Sheet[Row], err error) {
 	e, err := startEngine(o, len(f.rows)*o.Fields)
 	if err != nil {
 		return Sheet[Row]{}, err
 	}
-	defer e.close()
+	defer e.close(&err)
 	e.rungs = f.rungs
 	var cells []cell
 	for ri, r := range f.rows {

@@ -163,3 +163,29 @@ func TestEngineNamesFailingCell(t *testing.T) {
 		}
 	}
 }
+
+// TestEngineCloseReportsLedgerError checks that a failing ledger close —
+// the fsync that makes a finished sweep durable — reaches the figure's
+// caller, and that an earlier error still wins.
+func TestEngineCloseReportsLedgerError(t *testing.T) {
+	o := Options{Fields: 1, Duration: 10 * time.Second, Nodes: []int{60},
+		Ledger: filepath.Join(t.TempDir(), "ledger.ndjson")}
+	earlier := errors.New("cell failed")
+	for _, prior := range []error{nil, earlier} {
+		e, err := startEngine(o, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := e.led.file.Close(); err != nil {
+			t.Fatal(err)
+		}
+		got := prior
+		e.close(&got)
+		switch {
+		case prior == nil && got == nil:
+			t.Error("ledger close error dropped")
+		case prior != nil && got != prior:
+			t.Errorf("close replaced the earlier error %v with %v", prior, got)
+		}
+	}
+}

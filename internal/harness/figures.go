@@ -7,7 +7,6 @@ import (
 
 	"repro/internal/agg"
 	"repro/internal/core"
-	"repro/internal/failure"
 	"repro/internal/stats"
 	"repro/internal/workload"
 )
@@ -96,8 +95,7 @@ func Fig6(o Options) (*Table, error) {
 		"nodes", bothSchemes, o.Nodes,
 		func(s core.Scheme, nodes, field int) core.Config {
 			cfg := baseConfig(o, s, nodes, field)
-			fc := failure.DefaultConfig()
-			cfg.Failures = &fc
+			withWaves(&cfg)
 			return cfg
 		})
 }

@@ -68,12 +68,12 @@ var lifetimeCols = []column[LifetimeRow]{
 // first one greedy probe per (nodes, field) to calibrate that field's
 // battery, then one battery run per scheme. Runs fold in (probe, greedy,
 // opportunistic) order per field.
-func LifetimeStudy(o Options) (*LifetimeTable, error) {
+func LifetimeStudy(o Options) (_ *LifetimeTable, err error) {
 	e, err := startEngine(o, len(o.Nodes)*o.Fields*(1+len(bothSchemes)))
 	if err != nil {
 		return nil, err
 	}
-	defer e.close()
+	defer e.close(&err)
 	rows := make([]LifetimeRow, len(o.Nodes))
 	var probes []cell
 	for ri, nodes := range o.Nodes {

@@ -91,3 +91,20 @@ func TestSweepWithoutTelemetryHasNoMetrics(t *testing.T) {
 		t.Fatal("digest of no metrics")
 	}
 }
+
+// TestTelemetryDigestReproduces checks that two identical sweeps leave the
+// same telemetry digest in their manifests: the merged registry holds only
+// what the seeds determine, never the host's wall clock.
+func TestTelemetryDigestReproduces(t *testing.T) {
+	var digests [2]string
+	for i := range digests {
+		tbl, err := Fig5(metaOptions())
+		if err != nil {
+			t.Fatal(err)
+		}
+		digests[i] = tbl.Manifest().TelemetryDigest
+	}
+	if digests[0] == "" || digests[0] != digests[1] {
+		t.Fatalf("telemetry digests of two identical sweeps: %q, %q", digests[0], digests[1])
+	}
+}

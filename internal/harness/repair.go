@@ -80,8 +80,7 @@ func Repair(o Options) (*RepairTable, error) {
 	}
 	f.cfg = func(ri, field int) core.Config {
 		cfg := repairConfig(o, repairModes[ri%len(repairModes)], field)
-		cc := ChaosScenarios[ri/len(repairModes)].Config(o.Duration)
-		cfg.Chaos = &cc
+		ChaosScenarios[ri/len(repairModes)].Apply(&cfg)
 		return cfg
 	}
 	sh, err := f.run(o)

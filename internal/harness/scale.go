@@ -12,12 +12,11 @@ import (
 )
 
 // ScaleNodes is the default node-count ladder for the scale figure; the
-// quick preset stops after the first rung, and ScaleNodesBig is the opt-in
-// extension (experiments -big) whose top rung needs several GB of heap.
+// quick preset stops after the first rung. Larger rungs (a 50000-node field
+// needs several GB of heap) are asked for with experiments -scale-nodes.
 var (
 	ScaleNodes      = []int{500, 1000, 2000, 5000, 10000, 20000}
 	ScaleNodesQuick = []int{500}
-	ScaleNodesBig   = []int{50000}
 )
 
 // scaleBaseNodes/scaleBaseSide pin the paper's middle density (150 nodes on

@@ -69,9 +69,13 @@ type Params struct {
 	// bytes. The default leaves it off, matching the basic-access mode.
 	UseRTSCTS    bool
 	RTSThreshold int // bytes; 0 applies RTS/CTS to every unicast frame
-	RTSBytes     int // RTS frame size; zero selects 20
-	CTSBytes     int // CTS frame size; zero selects 14
 }
+
+// RTS and CTS frame sizes in bytes.
+const (
+	rtsBytes = 20
+	ctsBytes = 14
+)
 
 // DefaultParams returns 802.11-flavored constants scaled to the 1.6 Mb/s
 // radio of the paper.
@@ -93,8 +97,8 @@ func (p Params) Validate() error {
 	switch {
 	case p.SlotTime <= 0 || p.DIFS <= 0 || p.SIFS <= 0:
 		return fmt.Errorf("mac: non-positive timing in %+v", p)
-	case p.RTSThreshold < 0 || p.RTSBytes < 0 || p.CTSBytes < 0:
-		return fmt.Errorf("mac: negative RTS/CTS parameter in %+v", p)
+	case p.RTSThreshold < 0:
+		return fmt.Errorf("mac: negative RTS threshold %d", p.RTSThreshold)
 	case p.CWMin < 1 || p.CWMax < p.CWMin:
 		return fmt.Errorf("mac: bad contention window [%d, %d]", p.CWMin, p.CWMax)
 	case p.RetryLimit < 0:
@@ -715,32 +719,18 @@ func (n *Network) transmitData(ns *nodeState, of *outFrame) {
 	n.begin(ns, tx, airtime)
 }
 
-func (n *Network) rtsBytes() int {
-	if n.params.RTSBytes > 0 {
-		return n.params.RTSBytes
-	}
-	return 20
-}
-
-func (n *Network) ctsBytes() int {
-	if n.params.CTSBytes > 0 {
-		return n.params.CTSBytes
-	}
-	return 14
-}
-
 // exchangeNAV returns the medium reservation an RTS advertises: CTS + DATA
 // + ACK plus the three SIFS gaps.
 func (n *Network) exchangeNAV(dataBytes int) time.Duration {
 	return 3*n.params.SIFS +
-		n.model.Airtime(n.ctsBytes()) +
+		n.model.Airtime(ctsBytes) +
 		n.model.Airtime(dataBytes) +
 		n.model.Airtime(n.params.AckBytes)
 }
 
 // sendRTS starts the RTS/CTS handshake for the head frame.
 func (n *Network) sendRTS(ns *nodeState, of *outFrame) {
-	rts := n.allocTx(txRTS, ns, of.to, Frame{Bytes: n.rtsBytes()})
+	rts := n.allocTx(txRTS, ns, of.to, Frame{Bytes: rtsBytes})
 	rts.of = of
 	rts.nav = n.exchangeNAV(of.frame.Bytes)
 	airtime := n.energy[ns.id].Transmit(rts.frame.Bytes)
@@ -762,7 +752,7 @@ func (n *Network) finishRTS(rts *transmission) {
 		n.call(n.params.SIFS, opSendCTS, dest, ns, of)
 		return
 	}
-	timeout := n.params.SIFS + n.model.Airtime(n.ctsBytes()) + n.params.SlotTime
+	timeout := n.params.SIFS + n.model.Airtime(ctsBytes) + n.params.SlotTime
 	n.call(timeout, opAckTimeout, ns, nil, of)
 }
 
@@ -773,7 +763,7 @@ func (n *Network) sendCTS(dest, src *nodeState, of *outFrame) {
 		n.ackTimeout(src, of)
 		return
 	}
-	cts := n.allocTx(txCTS, dest, src.id, Frame{Bytes: n.ctsBytes()})
+	cts := n.allocTx(txCTS, dest, src.id, Frame{Bytes: ctsBytes})
 	cts.peer = src
 	cts.of = of
 	cts.nav = 2*n.params.SIFS + n.model.Airtime(of.frame.Bytes) + n.model.Airtime(n.params.AckBytes)

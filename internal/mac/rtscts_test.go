@@ -153,8 +153,8 @@ func TestNAVDefersThirdParties(t *testing.T) {
 
 func TestRTSValidation(t *testing.T) {
 	p := rtsParams()
-	p.RTSBytes = -1
+	p.RTSThreshold = -1
 	if err := p.Validate(); err == nil {
-		t.Fatal("negative RTSBytes accepted")
+		t.Fatal("negative RTSThreshold accepted")
 	}
 }

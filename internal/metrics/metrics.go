@@ -14,11 +14,11 @@ package metrics
 
 import (
 	"fmt"
-	"math"
 	"sort"
 	"time"
 
 	"repro/internal/msg"
+	"repro/internal/stats"
 	"repro/internal/topology"
 )
 
@@ -214,22 +214,6 @@ func (r Result) LifetimeBound(batteryJ float64, observed time.Duration, idleWatt
 	return time.Duration(batteryJ / watts * float64(time.Second))
 }
 
-// percentile returns the nearest-rank p-th percentile of an ascending
-// sample, in seconds.
-func percentile(sorted []time.Duration, p float64) float64 {
-	if len(sorted) == 0 {
-		return 0
-	}
-	i := int(math.Ceil(p*float64(len(sorted)))) - 1
-	if i < 0 {
-		i = 0
-	}
-	if i >= len(sorted) {
-		i = len(sorted) - 1
-	}
-	return sorted[i].Seconds()
-}
-
 // Finalize combines the collector with the run's energy totals. sinks is
 // the number of sinks in the workload (the delivery ratio normalizes by
 // it); totalJ and commJ are summed over all nodes for the measurement
@@ -260,9 +244,9 @@ func (c *Collector) Finalize(scheme string, nodes int, density float64, sinks in
 	if len(c.delays) > 0 {
 		sorted := append([]time.Duration(nil), c.delays...)
 		sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
-		r.DelayP50 = percentile(sorted, 0.50)
-		r.DelayP95 = percentile(sorted, 0.95)
-		r.DelayP99 = percentile(sorted, 0.99)
+		r.DelayP50 = stats.NearestRank(sorted, 0.50).Seconds()
+		r.DelayP95 = stats.NearestRank(sorted, 0.95).Seconds()
+		r.DelayP99 = stats.NearestRank(sorted, 0.99).Seconds()
 	}
 	if len(c.hops) > 0 {
 		sum := 0

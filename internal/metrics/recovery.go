@@ -69,24 +69,17 @@ var ttrBounds = []time.Duration{
 // reduces them to a Recovery at the end. Both feeds are append-only and in
 // virtual-time order, so the tracker costs two slice appends per event.
 type RecoveryTracker struct {
-	window     time.Duration
 	deliveries []time.Duration
 	faults     []time.Duration
 	generated  []time.Duration
 }
 
-// DefaultRecoveryWindow is the post-fault observation window for the
+// RecoveryWindow is the post-fault observation window for the
 // delivery-dip measurement.
-const DefaultRecoveryWindow = 10 * time.Second
+const RecoveryWindow = 10 * time.Second
 
-// NewRecoveryTracker returns a tracker using the given post-fault
-// observation window (0 selects DefaultRecoveryWindow).
-func NewRecoveryTracker(window time.Duration) *RecoveryTracker {
-	if window <= 0 {
-		window = DefaultRecoveryWindow
-	}
-	return &RecoveryTracker{window: window}
-}
+// NewRecoveryTracker returns an empty tracker.
+func NewRecoveryTracker() *RecoveryTracker { return &RecoveryTracker{} }
 
 // Delivery records a sink delivery at virtual time at.
 func (t *RecoveryTracker) Delivery(at time.Duration) {
@@ -174,7 +167,7 @@ func (t *RecoveryTracker) Finalize(from, to time.Duration) *Recovery {
 		}
 		// Dip depth: delivery rate over [f, f+window)∩[from,to) vs steady.
 		if steadyRate > 0 {
-			end := f + t.window
+			end := f + RecoveryWindow
 			if end > to {
 				end = to
 			}

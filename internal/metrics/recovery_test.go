@@ -10,7 +10,7 @@ const sec = time.Second
 // TestRecoveryBasics pins the original reduction: faults with a later
 // delivery are repaired, TTR is the gap to the first strictly-later delivery.
 func TestRecoveryBasics(t *testing.T) {
-	tr := NewRecoveryTracker(0)
+	tr := NewRecoveryTracker()
 	tr.Delivery(1 * sec)
 	tr.Fault(2 * sec)
 	tr.Delivery(3 * sec)
@@ -32,7 +32,7 @@ func TestRecoveryBasics(t *testing.T) {
 // half-open [from, to) window, so the fault reads unrepaired and its outage
 // runs to the window end.
 func TestRecoveryRepairAtWindowBoundary(t *testing.T) {
-	tr := NewRecoveryTracker(0)
+	tr := NewRecoveryTracker()
 	tr.Delivery(1 * sec) // establishes a nonzero steady rate
 	tr.Fault(8 * sec)
 	tr.Delivery(10 * sec) // exactly at to: excluded
@@ -49,7 +49,7 @@ func TestRecoveryRepairAtWindowBoundary(t *testing.T) {
 
 	// One nanosecond earlier the same delivery is in-window and repairs the
 	// fault, closing the outage at the delivery.
-	tr2 := NewRecoveryTracker(0)
+	tr2 := NewRecoveryTracker()
 	tr2.Delivery(1 * sec)
 	tr2.Fault(8 * sec)
 	tr2.Delivery(10*sec - time.Nanosecond)
@@ -65,7 +65,7 @@ func TestRecoveryRepairAtWindowBoundary(t *testing.T) {
 // TestRecoveryDeliveryAtFaultInstant pins the strictly-after rule: a
 // delivery at exactly the fault time does not repair the fault.
 func TestRecoveryDeliveryAtFaultInstant(t *testing.T) {
-	tr := NewRecoveryTracker(0)
+	tr := NewRecoveryTracker()
 	tr.Delivery(2 * sec)
 	tr.Fault(2 * sec)
 	r := tr.Finalize(0, 10*sec)
@@ -81,7 +81,7 @@ func TestRecoveryDeliveryAtFaultInstant(t *testing.T) {
 // next delivery (e.g. two crashes on the same branch) share one outage
 // interval, counted once from the first fault.
 func TestRecoveryOverlappingOutages(t *testing.T) {
-	tr := NewRecoveryTracker(0)
+	tr := NewRecoveryTracker()
 	tr.Delivery(1 * sec)
 	tr.Fault(2 * sec)
 	tr.Fault(3 * sec)    // overlaps the first outage
@@ -102,7 +102,7 @@ func TestRecoveryOverlappingOutages(t *testing.T) {
 // events inside merged outage intervals are counted, and the loss estimate
 // is the steady delivery rate times the outage seconds.
 func TestRecoveryGeneratedAndLost(t *testing.T) {
-	tr := NewRecoveryTracker(0)
+	tr := NewRecoveryTracker()
 	for i := 1; i <= 5; i++ {
 		tr.Delivery(time.Duration(i) * sec) // 5 deliveries over 10 s: 0.5/s
 	}
@@ -125,7 +125,7 @@ func TestRecoveryGeneratedAndLost(t *testing.T) {
 // TestRecoveryTTRBuckets pins the histogram: bucket assignment over the
 // fixed bounds and the trailing overflow bucket (UpTo == 0).
 func TestRecoveryTTRBuckets(t *testing.T) {
-	tr := NewRecoveryTracker(0)
+	tr := NewRecoveryTracker()
 	tr.Fault(1 * sec)
 	tr.Delivery(1*sec + 400*time.Millisecond) // ttr 400ms -> <=500ms
 	tr.Fault(10 * sec)

@@ -438,11 +438,9 @@ func Value(snap []Metric, name string) float64 {
 }
 
 // Config enables telemetry for one simulation run (core.Config.Telemetry).
+// Each run gets a private registry, whose snapshot lands in the run output;
+// merge snapshots across runs with Absorb.
 type Config struct {
-	// Registry receives the run's metrics; nil gives the run a private
-	// registry, returned in the run output. Sharing one registry across
-	// concurrent runs is a data race — merge snapshots with Absorb instead.
-	Registry *Registry
 	// SnapshotEvery, when positive, dumps per-node protocol state
 	// (gradients, on-tree flags, cache sizes) to the run's tracer at this
 	// virtual-time interval; the tracer must implement trace.SnapshotSink.

@@ -95,6 +95,19 @@ func (s Sample) Median() float64 {
 	return (c[n/2-1] + c[n/2]) / 2
 }
 
+// NearestRank returns the nearest-rank p-th percentile (0 < p <= 1) of an
+// ascending sample: the observation at rank ceil(p·n), clamped to the
+// sample, so every percentile is an observed value. It returns the zero
+// value for an empty sample.
+func NearestRank[T any](sorted []T, p float64) T {
+	var zero T
+	if len(sorted) == 0 {
+		return zero
+	}
+	i := int(math.Ceil(p*float64(len(sorted)))) - 1
+	return sorted[max(0, min(i, len(sorted)-1))]
+}
+
 // Summary is a one-line rendering: mean ± ci95.
 func (s Sample) Summary() string {
 	return fmt.Sprintf("%.6g ± %.2g", s.Mean(), s.CI95())

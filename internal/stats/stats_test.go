@@ -145,3 +145,31 @@ func TestPairedSavings(t *testing.T) {
 		t.Fatal("zero baseline accepted")
 	}
 }
+
+// TestNearestRank pins the percentile rule wsnsim's latency columns and
+// tracestat share: the p-th percentile of n ascending observations is the
+// one at rank ceil(p·n). With n = 11, p95 is the 11th value (rank 10.45
+// rounds up), not the 10th that rounding to the nearest rank picks.
+func TestNearestRank(t *testing.T) {
+	eleven := []int{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11}
+	for _, c := range []struct {
+		p    float64
+		want int
+	}{
+		{0.01, 1},
+		{0.50, 6},
+		{0.95, 11},
+		{0.99, 11},
+		{1, 11},
+	} {
+		if got := NearestRank(eleven, c.p); got != c.want {
+			t.Errorf("NearestRank(1..11, %v) = %d, want %d", c.p, got, c.want)
+		}
+	}
+	if got := NearestRank([]float64{0.5, 1.5, 2.5, 3.5}, 0.5); got != 1.5 {
+		t.Errorf("median of 4 = %v, want the 2nd value 1.5", got)
+	}
+	if got := NearestRank([]float64(nil), 0.5); got != 0 {
+		t.Errorf("empty sample = %v, want 0", got)
+	}
+}

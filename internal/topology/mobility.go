@@ -78,10 +78,6 @@ type MobilityConfig struct {
 	Pause time.Duration
 	// Step is the walk model's maximum per-axis displacement per epoch (m).
 	Step float64
-	// MobileSinks lets sinks move too; by default they stay pinned, the
-	// usual sensor-network reading (mobile sensors report to a fixed base
-	// station).
-	MobileSinks bool
 }
 
 // Enabled reports whether the configuration asks for any movement.
@@ -152,8 +148,9 @@ type Mover struct {
 	linkChanges int
 }
 
-// NewMover builds a mover over field. Nodes in pinned never move (typically
-// the sinks, unless MobilityConfig.MobileSinks).
+// NewMover builds a mover over field. Nodes in pinned never move (core pins
+// the sinks, the usual sensor-network reading: mobile sensors report to a
+// fixed base station).
 func NewMover(field *Field, cfg MobilityConfig, pinned []NodeID) (*Mover, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err

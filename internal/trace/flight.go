@@ -33,18 +33,14 @@ type flightRec struct {
 	snap bool
 }
 
-// DefaultFlightCapacity is the ring size used when none is configured:
-// enough to hold several seconds of dense protocol traffic around the
-// failure, small enough (~a few MB) to be negligible next to the run itself.
-const DefaultFlightCapacity = 8192
+// FlightCapacity is the ring size in records: enough to hold several
+// seconds of dense protocol traffic around the failure, small enough (~a
+// few MB) to be negligible next to the run itself.
+const FlightCapacity = 8192
 
-// NewFlightRecorder returns a recorder keeping up to capacity records
-// (DefaultFlightCapacity when capacity <= 0).
-func NewFlightRecorder(capacity int) *FlightRecorder {
-	if capacity <= 0 {
-		capacity = DefaultFlightCapacity
-	}
-	return &FlightRecorder{ring: make([]flightRec, capacity)}
+// NewFlightRecorder returns a recorder keeping up to FlightCapacity records.
+func NewFlightRecorder() *FlightRecorder {
+	return &FlightRecorder{ring: make([]flightRec, FlightCapacity)}
 }
 
 func (f *FlightRecorder) push(r flightRec) {
@@ -72,9 +68,6 @@ func (f *FlightRecorder) Len() int {
 	}
 	return f.next
 }
-
-// Cap returns the ring capacity.
-func (f *FlightRecorder) Cap() int { return len(f.ring) }
 
 // Total returns how many records were ever recorded, including overwritten
 // ones.

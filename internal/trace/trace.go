@@ -1,12 +1,11 @@
 // Package trace records structured protocol events for debugging and
-// analysis. A Recorder keeps a bounded ring of events and can stream them
-// to a writer as they happen; filters restrict recording to the events of
-// interest so multi-minute simulations stay cheap to trace.
+// analysis. A Recorder keeps a bounded ring of events; filters restrict
+// recording to the events of interest so multi-minute simulations stay
+// cheap to trace, and the NDJSON sink writes a full trace to a file.
 package trace
 
 import (
 	"fmt"
-	"io"
 	"time"
 
 	"repro/internal/msg"
@@ -195,8 +194,7 @@ func And(fs ...Filter) Filter {
 	}
 }
 
-// Recorder keeps the most recent events in a ring buffer and optionally
-// streams each recorded event to a writer.
+// Recorder keeps the most recent events in a ring buffer.
 //
 // Accounting: Total counts every event the filter accepted (whether still
 // in the ring or since evicted), Evicted counts accepted events the ring
@@ -210,7 +208,6 @@ type Recorder struct {
 	full     bool
 	total    int
 	filter   Filter
-	stream   io.Writer
 	filtered int
 	evicted  int
 }
@@ -225,9 +222,6 @@ func NewRecorder(capacity int) *Recorder {
 
 // SetFilter installs a recording filter; nil records everything.
 func (r *Recorder) SetFilter(f Filter) { r.filter = f }
-
-// Stream mirrors every recorded event to w as a text line; nil disables.
-func (r *Recorder) Stream(w io.Writer) { r.stream = w }
 
 // Record implements the diffusion tracer hook.
 func (r *Recorder) Record(e Event) {
@@ -245,9 +239,6 @@ func (r *Recorder) Record(e Event) {
 		r.full = true
 	}
 	r.total++
-	if r.stream != nil {
-		fmt.Fprintln(r.stream, e)
-	}
 }
 
 // Events returns the recorded events, oldest first.

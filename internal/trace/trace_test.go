@@ -1,8 +1,6 @@
 package trace
 
 import (
-	"bytes"
-	"strings"
 	"testing"
 	"time"
 
@@ -85,16 +83,6 @@ func TestNodeFilterAndAnd(t *testing.T) {
 	}
 	if f(Event{Node: 1, Kind: msg.KindInterest}) {
 		t.Fatal("wrong kind accepted")
-	}
-}
-
-func TestStream(t *testing.T) {
-	var buf bytes.Buffer
-	r := NewRecorder(10)
-	r.Stream(&buf)
-	r.Record(ev(1, msg.KindData))
-	if !strings.Contains(buf.String(), "send") || !strings.Contains(buf.String(), "data") {
-		t.Fatalf("stream output: %q", buf.String())
 	}
 }
 
