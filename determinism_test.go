@@ -222,17 +222,23 @@ func telemetryLines(t *testing.T) []byte {
 		t.Fatal(err)
 	}
 	var b strings.Builder
-	for _, m := range out.Telemetry {
+	writeMetricLines(&b, out.Telemetry)
+	return []byte(b.String())
+}
+
+// writeMetricLines renders every metric of a snapshot as a stable line,
+// histogram buckets indented below it, skipping sim_queue_highwater.
+func writeMetricLines(b *strings.Builder, snap []obs.Metric) {
+	for _, m := range snap {
 		if m.Name == "sim_queue_highwater" {
 			continue
 		}
-		fmt.Fprintf(&b, "%s{%s} %s value=%g max=%g count=%d sum=%g\n",
+		fmt.Fprintf(b, "%s{%s} %s value=%g max=%g count=%d sum=%g\n",
 			m.Name, m.Labels, m.Kind, m.Value, m.Max, m.Count, m.Sum)
 		for _, bk := range m.Buckets {
-			fmt.Fprintf(&b, "  bucket %g: %d\n", bk.Bound, bk.Count)
+			fmt.Fprintf(b, "  bucket %g: %d\n", bk.Bound, bk.Count)
 		}
 	}
-	return []byte(b.String())
 }
 
 // TestTelemetryCountersGolden asserts the full instrumented counter set of a
@@ -242,6 +248,62 @@ func TestTelemetryCountersGolden(t *testing.T) {
 		t.Skip("instrumented run; skipped with -short")
 	}
 	compareGolden(t, filepath.Join("testdata", "telemetry_quick.golden.txt"), telemetryLines(t))
+}
+
+// mergedTelemetryLines regenerates the baselines, chaos and repair grids
+// at figureOptions with telemetry on and renders each figure's merged
+// telemetry under a "# figure" heading. Together the grids cover all four
+// schemes, the chaos and repair counters, and a merge across cells.
+func mergedTelemetryLines(t *testing.T) []byte {
+	t.Helper()
+	o := figureOptions()
+	o.Telemetry = true
+	figures := []func() (*harness.RunMeta, error){
+		func() (*harness.RunMeta, error) {
+			tbl, err := harness.Baselines(o)
+			if err != nil {
+				return nil, err
+			}
+			return tbl.RunMeta, nil
+		},
+		func() (*harness.RunMeta, error) {
+			tbl, err := harness.Chaos(o)
+			if err != nil {
+				return nil, err
+			}
+			return tbl.RunMeta, nil
+		},
+		func() (*harness.RunMeta, error) {
+			tbl, err := harness.Repair(o)
+			if err != nil {
+				return nil, err
+			}
+			return tbl.RunMeta, nil
+		},
+	}
+	var b strings.Builder
+	for _, run := range figures {
+		meta, err := run()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(meta.Telemetry) == 0 {
+			t.Fatalf("%s: no merged telemetry", meta.Figure)
+		}
+		fmt.Fprintf(&b, "# %s\n", meta.Figure)
+		writeMetricLines(&b, meta.Telemetry)
+	}
+	return []byte(b.String())
+}
+
+// TestMergedTelemetryGolden pins the merged sweep telemetry of every
+// scheme — idealized and opportunistic included — through the harness's
+// cross-cell merge, byte for byte.
+func TestMergedTelemetryGolden(t *testing.T) {
+	if testing.Short() {
+		t.Skip("three one-field figure regenerations; skipped with -short")
+	}
+	compareGolden(t, filepath.Join("testdata", "telemetry_merged_quick.golden.txt"), mergedTelemetryLines(t))
 }
 
 // ndjsonTrace runs one mid-size instrumented simulation with an NDJSON
