@@ -144,8 +144,8 @@ func BenchmarkAblationAggregationDelay(b *testing.B) {
 func BenchmarkSingleRun350(b *testing.B) { benchSingleRun350(b, false) }
 
 // BenchmarkSingleRun350Telemetry is BenchmarkSingleRun350 with telemetry
-// on, as `experiments` runs by default: it gates the registry, the MAC drop
-// hook and the other instrumented paths the plain run never enters.
+// on, as `experiments` runs by default: it gates the MAC drop hook and the
+// end-of-run rendering of the snapshot, which the plain run never enters.
 func BenchmarkSingleRun350Telemetry(b *testing.B) { benchSingleRun350(b, true) }
 
 func benchSingleRun350(b *testing.B, telemetry bool) {

@@ -84,9 +84,9 @@ func run(args []string, out *os.File) error {
 		partition   = fs.String("partition", "", `diagonal field partition window, e.g. "60s:100s"`)
 		invariants  = fs.Bool("invariants", false, "arm the runtime protocol-invariant checker")
 
-		telemetry = fs.Bool("telemetry", false, "collect and print the metrics registry (protocol, MAC, kernel)")
+		telemetry = fs.Bool("telemetry", false, "collect and print the run's telemetry counters (protocol, MAC, kernel)")
 		traceOut  = fs.String("trace-out", "", "write the full protocol trace as NDJSON to this file (see cmd/tracestat)")
-		snapEvery = fs.Duration("snapshot-every", 0, "dump per-node protocol state into the NDJSON trace at this virtual-time interval (requires -trace-out)")
+		snapEvery = fs.Duration("snapshot-every", 0, "dump per-node protocol state at this virtual-time interval into the -trace-out file or the -flight ring (requires one of them)")
 		pprofOut  = fs.String("pprof", "", "write a CPU profile of the run to this file")
 
 		flightPath     = fs.String("flight", "", "arm the flight recorder; dump recent trace records to this file on an invariant violation or panic")
@@ -222,9 +222,6 @@ func run(args []string, out *os.File) error {
 		cfg.Tracer = trace.MultiSink(tracers...)
 	}
 
-	if *snapEvery > 0 && nd == nil {
-		return fmt.Errorf("-snapshot-every needs -trace-out for the snapshots to land somewhere")
-	}
 	if *telemetry || *snapEvery > 0 {
 		cfg.Telemetry = &obs.Config{SnapshotEvery: *snapEvery}
 	}
@@ -390,7 +387,7 @@ func run(args []string, out *os.File) error {
 	return nil
 }
 
-// printTelemetry dumps the registry snapshot, one aligned line per metric.
+// printTelemetry dumps the telemetry snapshot, one aligned line per metric.
 func printTelemetry(w io.Writer, metrics []obs.Metric) {
 	fmt.Fprintf(w, "\ntelemetry (%d metrics):\n", len(metrics))
 	for _, m := range metrics {

@@ -207,7 +207,7 @@ func TestFigureGoldenCSVs(t *testing.T) {
 }
 
 // telemetryLines runs one instrumented quick simulation and renders every
-// registry metric as a stable line. sim_queue_highwater is excluded: it
+// telemetry metric as a stable line. sim_queue_highwater is excluded: it
 // reflects event-queue memory footprint and is intentionally lowered by
 // cancelled-event compaction.
 func telemetryLines(t *testing.T) []byte {

@@ -1,9 +1,9 @@
 // Telemetry: what does greedy aggregation actually *do* differently from
 // opportunistic path selection? This example runs the same 100-node field
-// under both schemes with the telemetry registry enabled and prints the
-// protocol counters side by side — the set-cover invocations, truncation
-// prunes, and the incremental-cost traffic that exists only on the greedy
-// path, alongside the shared MAC/diffusion machinery both schemes exercise.
+// under both schemes with telemetry enabled and prints the protocol
+// counters side by side — the set-cover invocations, truncation prunes, and
+// the incremental-cost traffic that exists only on the greedy path,
+// alongside the shared MAC/diffusion machinery both schemes exercise.
 //
 //	go run ./examples/telemetry
 package main

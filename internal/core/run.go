@@ -167,11 +167,12 @@ type Config struct {
 	// still fires).
 	FlightPath string
 
-	// Telemetry, when non-nil, enables the observability subsystem: the
-	// kernel, MAC, and protocol layers feed a metrics registry whose
-	// snapshot lands in Output.Telemetry. The zero obs.Config value is valid
-	// (private registry, no snapshots); telemetry never alters protocol
-	// outcomes. See package obs.
+	// Telemetry, when non-nil, renders the counters the kernel, MAC and
+	// protocol layers keep into a snapshot in Output.Telemetry. The zero
+	// obs.Config value is valid (no protocol-state snapshots); a positive
+	// SnapshotEvery needs a diffusion scheme and a snapshot sink (a Tracer
+	// implementing trace.SnapshotSink, or FlightPath). Telemetry never
+	// alters protocol outcomes. See package obs.
 	Telemetry *obs.Config
 
 	// BatteryJ, when positive, gives every node a battery budget in joules:
@@ -245,6 +246,10 @@ func (c Config) Validate() error {
 		if err := c.Telemetry.Validate(); err != nil {
 			return err
 		}
+		if c.Telemetry.SnapshotEvery > 0 && !c.takesSnapshots() {
+			return fmt.Errorf("core: a snapshot interval needs a diffusion scheme with a tracer " +
+				"that takes snapshots (trace.SnapshotSink) or a flight recorder")
+		}
 	}
 	if err := c.Mobility.Validate(); err != nil {
 		return err
@@ -259,6 +264,14 @@ func (c Config) Validate() error {
 		return err
 	}
 	return c.Energy.Validate()
+}
+
+// takesSnapshots reports whether the run has somewhere for protocol-state
+// snapshots to land: a diffusion scheme whose tracer is a
+// trace.SnapshotSink or that arms the flight recorder.
+func (c Config) takesSnapshots() bool {
+	_, sink := c.Tracer.(trace.SnapshotSink)
+	return !c.Scheme.Idealized() && (sink || c.FlightPath != "")
 }
 
 // Output bundles a run's metrics with substrate diagnostics.
@@ -295,8 +308,8 @@ type Output struct {
 	Flight *FlightReport
 	// Kernel reports event-loop throughput; always filled.
 	Kernel KernelStats
-	// Telemetry is the metrics-registry snapshot when Config.Telemetry is
-	// set; nil otherwise.
+	// Telemetry is the run's counter snapshot when Config.Telemetry is set;
+	// nil otherwise.
 	Telemetry []obs.Metric
 }
 
@@ -364,7 +377,6 @@ func Run(cfg Config) (Output, error) {
 type runState struct {
 	cfg       Config
 	wallStart time.Time
-	reg       *obs.Registry
 	kernel    *sim.Kernel
 	field     *topology.Field
 	assign    workload.Assignment
@@ -379,6 +391,7 @@ type runState struct {
 	churn     *failure.Churn
 	mover     *topology.Mover
 	life      Lifetime
+	rxDrops   rxDrops
 }
 
 // mobilityEpoch is the movement epoch timer as a runner: it advances
@@ -461,10 +474,6 @@ const maxPlacementTries = 50
 // auxiliary subsystems, with their initial events armed.
 func buildRun(cfg Config) (*runState, error) {
 	st := &runState{cfg: cfg, wallStart: time.Now()}
-	var reg *obs.Registry
-	if cfg.Telemetry != nil {
-		reg = obs.NewRegistry()
-	}
 	kernel := sim.NewKernel(cfg.Seed)
 	area := geom.Square(0, 0, cfg.FieldSide)
 
@@ -569,17 +578,18 @@ func buildRun(cfg Config) (*runState, error) {
 		if tracer != nil {
 			rt.SetTracer(tracer)
 		}
-		if reg != nil {
-			rt.SetInstruments(diffusion.NewInstruments(reg, cfg.Scheme.String()))
-		}
 		// Drops become OpDrop trace events for the user's tracer (and flight
 		// recorder) only; the chaos invariant checker keys on sends and
 		// receives and must not see them.
-		installDropHook(network, kernel, userTracer, reg, cfg.Scheme.String())
-		snapSink, ok := userTracer.(trace.SnapshotSink)
-		if ok && cfg.Telemetry != nil && cfg.Telemetry.SnapshotEvery > 0 {
+		if userTracer != nil || cfg.Telemetry != nil {
+			network.SetDropHook(dropHook(kernel, userTracer, &st.rxDrops))
+		}
+		if cfg.Telemetry != nil && cfg.Telemetry.SnapshotEvery > 0 {
+			// Validate admitted the interval only with a snapshot sink
+			// (takesSnapshots), which userTracer is.
 			every := cfg.Telemetry.SnapshotEvery
-			kernel.ScheduleRunner(every, &snapshotTick{kernel: kernel, rt: rt, sink: snapSink, every: every})
+			kernel.ScheduleRunner(every, &snapshotTick{kernel: kernel, rt: rt,
+				sink: userTracer.(trace.SnapshotSink), every: every})
 		}
 		startRun = rt.Start
 	}
@@ -668,7 +678,7 @@ func buildRun(cfg Config) (*runState, error) {
 		engine.Start()
 	}
 
-	st.reg, st.kernel, st.field, st.assign = reg, kernel, field, assign
+	st.kernel, st.field, st.assign = kernel, field, assign
 	st.network, st.collector, st.flight, st.engine = network, collector, flight, engine
 	st.rt, st.flood, st.mcast = rt, flood, mcast
 	st.sched, st.churn, st.mover = sched, churn, mover
@@ -681,7 +691,7 @@ func (st *runState) finish() (Output, error) {
 	cfg, kernel, field := st.cfg, st.kernel, st.field
 	network, collector, assign := st.network, st.collector, st.assign
 	engine, rt, flood, mcast := st.engine, st.rt, st.flood, st.mcast
-	mover, churn, reg, flight := st.mover, st.churn, st.reg, st.flight
+	mover, churn, flight := st.mover, st.churn, st.flight
 	life, wallStart := st.life, st.wallStart
 
 	st.sched.Finish()
@@ -761,15 +771,10 @@ func (st *runState) finish() (Output, error) {
 		WallTime:       time.Since(wallStart),
 	}
 	var telemetry []obs.Metric
-	if reg != nil {
-		if rt != nil {
-			rt.Instruments().FlushCascades()
+	if cfg.Telemetry != nil {
+		if telemetry, err = st.telemetry(sent, kstats, repair); err != nil {
+			return Output{}, err
 		}
-		bridgeStats(reg, cfg.Scheme.String(), network.Stats(), sent, kstats)
-		if repair != nil {
-			bridgeRepair(reg, cfg.Scheme.String(), *repair)
-		}
-		telemetry = reg.Snapshot()
 	}
 
 	var flightRep *FlightReport

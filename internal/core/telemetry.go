@@ -46,36 +46,18 @@ func rxDropReason(r mac.RxDropReason) trace.DropReason {
 	}
 }
 
-// installDropHook makes lost receptions visible: each drop of a protocol
-// frame is recorded as an OpDrop trace event (when tracing) and counted per
-// reason in the registry (when telemetry is on).
-func installDropHook(network *mac.Network, kernel *sim.Kernel, tracer diffusion.Tracer,
-	reg *obs.Registry, scheme string) {
-	if tracer == nil && reg == nil {
-		return
-	}
-	network.SetDropHook(dropHook(kernel, tracer, reg, scheme))
-}
+// rxDrops counts a run's lost protocol receptions by reason.
+type rxDrops [mac.RxLinkLoss + 1]int // indexed by every reason mac defines
 
-// dropHook builds the hook installDropHook installs. Each reason's
-// mac_rx_drops{scheme,reason} counter is bound on that reason's first drop,
-// so reasons that never occur leave no zero-valued entry in the snapshot,
-// and every later drop of it is an array read and an increment.
-func dropHook(kernel *sim.Kernel, tracer diffusion.Tracer, reg *obs.Registry, scheme string) mac.DropHook {
-	var drops [mac.RxLinkLoss + 1]*obs.Counter // indexed by every reason mac defines
+// dropHook returns the hook that makes lost receptions visible: each drop
+// of a protocol frame is counted by reason into drops (an array increment)
+// and, when tracing, recorded as an OpDrop trace event.
+func dropHook(kernel *sim.Kernel, tracer diffusion.Tracer, drops *rxDrops) mac.DropHook {
 	return func(from, to topology.NodeID, f mac.Frame, reason mac.RxDropReason) {
 		if _, ok := f.Payload.(msg.Message); !ok {
 			return
 		}
-		if reg != nil {
-			c := drops[reason]
-			if c == nil {
-				c = reg.Counter("mac_rx_drops", obs.Label{Key: "scheme", Value: scheme},
-					obs.Label{Key: "reason", Value: reason.String()})
-				drops[reason] = c
-			}
-			c.Inc()
-		}
+		drops[reason]++
 		if tracer == nil {
 			return
 		}
@@ -98,54 +80,70 @@ func dropHook(kernel *sim.Kernel, tracer diffusion.Tracer, reg *obs.Registry, sc
 	}
 }
 
-// bridgeStats folds the run's substrate counters into the registry so one
-// snapshot carries protocol, MAC, and kernel telemetry together. Wall time
-// stays out (it is in KernelStats): the snapshot holds only what the seed
-// determines, so identical runs have identical digests (obs.Digest).
-func bridgeStats(reg *obs.Registry, scheme string, ms mac.Stats, sent map[msg.Kind]int, ks KernelStats) {
-	if reg == nil {
-		return
+// telemetry renders the run's snapshot, sorted by key, from the counters
+// each layer kept. Every scheme gets the MAC counters, mac_tx_drops for
+// every reason in the MAC's drop map (zeros included), protocol_sent for
+// every kind in sent, sim_events and the sim_queue_highwater gauge. A
+// diffusion scheme adds its nine protocol entries and mac_rx_drops for each
+// reason its drop hook counted; a repair run adds the repair counters.
+// Wall time stays out (it is in KernelStats): the snapshot holds only what
+// the seed determines, so identical runs have identical digests
+// (obs.Digest).
+func (st *runState) telemetry(sent map[msg.Kind]int, ks KernelStats, repair *diffusion.RepairStats) ([]obs.Metric, error) {
+	l := "scheme=" + st.cfg.Scheme.String()
+	var out []obs.Metric
+	add := func(name, labels string, v int) {
+		out = append(out, obs.Metric{Name: name, Labels: labels, Kind: obs.KindCounter, Value: float64(v)})
 	}
-	l := obs.Label{Key: "scheme", Value: scheme}
 
-	reg.Counter("mac_data_tx", l).Add(int64(ms.DataTx))
-	reg.Counter("mac_ack_tx", l).Add(int64(ms.AckTx))
-	reg.Counter("mac_rts_tx", l).Add(int64(ms.RtsTx))
-	reg.Counter("mac_cts_tx", l).Add(int64(ms.CtsTx))
-	reg.Counter("mac_delivered", l).Add(int64(ms.Delivered))
-	reg.Counter("mac_collisions", l).Add(int64(ms.Collisions))
-	reg.Counter("mac_retries", l).Add(int64(ms.Retries))
-	reg.Counter("mac_backoffs", l).Add(int64(ms.Backoffs))
-	reg.Counter("mac_acks_missing", l).Add(int64(ms.AcksMissing))
-	reg.Counter("mac_link_loss", l).Add(int64(ms.LinkLoss))
-	reg.Counter("mac_bytes_on_air", l).Add(ms.BytesOnAir)
+	ms := st.network.Stats()
+	add("mac_data_tx", l, ms.DataTx)
+	add("mac_ack_tx", l, ms.AckTx)
+	add("mac_rts_tx", l, ms.RtsTx)
+	add("mac_cts_tx", l, ms.CtsTx)
+	add("mac_delivered", l, ms.Delivered)
+	add("mac_collisions", l, ms.Collisions)
+	add("mac_retries", l, ms.Retries)
+	add("mac_backoffs", l, ms.Backoffs)
+	add("mac_acks_missing", l, ms.AcksMissing)
+	add("mac_link_loss", l, ms.LinkLoss)
+	add("mac_bytes_on_air", l, int(ms.BytesOnAir))
 	for reason, v := range ms.Drops {
-		reg.Counter("mac_tx_drops", l,
-			obs.Label{Key: "reason", Value: reason.String()}).Add(int64(v))
+		add("mac_tx_drops", "reason="+reason.String()+","+l, v)
 	}
-
+	for reason, v := range st.rxDrops {
+		if v > 0 {
+			add("mac_rx_drops", "reason="+mac.RxDropReason(reason).String()+","+l, v)
+		}
+	}
 	for kind, v := range sent {
-		reg.Counter("protocol_sent", l,
-			obs.Label{Key: "kind", Value: kind.String()}).Add(int64(v))
+		add("protocol_sent", "kind="+kind.String()+","+l, v)
+	}
+	add("sim_events", l, int(ks.Events))
+	hw := float64(ks.QueueHighWater)
+	out = append(out, obs.Metric{Name: "sim_queue_highwater", Labels: l, Kind: obs.KindGauge, Value: hw, Max: hw})
+
+	if st.rt != nil {
+		c := st.rt.Counters()
+		add("diffusion_gradient_cache_hits", l, c.GradientHits)
+		add("diffusion_gradient_cache_misses", l, c.GradientMisses)
+		add("diffusion_exploratory_floods", l, c.ExploratoryFloods)
+		add("diffusion_inccost_sent", l, c.IncCostSent)
+		add("diffusion_reinforce_sent", l, c.ReinforceSent)
+		add("diffusion_truncation_prunes", l, c.TruncationPrunes)
+		add("diffusion_setcover_calls", l, int(c.SetCoverInput.Count()))
+		out = append(out, c.SetCoverInput.Metric("diffusion_setcover_input_size", l),
+			c.CascadeLen.Metric("diffusion_reinforce_cascade_len", l))
 	}
 
-	reg.Counter("sim_events", l).Add(int64(ks.Events))
-	reg.Gauge("sim_queue_highwater", l).Set(float64(ks.QueueHighWater))
-}
-
-// bridgeRepair folds the self-healing layer's counters into the registry.
-// Only called when repair actually ran, so repair-off runs keep their
-// telemetry snapshot (and the goldens over it) byte-identical.
-func bridgeRepair(reg *obs.Registry, scheme string, rs diffusion.RepairStats) {
-	if reg == nil {
-		return
+	if repair != nil {
+		add("repair_watchdog_fires", l, repair.WatchdogFires)
+		add("repair_reinforces", l, repair.Reinforces)
+		add("repair_probes", l, repair.Probes)
+		add("repair_probe_replies", l, repair.ProbeReplies)
+		add("repair_ctrl_retries", l, repair.CtrlRetries)
+		add("repair_data_rebuffers", l, repair.DataRebuffers)
+		add("repair_fallback_broadcasts", l, repair.FallbackBroadcasts)
 	}
-	l := obs.Label{Key: "scheme", Value: scheme}
-	reg.Counter("repair_watchdog_fires", l).Add(int64(rs.WatchdogFires))
-	reg.Counter("repair_reinforces", l).Add(int64(rs.Reinforces))
-	reg.Counter("repair_probes", l).Add(int64(rs.Probes))
-	reg.Counter("repair_probe_replies", l).Add(int64(rs.ProbeReplies))
-	reg.Counter("repair_ctrl_retries", l).Add(int64(rs.CtrlRetries))
-	reg.Counter("repair_data_rebuffers", l).Add(int64(rs.DataRebuffers))
-	reg.Counter("repair_fallback_broadcasts", l).Add(int64(rs.FallbackBroadcasts))
+	return obs.Merge(nil, out)
 }

@@ -1,10 +1,13 @@
 package core
 
 import (
+	"io"
+	"path/filepath"
 	"reflect"
 	"testing"
 	"time"
 
+	"repro/internal/diffusion"
 	"repro/internal/mac"
 	"repro/internal/msg"
 	"repro/internal/obs"
@@ -24,10 +27,14 @@ func TestTelemetryDoesNotPerturbRun(t *testing.T) {
 	}
 
 	cfg.Telemetry = &obs.Config{SnapshotEvery: 5 * time.Second}
-	cfg.Tracer = trace.NewRecorder(64)
+	sink := &snapshotCollector{}
+	cfg.Tracer = sink
 	instrumented, err := Run(cfg)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if len(sink.snaps) == 0 || len(sink.events) == 0 {
+		t.Fatalf("instrumented run recorded %d snapshots and %d events", len(sink.snaps), len(sink.events))
 	}
 
 	if !reflect.DeepEqual(plain.Metrics, instrumented.Metrics) {
@@ -38,7 +45,7 @@ func TestTelemetryDoesNotPerturbRun(t *testing.T) {
 		t.Fatalf("telemetry changed traffic: %v vs %v", plain.Sent, instrumented.Sent)
 	}
 	if plain.Telemetry != nil {
-		t.Fatal("registry snapshot present without Telemetry config")
+		t.Fatal("telemetry snapshot present without Telemetry config")
 	}
 	if len(instrumented.Telemetry) == 0 {
 		t.Fatal("no metrics collected with Telemetry config")
@@ -106,6 +113,46 @@ func TestSnapshotsRecorded(t *testing.T) {
 	}
 }
 
+// TestSnapshotIntervalNeedsASink: Validate accepts a snapshot interval
+// exactly when the run arms snapshot ticks — a diffusion scheme whose
+// tracer takes snapshots (trace.SnapshotSink) or whose flight recorder is
+// armed — so an interval with nowhere to go fails loudly.
+func TestSnapshotIntervalNeedsASink(t *testing.T) {
+	flight := filepath.Join(t.TempDir(), "flight.ndjson")
+	cases := []struct {
+		name   string
+		scheme Scheme
+		every  time.Duration
+		tracer diffusion.Tracer
+		flight string
+		ok     bool
+	}{
+		{"greedy with recorder", SchemeGreedy, 5 * time.Second, trace.NewRecorder(64), "", false},
+		{"greedy without tracer", SchemeGreedy, 5 * time.Second, nil, "", false},
+		{"flooding", SchemeFlooding, 5 * time.Second, nil, "", false},
+		{"flooding with flight path", SchemeFlooding, 5 * time.Second, nil, flight, false},
+		{"ndjson tracer", SchemeGreedy, 5 * time.Second, trace.NewNDJSON(io.Discard), "", true},
+		{"flight path alone", SchemeOpportunistic, 5 * time.Second, nil, flight, true},
+		{"recorder with flight path", SchemeGreedy, 5 * time.Second, trace.NewRecorder(64), flight, true},
+		{"no interval", SchemeGreedy, 0, trace.NewRecorder(64), "", true},
+		{"no interval on flooding", SchemeFlooding, 0, nil, "", true},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := quickCfg(tc.scheme)
+			cfg.Telemetry = &obs.Config{SnapshotEvery: tc.every}
+			cfg.Tracer, cfg.FlightPath = tc.tracer, tc.flight
+			err := cfg.Validate()
+			if tc.ok && err != nil {
+				t.Fatalf("rejected: %v", err)
+			}
+			if !tc.ok && err == nil {
+				t.Fatal("accepted a snapshot interval no sink takes")
+			}
+		})
+	}
+}
+
 type snapshotCollector struct {
 	events []trace.Event
 	snaps  []trace.SnapshotRecord
@@ -114,18 +161,15 @@ type snapshotCollector struct {
 func (c *snapshotCollector) Record(e trace.Event)                  { c.events = append(c.events, e) }
 func (c *snapshotCollector) RecordSnapshot(s trace.SnapshotRecord) { c.snaps = append(c.snaps, s) }
 
-// TestDropHookAllocatesNothingPerDrop pins the drop hook's hot path: with a
-// registry and no tracer, once each reason's counter is bound by its first
-// drop, counting a lost reception allocates nothing, and non-protocol
-// payloads are ignored.
+// TestDropHookAllocatesNothingPerDrop pins the drop hook's hot path: with no
+// tracer, counting a lost reception is an array increment that allocates
+// nothing, every reason counts into its own slot, and non-protocol payloads
+// are ignored.
 func TestDropHookAllocatesNothingPerDrop(t *testing.T) {
-	reg := obs.NewRegistry()
-	hook := dropHook(sim.NewKernel(1), nil, reg, "greedy")
+	var drops rxDrops
+	hook := dropHook(sim.NewKernel(1), nil, &drops)
 	f := mac.Frame{Bytes: 64, Payload: msg.Message{Kind: msg.KindData}}
 	reasons := []mac.RxDropReason{mac.RxCollision, mac.RxReceiverOff, mac.RxSenderOff, mac.RxLinkLoss}
-	for _, r := range reasons {
-		hook(1, 2, f, r)
-	}
 	const runs = 1000
 	allocs := testing.AllocsPerRun(runs, func() {
 		for _, r := range reasons {
@@ -136,20 +180,16 @@ func TestDropHookAllocatesNothingPerDrop(t *testing.T) {
 	if allocs != 0 {
 		t.Fatalf("drop hook allocates %v per round of %d drops, want 0", allocs, len(reasons))
 	}
-	drops := obs.Find(reg.Snapshot(), "mac_rx_drops")
-	if len(drops) != len(reasons) {
-		t.Fatalf("%d mac_rx_drops entries, want one per reason: %+v", len(drops), drops)
-	}
-	for _, m := range drops {
-		// One binding drop, AllocsPerRun's warm-up call, then the runs.
-		if m.Value != runs+2 {
-			t.Errorf("mac_rx_drops{%s} = %v, want %d", m.Labels, m.Value, runs+2)
+	for _, r := range reasons {
+		// AllocsPerRun's warm-up call, then the runs.
+		if drops[r] != runs+1 {
+			t.Errorf("drops[%s] = %d, want %d", r, drops[r], runs+1)
 		}
 	}
 }
 
-// TestRxDropSnapshotHasNoZeroEntries checks that lazily bound drop counters
-// register only the reasons that actually occurred.
+// TestRxDropSnapshotHasNoZeroEntries checks that the snapshot carries
+// mac_rx_drops only for the reasons that actually occurred.
 func TestRxDropSnapshotHasNoZeroEntries(t *testing.T) {
 	cfg := quickCfg(SchemeGreedy)
 	cfg.Seed = 5

@@ -228,7 +228,7 @@ func (n *node) flush(st *interestState) {
 	n.rt.sc.keys = keys
 	n.rt.sc.family = family
 
-	n.rt.ins.setCover(len(family))
+	n.rt.count.SetCoverInput.Observe(float64(len(family)))
 	cover, err := n.rt.sc.cover.Solve(universe, family)
 	if err != nil {
 		panic(err) // weights are non-negative by construction
@@ -282,7 +282,7 @@ func (n *node) truncationPass() {
 			continue
 		}
 		victims := n.rt.strategy.Truncate(window, &n.rt.sc.trunc)
-		n.rt.ins.truncation(len(victims))
+		n.rt.count.TruncationPrunes += len(victims)
 		for _, victim := range victims {
 			n.unicast(victim, msg.Message{
 				Kind:     msg.KindNegReinforce,

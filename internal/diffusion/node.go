@@ -330,7 +330,7 @@ func (n *node) exploratoryRound(iid msg.InterestID) {
 		Items:    []msg.Item{item},
 		Bytes:    msg.EventBytes,
 	}
-	n.rt.ins.exploratoryFlood()
+	n.rt.count.ExploratoryFloods++
 	n.broadcast(m)
 }
 
@@ -385,7 +385,11 @@ func (n *node) onInterest(from topology.NodeID, m msg.Message) {
 func (n *node) setGradient(st *interestState, nbr topology.NodeID, kind gradKind) {
 	p := n.rt.params
 	g, existed := st.grads.getOrInsert(nbr)
-	n.rt.ins.gradient(existed)
+	if existed {
+		n.rt.count.GradientHits++
+	} else {
+		n.rt.count.GradientMisses++
+	}
 	switch {
 	case kind == gradData:
 		g.kind = gradData
@@ -510,7 +514,7 @@ func (n *node) maybeEmitIncCost(st *interestState, e *entryState) {
 		Bytes:    msg.ControlBytes,
 	}
 	for _, nbr := range n.dataGradients(st) {
-		n.rt.ins.incCost()
+		n.rt.count.IncCostSent++
 		n.unicast(nbr, m)
 	}
 }
@@ -555,7 +559,7 @@ func (n *node) onIncCost(from topology.NodeID, m msg.Message) {
 		Bytes:    msg.ControlBytes,
 	}
 	for _, nbr := range n.dataGradients(st) {
-		n.rt.ins.incCost()
+		n.rt.count.IncCostSent++
 		n.unicast(nbr, fwd)
 	}
 }
@@ -610,7 +614,8 @@ func (n *node) reinforceEntry(st *interestState, e *entryState) {
 		Origin:   n.id,
 		Bytes:    msg.ControlBytes,
 	}
-	n.rt.ins.reinforce(st.id, e.ID)
+	n.rt.count.ReinforceSent++
+	n.rt.cascades[cascadeKey{st.id, e.ID}]++ // extends the entry's cascade
 	n.unicast(nbr, m)
 }
 

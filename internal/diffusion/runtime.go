@@ -91,7 +91,11 @@ type Runtime struct {
 	started bool
 	sent    map[msg.Kind]int
 	tracer  Tracer
-	ins     *Instruments
+
+	// count holds the protocol counters; cascades counts each exploratory
+	// entry's reinforcement sends, which Counters folds into CascadeLen.
+	count    Counters
+	cascades map[cascadeKey]int
 
 	timerFree *nodeTimer // recycled nodeTimer records
 	sc        scratch
@@ -108,13 +112,6 @@ type Tracer interface {
 
 // SetTracer installs an optional protocol tracer. Call before Start.
 func (rt *Runtime) SetTracer(t Tracer) { rt.tracer = t }
-
-// SetInstruments installs optional telemetry counters. Call before Start;
-// a nil value (the default) keeps every instrumentation site a no-op.
-func (rt *Runtime) SetInstruments(ins *Instruments) { rt.ins = ins }
-
-// Instruments returns the installed telemetry counters, if any.
-func (rt *Runtime) Instruments() *Instruments { return rt.ins }
 
 // traceMsg records a send or receive if a tracer is installed.
 func (rt *Runtime) traceMsg(op trace.Op, node, peer topology.NodeID, m msg.Message) {
@@ -202,6 +199,7 @@ func New(kernel *sim.Kernel, net *mac.Network, field *topology.Field, params Par
 		observer: observer,
 		nodes:    make([]node, field.Len()),
 		sent:     make(map[msg.Kind]int),
+		cascades: make(map[cascadeKey]int),
 	}
 	for i := range rt.nodes {
 		initNode(&rt.nodes[i], rt, topology.NodeID(i))

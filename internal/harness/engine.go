@@ -104,21 +104,17 @@ func (e *engine) run(cells []cell) ([]LedgerOutput, error) {
 // sum — the rows' sample means, the merged telemetry — byte-stable.
 func fold(o Options, meta RunMeta, outs []LedgerOutput, absorb func(i int)) (*RunMeta, error) {
 	meta.Fields, meta.BaseSeed, meta.Duration = o.Fields, o.BaseSeed, o.Duration
-	var agg *obs.Registry
-	if o.Telemetry {
-		agg = obs.NewRegistry()
-	}
 	for i, lo := range outs {
 		meta.Runs++
 		meta.WallTime += lo.Kernel.WallTime
 		meta.Events += lo.Kernel.Events
-		if err := agg.Absorb(lo.Telemetry); err != nil {
-			return nil, fmt.Errorf("harness: merge telemetry: %w", err)
+		if o.Telemetry {
+			var err error
+			if meta.Telemetry, err = obs.Merge(meta.Telemetry, lo.Telemetry); err != nil {
+				return nil, fmt.Errorf("harness: merge telemetry: %w", err)
+			}
 		}
 		absorb(i)
-	}
-	if agg != nil {
-		meta.Telemetry = agg.Snapshot()
 	}
 	return &meta, nil
 }

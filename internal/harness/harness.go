@@ -54,10 +54,9 @@ type Options struct {
 	// harness never calls it concurrently: sweep workers report under one
 	// lock, so a Progress that appends to a slice needs no lock of its own.
 	Progress func(string)
-	// Telemetry enables per-run metrics registries, merged into each
-	// table's Meta for the provenance manifest. Each run gets a private
-	// registry (the obs.Registry is single-threaded), so concurrent
-	// workers never share one.
+	// Telemetry turns on every run's telemetry snapshot; the figure merges
+	// them (obs.Merge) in cell order on one goroutine into its RunMeta for
+	// the provenance manifest.
 	Telemetry bool
 	// Ledger, when non-empty, is the path of the sweep progress ledger:
 	// every completed run is appended there, and cells already on file
@@ -147,7 +146,8 @@ type RunMeta struct {
 	Runs     int
 	WallTime time.Duration
 	Events   uint64
-	// Telemetry is the merged registry snapshot; nil without telemetry.
+	// Telemetry is the runs' snapshots merged in cell order (obs.Merge);
+	// nil without telemetry.
 	Telemetry []obs.Metric
 	// BytesPerNode, filled by the scale figure only, is each rung's peak
 	// in-use heap per node (max across schemes), aligned with Xs.

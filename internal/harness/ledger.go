@@ -34,7 +34,7 @@ type LedgerOutput struct {
 	Mobility *core.MobilityReport   `json:"mobility,omitempty"`
 	Repair   *diffusion.RepairStats `json:"repair,omitempty"`
 
-	// Telemetry is the run's registry snapshot (when Options.Telemetry is
+	// Telemetry is the run's telemetry snapshot (when Options.Telemetry is
 	// on), preserved so replays merge into sweep manifests exactly like the
 	// original runs did.
 	Telemetry []obs.Metric `json:"telemetry,omitempty"`

@@ -93,7 +93,7 @@ func TestSweepWithoutTelemetryHasNoMetrics(t *testing.T) {
 }
 
 // TestTelemetryDigestReproduces checks that two identical sweeps leave the
-// same telemetry digest in their manifests: the merged registry holds only
+// same telemetry digest in their manifests: the merged telemetry holds only
 // what the seeds determine, never the host's wall clock.
 func TestTelemetryDigestReproduces(t *testing.T) {
 	var digests [2]string

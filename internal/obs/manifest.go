@@ -50,7 +50,7 @@ type Manifest struct {
 	// with Xs — the per-node footprint the SoA layout work is gated on.
 	BytesPerNode []uint64 `json:"bytes_per_node,omitempty"`
 
-	// TelemetryDigest fingerprints Metrics (the merged registry snapshot);
+	// TelemetryDigest fingerprints Metrics (the merged telemetry snapshot);
 	// both are empty when the sweep ran without telemetry.
 	TelemetryDigest string   `json:"telemetry_digest,omitempty"`
 	Metrics         []Metric `json:"metrics,omitempty"`
