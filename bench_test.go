@@ -240,7 +240,7 @@ func BenchmarkMACFrameFieldSize(b *testing.B) {
 				b.Fatal(err)
 			}
 			k := sim.NewKernel(1)
-			net, err := mac.New(k, f, energy.PaperModel(), mac.DefaultParams())
+			net, err := mac.New(k, f, energy.PaperModel(), mac.Params{})
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -295,7 +295,7 @@ func BenchmarkMACBroadcast(b *testing.B) {
 		b.Fatal(err)
 	}
 	k := sim.NewKernel(1)
-	net, err := mac.New(k, f, energy.PaperModel(), mac.DefaultParams())
+	net, err := mac.New(k, f, energy.PaperModel(), mac.Params{})
 	if err != nil {
 		b.Fatal(err)
 	}

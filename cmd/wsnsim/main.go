@@ -125,16 +125,13 @@ func run(args []string, out *os.File) error {
 	cc := chaos.Config{
 		Loss: chaos.LossConfig{
 			Drop:              *loss,
+			Burst:             *burst,
 			AsymmetryFraction: *asymFrac,
 			AsymmetryDrop:     *asymDrop,
 		},
 		Amnesia:           chaos.AmnesiaConfig{MeanInterval: *amnesia, Downtime: *amnesiaDown},
 		CheckInvariants:   *invariants,
 		SelfTestViolation: *forceViolation,
-	}
-	if *burst {
-		bc := chaos.DefaultBurstConfig()
-		cc.Loss.Burst = &bc
 	}
 	if *partition != "" {
 		p, err := parsePartition(*partition, cfg.FieldSide)
@@ -152,7 +149,6 @@ func run(args []string, out *os.File) error {
 	}
 	if *rtscts {
 		cfg.MAC.UseRTSCTS = true
-		cfg.MAC.RTSThreshold = 64
 	}
 	if *repair {
 		cfg.Diffusion.Repair = diffusion.DefaultRepairParams()

@@ -23,7 +23,6 @@ func main() {
 	fmt.Println("(150-node field, 5 corner sources, 1 sink, greedy aggregation)")
 	fmt.Println()
 
-	burst := chaos.DefaultBurstConfig()
 	scenarios := []struct {
 		label string
 		cfg   chaos.Config
@@ -34,7 +33,7 @@ func main() {
 			CheckInvariants: true,
 		}},
 		{"bursty links ", chaos.Config{
-			Loss:            chaos.LossConfig{Burst: &burst},
+			Loss:            chaos.LossConfig{Burst: true},
 			CheckInvariants: true,
 		}},
 		{"amnesia 10s  ", chaos.Config{

@@ -87,9 +87,9 @@ type LossConfig struct {
 	// Drop is an i.i.d. per-frame drop probability applied to every link.
 	Drop float64
 
-	// Burst, when non-nil, overlays a two-state Gilbert–Elliott channel,
-	// tracked independently per directed link.
-	Burst *BurstConfig
+	// Burst overlays a two-state Gilbert–Elliott channel, tracked
+	// independently per directed link.
+	Burst bool
 
 	// AsymmetryFraction of directed links are degraded with an extra
 	// AsymmetryDrop i.i.d. loss; the reverse direction is unaffected. The
@@ -98,21 +98,17 @@ type LossConfig struct {
 	AsymmetryDrop     float64
 }
 
-// BurstConfig parameterizes the Gilbert–Elliott channel. Each frame on a
+// The Gilbert–Elliott channel is moderately bursty: ~17% of frames in the
+// bad state (mean burst ≈ 4 frames), near-clean otherwise. Each frame on a
 // link first suffers the current state's drop rate, then the state advances
-// with the transition probabilities; links start in the good state.
-type BurstConfig struct {
-	// GoodToBad and BadToGood are per-frame transition probabilities.
-	GoodToBad, BadToGood float64
-	// DropGood and DropBad are the per-frame drop rates in each state.
-	DropGood, DropBad float64
-}
-
-// DefaultBurstConfig is a moderately bursty channel: ~17% of frames in the
-// bad state (mean burst ≈ 4 frames), near-clean otherwise.
-func DefaultBurstConfig() BurstConfig {
-	return BurstConfig{GoodToBad: 0.05, BadToGood: 0.25, DropGood: 0.01, DropBad: 0.6}
-}
+// with the per-frame transition probabilities; links start in the good
+// state.
+const (
+	burstGoodToBad float64 = 0.05
+	burstBadToGood float64 = 0.25
+	burstDropGood  float64 = 0.01
+	burstDropBad   float64 = 0.6
+)
 
 // Validate reports the first problem with the loss configuration, if any.
 func (l LossConfig) Validate() error {
@@ -134,26 +130,11 @@ func (l LossConfig) Validate() error {
 			return err
 		}
 	}
-	if l.Burst != nil {
-		for _, p := range []struct {
-			name string
-			v    float64
-		}{
-			{"good-to-bad", l.Burst.GoodToBad},
-			{"bad-to-good", l.Burst.BadToGood},
-			{"drop-good", l.Burst.DropGood},
-			{"drop-bad", l.Burst.DropBad},
-		} {
-			if err := check(p.name, p.v); err != nil {
-				return err
-			}
-		}
-	}
 	return nil
 }
 
 func (l LossConfig) enabled() bool {
-	return l.Drop > 0 || l.Burst != nil ||
+	return l.Drop > 0 || l.Burst ||
 		(l.AsymmetryFraction > 0 && l.AsymmetryDrop > 0)
 }
 
@@ -236,10 +217,6 @@ type Binding struct {
 	Wiper Wiper
 	// Interests is the number of interests (sinks) for the tree audit.
 	Interests int
-	// EntryTTL is the protocol's exploratory-entry lifetime; the checker
-	// expires its per-entry invariant state on the same horizon so pruning
-	// on the protocol side cannot produce false violations (0 = 75s).
-	EntryTTL time.Duration
 }
 
 // Engine drives the configured fault processes on the simulation kernel.
@@ -306,7 +283,7 @@ func (e *Engine) Bind(b Binding) {
 		e.protect[id] = true
 	}
 	if e.checker != nil {
-		e.checker.bind(b.Trees, b.Interests, b.EntryTTL)
+		e.checker.bind(b.Trees, b.Interests)
 	}
 	b.Sched.SetOnWave(func(down []topology.NodeID) {
 		if len(down) > 0 {
@@ -365,7 +342,7 @@ func (e *Engine) Start() {
 		if e.cfg.Loss.AsymmetryFraction > 0 && e.cfg.Loss.AsymmetryDrop > 0 {
 			e.drawAsymmetricLinks()
 		}
-		if e.cfg.Loss.Burst != nil {
+		if e.cfg.Loss.Burst {
 			e.gilbert = make(map[link]*geState)
 		}
 		e.net.SetLinkFilter(e.linkFilter)
@@ -432,23 +409,23 @@ func (e *Engine) linkFilter(from, to topology.NodeID) bool {
 	if e.asym[link{from, to}] && rng.Float64() < l.AsymmetryDrop {
 		return false
 	}
-	if b := l.Burst; b != nil {
+	if l.Burst {
 		lk := link{from, to}
 		s := e.gilbert[lk]
 		if s == nil {
 			s = &geState{}
 			e.gilbert[lk] = s
 		}
-		drop := b.DropGood
+		drop := burstDropGood
 		if s.bad {
-			drop = b.DropBad
+			drop = burstDropBad
 		}
-		lost := drop > 0 && rng.Float64() < drop
+		lost := rng.Float64() < drop
 		if s.bad {
-			if rng.Float64() < b.BadToGood {
+			if rng.Float64() < burstBadToGood {
 				s.bad = false
 			}
-		} else if rng.Float64() < b.GoodToBad {
+		} else if rng.Float64() < burstGoodToBad {
 			s.bad = true
 		}
 		if lost {

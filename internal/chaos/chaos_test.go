@@ -147,10 +147,7 @@ func TestBurstyChannel(t *testing.T) {
 	cfg := testConfig(core.SchemeGreedy, 13)
 	cfg.Chaos = &chaos.Config{
 		Loss: chaos.LossConfig{
-			Burst: &chaos.BurstConfig{
-				GoodToBad: 0.05, BadToGood: 0.25,
-				DropGood: 0.01, DropBad: 0.6,
-			},
+			Burst: true,
 		},
 		CheckInvariants: true,
 	}

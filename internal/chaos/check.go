@@ -5,6 +5,7 @@ import (
 	"strings"
 	"time"
 
+	"repro/internal/diffusion"
 	"repro/internal/mac"
 	"repro/internal/msg"
 	"repro/internal/sim"
@@ -43,8 +44,8 @@ import (
 //     expiry, not violations.
 //
 // Invariant state for an exploratory entry expires on the protocol's own
-// entry lifetime so cache pruning on the protocol side cannot manufacture
-// false violations.
+// entry lifetime (diffusion.EntryTTL) so cache pruning on the protocol side
+// cannot manufacture false violations.
 type Checker struct {
 	kernel *sim.Kernel
 	net    *mac.Network
@@ -53,7 +54,6 @@ type Checker struct {
 
 	trees     TreeSource
 	interests int
-	entryTTL  time.Duration
 
 	violations []Violation
 	total      int
@@ -103,9 +103,8 @@ func (v Violation) String() string {
 }
 
 const (
-	maxViolations   = 64
-	auditPeriod     = 5 * time.Second
-	defaultEntryTTL = 75 * time.Second
+	maxViolations = 64
+	auditPeriod   = 5 * time.Second
 
 	// repairGrace is how long after a node's local repair its cycles stay
 	// excused: two audit periods, matching the persistence evidence the
@@ -160,17 +159,9 @@ func newChecker(kernel *sim.Kernel, net *mac.Network, field *topology.Field) *Ch
 	}
 }
 
-func (c *Checker) bind(trees TreeSource, interests int, entryTTL time.Duration) {
+func (c *Checker) bind(trees TreeSource, interests int) {
 	c.trees = trees
 	c.interests = interests
-	c.entryTTL = entryTTL
-}
-
-func (c *Checker) ttl() time.Duration {
-	if c.entryTTL > 0 {
-		return c.entryTTL
-	}
-	return defaultEntryTTL
 }
 
 func (c *Checker) violate(invariant, detail string) {
@@ -245,14 +236,14 @@ func (c *Checker) checkIncCostSend(ev trace.Event) {
 	if !k.selfOrigin {
 		rk := recvKey{ev.Node, ev.Interest, ev.ID}
 		if rm := c.recvMin[rk]; rm != nil && rm.first >= c.lastTopo &&
-			ev.At-rm.first <= c.ttl() && ev.C > rm.c && enforce {
+			ev.At-rm.first <= diffusion.EntryTTL && ev.C > rm.c && enforce {
 			c.violate("inccost-above-received",
 				fmt.Sprintf("node %d forwarded C=%d for entry %d, above received minimum %d",
 					ev.Node, ev.C, ev.ID, rm.c))
 		}
 	}
 	s := c.streams[k]
-	if s == nil || ev.At-s.first > c.ttl() || s.first < c.lastTopo {
+	if s == nil || ev.At-s.first > diffusion.EntryTTL || s.first < c.lastTopo {
 		c.streams[k] = &costState{c: ev.C, first: ev.At}
 		return
 	}
@@ -267,7 +258,7 @@ func (c *Checker) checkIncCostSend(ev trace.Event) {
 func (c *Checker) noteIncCostReceive(ev trace.Event) {
 	k := recvKey{ev.Node, ev.Interest, ev.ID}
 	rm := c.recvMin[k]
-	if rm == nil || ev.At-rm.first > c.ttl() || rm.first < c.lastTopo {
+	if rm == nil || ev.At-rm.first > diffusion.EntryTTL || rm.first < c.lastTopo {
 		c.recvMin[k] = &costState{c: ev.C, first: ev.At}
 		return
 	}
@@ -380,27 +371,27 @@ func (c *Checker) cycleActive(cycle []topology.NodeID) bool {
 func (c *Checker) pruneCostState() {
 	now := c.kernel.Now()
 	for k, s := range c.streams {
-		if now-s.first > c.ttl() {
+		if now-s.first > diffusion.EntryTTL {
 			delete(c.streams, k)
 		}
 	}
 	for k, s := range c.recvMin {
-		if now-s.first > c.ttl() {
+		if now-s.first > diffusion.EntryTTL {
 			delete(c.recvMin, k)
 		}
 	}
 	for k, at := range c.lastLink {
-		if now-at > c.ttl() {
+		if now-at > diffusion.EntryTTL {
 			delete(c.lastLink, k)
 		}
 	}
 	for k, at := range c.lastFresh {
-		if now-at > c.ttl() {
+		if now-at > diffusion.EntryTTL {
 			delete(c.lastFresh, k)
 		}
 	}
 	for k, at := range c.repairAt {
-		if now-at > c.ttl() {
+		if now-at > diffusion.EntryTTL {
 			delete(c.repairAt, k)
 		}
 	}

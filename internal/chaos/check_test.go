@@ -34,12 +34,12 @@ func checkerFixture(t *testing.T) (*sim.Kernel, *Checker) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	net, err := mac.New(kernel, field, energy.PaperModel(), mac.DefaultParams())
+	net, err := mac.New(kernel, field, energy.PaperModel(), mac.Params{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	c := newChecker(kernel, net, field)
-	c.bind(ringTrees{}, 1, 0)
+	c.bind(ringTrees{}, 1)
 	return kernel, c
 }
 
@@ -118,12 +118,12 @@ func TestCheckerExcusesOutOfRangeCycle(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	net, err := mac.New(kernel, field, energy.PaperModel(), mac.DefaultParams())
+	net, err := mac.New(kernel, field, energy.PaperModel(), mac.Params{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	c := newChecker(kernel, net, field)
-	c.bind(ringTrees{}, 1, 0)
+	c.bind(ringTrees{}, 1)
 
 	kernel.Schedule(4500*time.Millisecond, func() { staleRound(c, kernel.Now()) })
 	kernel.Schedule(5*time.Second, c.audit)

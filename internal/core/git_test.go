@@ -55,7 +55,7 @@ func TestGreedyAttachesAtClosestTreePoint(t *testing.T) {
 	}
 
 	kernel := sim.NewKernel(3)
-	net, err := mac.New(kernel, f, energy.PaperModel(), mac.DefaultParams())
+	net, err := mac.New(kernel, f, energy.PaperModel(), mac.Params{})
 	if err != nil {
 		t.Fatal(err)
 	}

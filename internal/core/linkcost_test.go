@@ -23,7 +23,7 @@ func TestDefaultLinkCostIsHops(t *testing.T) {
 		t.Fatal(err)
 	}
 	kernel := sim.NewKernel(1)
-	net, err := mac.New(kernel, f, energy.PaperModel(), mac.DefaultParams())
+	net, err := mac.New(kernel, f, energy.PaperModel(), mac.Params{})
 	if err != nil {
 		t.Fatal(err)
 	}

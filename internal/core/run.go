@@ -104,11 +104,10 @@ type Config struct {
 	// Scheme is the aggregation scheme under test.
 	Scheme Scheme
 
-	// Nodes is the field size (paper: 50..350). FieldSide and Range set
-	// the deployment square and radio range (paper: 200 m, 40 m).
+	// Nodes is the field size (paper: 50..350). FieldSide sets the
+	// deployment square (paper: 200 m); radios reach 40 m (radioRange).
 	Nodes     int
 	FieldSide float64
-	Range     float64
 
 	// Workload places sources and sinks.
 	Workload workload.Config
@@ -141,13 +140,13 @@ type Config struct {
 	Duration  time.Duration
 	DrainTail time.Duration
 
-	// Diffusion, MAC and Energy configure the substrates. Diffusion.Agg is
-	// the aggregation function (paper: perfect; §5.4 uses linear). The
+	// Diffusion and MAC configure the substrates; every radio runs the
+	// paper's energy model (energy.PaperModel). Diffusion.Agg is the
+	// aggregation function (paper: perfect; §5.4 uses linear). The
 	// idealized schemes have no repair layer, so Validate rejects
 	// Diffusion.Repair.Enabled on them.
 	Diffusion diffusion.Params
 	MAC       mac.Params
-	Energy    energy.Model
 
 	// Tracer, when non-nil, receives every protocol send and receive (see
 	// package trace). Tracing a full run is expensive; filter the recorder.
@@ -183,6 +182,9 @@ type Config struct {
 	BatteryJ float64
 }
 
+// radioRange is every node's unit-disk radio range in meters (paper: 40 m).
+const radioRange float64 = 40
+
 // DefaultConfig returns the paper's §5.1 methodology: a 200 m field, 40 m
 // radios, five corner sources, one corner sink, perfect aggregation, no
 // failures.
@@ -191,7 +193,6 @@ func DefaultConfig() Config {
 		Scheme:    SchemeGreedy,
 		Nodes:     150,
 		FieldSide: 200,
-		Range:     40,
 		Workload: workload.Config{
 			Sources:   5,
 			Sinks:     1,
@@ -200,8 +201,6 @@ func DefaultConfig() Config {
 		Duration:  160 * time.Second,
 		DrainTail: 3 * time.Second,
 		Diffusion: diffusion.DefaultParams(),
-		MAC:       mac.DefaultParams(),
-		Energy:    energy.PaperModel(),
 	}
 }
 
@@ -222,8 +221,8 @@ func (c Config) Validate() error {
 	switch {
 	case c.Nodes < 2:
 		return fmt.Errorf("core: need at least 2 nodes, got %d", c.Nodes)
-	case c.FieldSide <= 0 || c.Range <= 0:
-		return fmt.Errorf("core: non-positive field side %v or range %v", c.FieldSide, c.Range)
+	case c.FieldSide <= 0:
+		return fmt.Errorf("core: non-positive field side %v", c.FieldSide)
 	case c.Duration <= 0 || c.DrainTail < 0 || c.DrainTail >= c.Duration:
 		return fmt.Errorf("core: bad duration %v / drain %v", c.Duration, c.DrainTail)
 	case c.BatteryJ < 0:
@@ -257,13 +256,7 @@ func (c Config) Validate() error {
 	if err := c.Churn.Validate(); err != nil {
 		return err
 	}
-	if err := c.Diffusion.Validate(); err != nil {
-		return err
-	}
-	if err := c.MAC.Validate(); err != nil {
-		return err
-	}
-	return c.Energy.Validate()
+	return c.Diffusion.Validate()
 }
 
 // takesSnapshots reports whether the run has somewhere for protocol-state
@@ -422,14 +415,13 @@ type batteryWatch struct {
 	sched     *failure.Schedule
 	protected map[topology.NodeID]bool
 	nodes     int
-	idlePower float64
 	budgetJ   float64
 	life      *Lifetime
 }
 
 // Run implements sim.Runner.
 func (b *batteryWatch) Run() {
-	idleSpent := b.idlePower * b.kernel.Now().Seconds()
+	idleSpent := energy.PaperModel().IdlePower * b.kernel.Now().Seconds()
 	for i := 0; i < b.nodes; i++ {
 		id := topology.NodeID(i)
 		if b.protected[id] || !b.network.On(id) {
@@ -487,7 +479,7 @@ func buildRun(cfg Config) (*runState, error) {
 	)
 	for try := 0; ; try++ {
 		field, err = topology.Generate(topology.Config{
-			Area: area, Nodes: cfg.Nodes, Range: cfg.Range,
+			Area: area, Nodes: cfg.Nodes, Range: radioRange,
 		}, kernel.Rand())
 		if err != nil {
 			return nil, err
@@ -502,7 +494,7 @@ func buildRun(cfg Config) (*runState, error) {
 		}
 	}
 
-	network, err := mac.New(kernel, field, cfg.Energy, cfg.MAC)
+	network, err := mac.New(kernel, field, energy.PaperModel(), cfg.MAC)
 	if err != nil {
 		return nil, err
 	}
@@ -546,15 +538,15 @@ func buildRun(cfg Config) (*runState, error) {
 	)
 	switch cfg.Scheme {
 	case SchemeFlooding:
-		flood, err = idealized.NewFlooding(kernel, network, field, idealizedParams(cfg),
-			idealized.Roles{Sinks: assign.Sinks, Sources: assign.Sources}, observer)
+		flood, err = idealized.NewFlooding(kernel, network, field,
+			diffusion.Roles{Sinks: assign.Sinks, Sources: assign.Sources}, observer)
 		if err != nil {
 			return nil, err
 		}
 		startRun = flood.Start
 	case SchemeOmniscient:
-		mcast, err = idealized.NewMulticast(kernel, network, field, idealizedParams(cfg),
-			idealized.Roles{Sinks: assign.Sinks, Sources: assign.Sources}, observer)
+		mcast, err = idealized.NewMulticast(kernel, network, field,
+			diffusion.Roles{Sinks: assign.Sinks, Sources: assign.Sources}, observer)
 		if err != nil {
 			return nil, err
 		}
@@ -618,7 +610,6 @@ func buildRun(cfg Config) (*runState, error) {
 			Trees:     trees,
 			Wiper:     wiper,
 			Interests: len(assign.Sinks),
-			EntryTTL:  cfg.Diffusion.ExploratoryPeriod + cfg.Diffusion.ExploratoryPeriod/2,
 		})
 	}
 
@@ -666,7 +657,7 @@ func buildRun(cfg Config) (*runState, error) {
 		}
 		kernel.ScheduleRunner(time.Second, &batteryWatch{kernel: kernel, network: network,
 			sched: sched, protected: protected, nodes: field.Len(),
-			idlePower: cfg.Energy.IdlePower, budgetJ: cfg.BatteryJ, life: &st.life})
+			budgetJ: cfg.BatteryJ, life: &st.life})
 	}
 
 	startRun()
@@ -807,9 +798,7 @@ func (st *runState) finish() (Output, error) {
 }
 
 // tee adds s to the tracer t (a user-supplied recorder, the flight
-// recorder, the chaos invariant checker). It builds a trace.MultiSink only
-// when t is already set, so a lone recorder that keeps no snapshots (a
-// trace.Recorder) arms no snapshot ticks.
+// recorder, the chaos invariant checker).
 func tee(t diffusion.Tracer, s trace.Sink) diffusion.Tracer {
 	if t == nil {
 		return s
@@ -829,14 +818,4 @@ func runGuarded(kernel *sim.Kernel, d time.Duration, flight *trace.FlightRecorde
 		}
 	}()
 	kernel.Run(d)
-}
-
-// idealizedParams maps the diffusion workload parameters onto the
-// idealized schemes.
-func idealizedParams(cfg Config) idealized.Params {
-	return idealized.Params{
-		DataPeriod:     cfg.Diffusion.DataPeriod,
-		FloodJitterMax: cfg.Diffusion.FloodJitterMax,
-		CacheTTL:       cfg.Diffusion.DataCacheTTL,
-	}
 }

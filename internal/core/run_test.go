@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/agg"
 	"repro/internal/chaos"
+	"repro/internal/diffusion"
 	"repro/internal/failure"
 	"repro/internal/workload"
 )
@@ -31,14 +32,11 @@ func TestConfigValidate(t *testing.T) {
 		{"bad scheme", func(c *Config) { c.Scheme = 0 }},
 		{"one node", func(c *Config) { c.Nodes = 1 }},
 		{"zero field", func(c *Config) { c.FieldSide = 0 }},
-		{"zero range", func(c *Config) { c.Range = 0 }},
 		{"zero duration", func(c *Config) { c.Duration = 0 }},
 		{"drain exceeds duration", func(c *Config) { c.DrainTail = c.Duration }},
 		{"no sources", func(c *Config) { c.Workload.Sources = 0 }},
 		{"bad failure fraction", func(c *Config) { c.Failures = &failure.Config{Fraction: 2, Wave: time.Second} }},
-		{"bad diffusion", func(c *Config) { c.Diffusion.DataPeriod = 0 }},
-		{"bad mac", func(c *Config) { c.MAC.CWMin = 0 }},
-		{"bad energy", func(c *Config) { c.Energy.BitRate = 0 }},
+		{"bad diffusion", func(c *Config) { c.Diffusion.AggregationDelay = 0 }},
 	}
 	for _, m := range mutations {
 		t.Run(m.name, func(t *testing.T) {
@@ -218,7 +216,7 @@ func TestRunEndpointsProtectedFromFailure(t *testing.T) {
 	}
 	// At least half the ideal volume: activation may cost a few seconds,
 	// but protected sources cannot be killed mid-run.
-	ideal := int(float64(cfg.Workload.Sources) * (cfg.Duration - cfg.DrainTail).Seconds() / cfg.Diffusion.DataPeriod.Seconds())
+	ideal := int(float64(cfg.Workload.Sources) * (cfg.Duration - cfg.DrainTail).Seconds() / diffusion.DataPeriod.Seconds())
 	if out.Metrics.GeneratedEvents < ideal/2 {
 		t.Fatalf("generated %d events, want at least %d (protected sources must keep sensing)",
 			out.Metrics.GeneratedEvents, ideal/2)

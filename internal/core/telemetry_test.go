@@ -134,6 +134,10 @@ func TestSnapshotIntervalNeedsASink(t *testing.T) {
 		{"ndjson tracer", SchemeGreedy, 5 * time.Second, trace.NewNDJSON(io.Discard), "", true},
 		{"flight path alone", SchemeOpportunistic, 5 * time.Second, nil, flight, true},
 		{"recorder with flight path", SchemeGreedy, 5 * time.Second, trace.NewRecorder(64), flight, true},
+		{"two recorders", SchemeGreedy, 5 * time.Second,
+			trace.MultiSink(trace.NewRecorder(64), trace.NewRecorder(64)), "", false},
+		{"recorder and ndjson", SchemeGreedy, 5 * time.Second,
+			trace.MultiSink(trace.NewRecorder(64), trace.NewNDJSON(io.Discard)), "", true},
 		{"no interval", SchemeGreedy, 0, trace.NewRecorder(64), "", true},
 		{"no interval on flooding", SchemeFlooding, 0, nil, "", true},
 	}

@@ -308,7 +308,6 @@ func (n *node) repairPass() {
 		n.healingPass()
 		return
 	}
-	p := n.rt.params
 	now := n.now()
 	for i := range n.interests.sts {
 		iid := n.interests.ids[i]
@@ -322,16 +321,16 @@ func (n *node) repairPass() {
 			if !e.HasChosen || e.skeleton || e.Origin == n.id {
 				continue
 			}
-			if now-e.created > p.ExploratoryPeriod+p.ExploratoryPeriod/2 {
+			if now-e.created > EntryTTL {
 				continue // too stale even for repair; floods will rebuild
 			}
-			if now-e.chosenAt < p.RepairTimeout {
+			if now-e.chosenAt < repairTimeout {
 				continue // give the fresh choice time to deliver
 			}
 			// Repair keys on the *source* going silent, not on which
 			// upstream carries it: truncation legitimately reroutes a
 			// source's items through a sibling branch.
-			if last, ok := st.srcSeen.get(e.Origin); ok && now-last < p.RepairTimeout {
+			if last, ok := st.srcSeen.get(e.Origin); ok && now-last < repairTimeout {
 				continue
 			}
 			if e.excluded == nil {
@@ -355,17 +354,17 @@ func (n *node) repairPass() {
 // linger (harmlessly — every use site checks expiry) until this pass
 // compacts each table in one ordered sweep.
 func (n *node) prunePass() {
-	defer n.armKind(n.rt.params.DataCacheTTL/2, tkPrune)
+	defer n.armKind(DataCacheTTL/2, tkPrune)
 	p := n.rt.params
 	now := n.now()
-	cacheTTL := p.DataCacheTTL
+	cacheTTL := DataCacheTTL
 	if p.Repair.Enabled && n.isSink {
 		// Repair can legitimately replay old items — probe replies carry
 		// exploratory items up to 1.5 periods old, rebuffered data up to the
 		// retention bound. The sink's duplicate cache must outlive anything
 		// the layer can replay, or a late replay would double-count a
 		// delivery.
-		cacheTTL = 2 * p.ExploratoryPeriod
+		cacheTTL = 2 * exploratoryPeriod
 	}
 	for _, st := range n.interests.sts {
 		for k, at := range st.dataCache {
@@ -373,7 +372,7 @@ func (n *node) prunePass() {
 				delete(st.dataCache, k)
 			}
 		}
-		st.entries.compactCreatedSince(now - (p.ExploratoryPeriod + p.ExploratoryPeriod/2))
+		st.entries.compactCreatedSince(now - EntryTTL)
 		st.grads.compactExpired(now)
 		st.lastDataFrom.compactSince(now - 4*p.NegReinforceWindow)
 		st.srcSeen.compactSince(now - 4*p.NegReinforceWindow)

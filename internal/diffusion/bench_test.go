@@ -24,7 +24,7 @@ func benchRig(b *testing.B, pts []geom.Point, strat Strategy, roles Roles) (*sim
 		b.Fatal(err)
 	}
 	k := sim.NewKernel(1)
-	net, err := mac.New(k, f, energy.PaperModel(), mac.DefaultParams())
+	net, err := mac.New(k, f, energy.PaperModel(), mac.Params{})
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -79,7 +79,7 @@ func testNet(t *testing.T, seed int64, pts []geom.Point) (*sim.Kernel, *mac.Netw
 		t.Fatal(err)
 	}
 	k := sim.NewKernel(seed)
-	n, err := mac.New(k, f, energy.PaperModel(), mac.DefaultParams())
+	n, err := mac.New(k, f, energy.PaperModel(), mac.Params{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -118,17 +118,10 @@ func TestParamsValidate(t *testing.T) {
 		name string
 		f    func(*Params)
 	}{
-		{"zero interest period", func(p *Params) { p.InterestPeriod = 0 }},
-		{"zero exploratory period", func(p *Params) { p.ExploratoryPeriod = 0 }},
-		{"zero data period", func(p *Params) { p.DataPeriod = 0 }},
-		{"expl gradient timeout below interest period", func(p *Params) { p.ExploratoryGradientTimeout = p.InterestPeriod }},
-		{"data gradient timeout below exploratory period", func(p *Params) { p.DataGradientTimeout = p.ExploratoryPeriod }},
 		{"zero aggregation delay", func(p *Params) { p.AggregationDelay = 0 }},
 		{"window below aggregation delay", func(p *Params) { p.NegReinforceWindow = p.AggregationDelay - 1 }},
 		{"negative reinforce delay", func(p *Params) { p.ReinforceDelay = -1 }},
-		{"zero repair timeout", func(p *Params) { p.RepairTimeout = 0 }},
-		{"negative jitter", func(p *Params) { p.FloodJitterMax = -1 }},
-		{"cache TTL below window", func(p *Params) { p.DataCacheTTL = p.NegReinforceWindow }},
+		{"cache TTL below window", func(p *Params) { p.NegReinforceWindow = DataCacheTTL }},
 		{"nil aggregation", func(p *Params) { p.Agg = nil }},
 	}
 	for _, m := range mutations {

@@ -147,8 +147,7 @@ func TestNegCascadeRateLimit(t *testing.T) {
 
 func TestPrunePassEvictsStaleState(t *testing.T) {
 	k, net, f := testNet(t, 1, linePoints(3))
-	p := DefaultParams()
-	rt, err := New(k, net, f, p, firstCopyStrategy{}, Roles{
+	rt, err := New(k, net, f, DefaultParams(), firstCopyStrategy{}, Roles{
 		Sinks:   []topology.NodeID{2},
 		Sources: []topology.NodeID{0},
 	}, nil)
@@ -164,8 +163,8 @@ func TestPrunePassEvictsStaleState(t *testing.T) {
 	st.srcSeen.put(0, 0)
 
 	// Jump far past every TTL and run one prune pass.
-	k.Schedule(10*p.ExploratoryPeriod, func() { n.prunePass() })
-	k.Run(10 * p.ExploratoryPeriod)
+	k.Schedule(10*exploratoryPeriod, func() { n.prunePass() })
+	k.Run(10 * exploratoryPeriod)
 
 	if len(st.dataCache) != 0 || st.entries.size() != 0 ||
 		st.grads.size() != 0 || st.lastDataFrom.size() != 0 || st.srcSeen.size() != 0 {
@@ -259,7 +258,7 @@ func TestPropertyRandomWorkloads(t *testing.T) {
 			}
 		}
 		k := sim.NewKernel(seed)
-		net, err := mac.New(k, f, energy.PaperModel(), mac.DefaultParams())
+		net, err := mac.New(k, f, energy.PaperModel(), mac.Params{})
 		if err != nil {
 			t.Fatal(err)
 		}

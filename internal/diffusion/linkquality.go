@@ -44,9 +44,9 @@ func (lq *linkQuality) find(nbr topology.NodeID) (int, bool) {
 }
 
 // observe folds one unicast outcome into nbr's estimate with EWMA weight
-// alpha. The first sample initializes the estimate from the optimistic
+// linkAlpha. The first sample initializes the estimate from the optimistic
 // prior, so a single early failure does not condemn a fresh link.
-func (lq *linkQuality) observe(nbr topology.NodeID, acked bool, alpha float64, now time.Duration) {
+func (lq *linkQuality) observe(nbr topology.NodeID, acked bool, now time.Duration) {
 	i, ok := lq.find(nbr)
 	if !ok {
 		lq.es = append(lq.es, lqEntry{})
@@ -58,15 +58,16 @@ func (lq *linkQuality) observe(nbr topology.NodeID, acked bool, alpha float64, n
 	if acked {
 		sample = 1.0
 	}
-	e.q = (1-alpha)*e.q + alpha*sample
+	e.q = (1-linkAlpha)*e.q + linkAlpha*sample
 	e.at = now
 }
 
 // quality returns nbr's current estimate. Neighbors without an entry, and
-// entries whose newest sample is older than ttl, report the optimistic 1.
-func (lq *linkQuality) quality(nbr topology.NodeID, now, ttl time.Duration) float64 {
+// entries whose newest sample is older than qualityTTL, report the
+// optimistic 1.
+func (lq *linkQuality) quality(nbr topology.NodeID, now time.Duration) float64 {
 	i, ok := lq.find(nbr)
-	if !ok || now-lq.es[i].at > ttl {
+	if !ok || now-lq.es[i].at > qualityTTL {
 		return 1
 	}
 	return lq.es[i].q

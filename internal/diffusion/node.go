@@ -171,7 +171,7 @@ type node struct {
 func initNode(n *node, rt *Runtime, id topology.NodeID) {
 	n.rt = rt
 	n.id = id
-	n.procBias = rt.jitter(rt.params.FloodJitterMax / 2)
+	n.procBias = rt.jitter(FloodJitterMax / 2)
 }
 
 // floodDelay returns the forwarding delay for flood rebroadcasts: the
@@ -183,7 +183,7 @@ func initNode(n *node, rt *Runtime, id topology.NodeID) {
 // decorrelates them) — the density effect at the heart of the paper.
 func (n *node) floodDelay() time.Duration {
 	deg := len(n.rt.field.Neighbors(n.id))
-	contention := n.rt.params.FloodJitterMax / 2 * time.Duration(deg) / 16
+	contention := FloodJitterMax / 2 * time.Duration(deg) / 16
 	return n.procBias + n.rt.jitter(contention)
 }
 
@@ -238,7 +238,7 @@ func (n *node) floodInterest() {
 		}
 		n.broadcast(m)
 	}
-	n.armKind(n.rt.params.InterestPeriod, tkInterestFlood)
+	n.armKind(interestPeriod, tkInterestFlood)
 }
 
 // startHousekeeping runs periodic cache pruning, truncation, and repair.
@@ -248,7 +248,7 @@ func (n *node) startHousekeeping() {
 	// synchronize network-wide.
 	n.armKind(p.NegReinforceWindow+n.rt.jitter(p.NegReinforceWindow), tkTruncation)
 	n.armKind(time.Second+n.rt.jitter(time.Second), tkRepair)
-	n.armKind(p.DataCacheTTL, tkPrune)
+	n.armKind(DataCacheTTL, tkPrune)
 }
 
 // activateSource begins sensing for an interest: periodic events and
@@ -261,15 +261,15 @@ func (n *node) activateSource(iid msg.InterestID) {
 	st.activated = true
 	if !n.sourceStarted {
 		n.sourceStarted = true
-		n.armKind(n.rt.jitter(n.rt.params.DataPeriod), tkGenerate)
+		n.armKind(n.rt.jitter(DataPeriod), tkGenerate)
 	}
-	n.armRound(n.rt.jitter(n.rt.params.FloodJitterMax*4), tkExplorRound, iid)
+	n.armRound(n.rt.jitter(FloodJitterMax*4), tkExplorRound, iid)
 }
 
 // generateEvent produces the next sensed item and hands it to every
 // activated interest's data path.
 func (n *node) generateEvent() {
-	defer n.armKind(n.rt.params.DataPeriod, tkGenerate)
+	defer n.armKind(DataPeriod, tkGenerate)
 	if !n.on() {
 		return
 	}
@@ -297,7 +297,7 @@ func (n *node) generateEvent() {
 // exploratoryRound floods one exploratory event for interest iid and
 // re-arms itself.
 func (n *node) exploratoryRound(iid msg.InterestID) {
-	defer n.armRound(n.rt.params.ExploratoryPeriod, tkExplorRound, iid)
+	defer n.armRound(exploratoryPeriod, tkExplorRound, iid)
 	if !n.on() {
 		return
 	}
@@ -383,7 +383,6 @@ func (n *node) onInterest(from topology.NodeID, m msg.Message) {
 // setGradient installs or refreshes a gradient toward nbr. An existing data
 // gradient is never downgraded by an interest flood; its expiry is extended.
 func (n *node) setGradient(st *interestState, nbr topology.NodeID, kind gradKind) {
-	p := n.rt.params
 	g, existed := st.grads.getOrInsert(nbr)
 	if existed {
 		n.rt.count.GradientHits++
@@ -393,15 +392,15 @@ func (n *node) setGradient(st *interestState, nbr topology.NodeID, kind gradKind
 	switch {
 	case kind == gradData:
 		g.kind = gradData
-		g.expires = n.now() + p.DataGradientTimeout
+		g.expires = n.now() + dataGradientTimeout
 	case existed && g.kind == gradData:
 		// Keep the stronger gradient; refresh its life only modestly.
-		if e := n.now() + p.ExploratoryGradientTimeout; e > g.expires {
+		if e := n.now() + exploratoryGradientTimeout; e > g.expires {
 			g.expires = e
 		}
 	default:
 		g.kind = gradExploratory
-		g.expires = n.now() + p.ExploratoryGradientTimeout
+		g.expires = n.now() + exploratoryGradientTimeout
 	}
 }
 
@@ -413,7 +412,7 @@ func (n *node) degradeGradient(st *interestState, nbr topology.NodeID) bool {
 		return false
 	}
 	g.kind = gradExploratory
-	g.expires = n.now() + n.rt.params.ExploratoryGradientTimeout
+	g.expires = n.now() + exploratoryGradientTimeout
 	return true
 }
 

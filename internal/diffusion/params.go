@@ -17,23 +17,82 @@ import (
 	"repro/internal/agg"
 )
 
-// Params holds the protocol timing and aggregation configuration. The zero
-// value is not valid; start from DefaultParams.
-type Params struct {
-	// InterestPeriod is how often each sink re-floods its interest
+// The protocol's fixed timing: the paper's §5.1 methodology, with the OCR
+// reconstruction documented in DESIGN.md §2. No figure varies these; the
+// settings the figures sweep are the Params fields.
+const (
+	// interestPeriod is how often each sink re-floods its interest
 	// (paper: 5 s).
-	InterestPeriod time.Duration
-	// ExploratoryGradientTimeout expires exploratory gradients; it must
-	// exceed InterestPeriod so the periodic floods keep them alive.
-	ExploratoryGradientTimeout time.Duration
-	// DataGradientTimeout expires data gradients; it must exceed
-	// ExploratoryPeriod so per-round re-reinforcement keeps live paths up.
-	DataGradientTimeout time.Duration
-	// ExploratoryPeriod is how often each source emits an exploratory event
+	interestPeriod = 5 * time.Second
+	// exploratoryGradientTimeout expires exploratory gradients; it exceeds
+	// interestPeriod so the periodic floods keep them alive.
+	exploratoryGradientTimeout = 15 * time.Second
+	// dataGradientTimeout expires data gradients; it exceeds
+	// exploratoryPeriod so per-round re-reinforcement keeps live paths up.
+	dataGradientTimeout = 60 * time.Second
+	// exploratoryPeriod is how often each source emits an exploratory event
 	// (paper: one per 50 s).
-	ExploratoryPeriod time.Duration
+	exploratoryPeriod = 50 * time.Second
+	// EntryTTL is the exploratory-entry lifetime, 1.5 exploratory periods:
+	// repair ignores older entries, pruning drops them, and the chaos
+	// invariant checker expires its per-entry state on the same horizon.
+	EntryTTL = exploratoryPeriod + exploratoryPeriod/2
 	// DataPeriod is the interval between generated events (paper: 2/s).
-	DataPeriod time.Duration
+	DataPeriod = 500 * time.Millisecond
+	// repairTimeout is how long an on-tree node tolerates data silence
+	// before locally re-reinforcing an alternate upstream neighbor.
+	repairTimeout = 2 * time.Second
+	// FloodJitterMax is the maximum random delay before rebroadcasting an
+	// interest or exploratory event, decorrelating flood storms.
+	FloodJitterMax = 50 * time.Millisecond
+	// DataCacheTTL bounds how long item keys stay in the duplicate-
+	// suppression cache.
+	DataCacheTTL = 20 * time.Second
+)
+
+// The self-healing layer's fixed tuning (repair.go, linkquality.go).
+const (
+	// silenceFactor scales the data-silence watchdog: a reinforced entry
+	// whose source has been quiet for silenceThreshold is declared broken
+	// and locally repaired.
+	silenceFactor    = 4
+	silenceThreshold = silenceFactor * DataPeriod
+
+	// ctrlRetryBase, ctrlRetryMax, and ctrlRetryLimit shape the capped
+	// exponential backoff for retransmitting reinforcement and
+	// incremental-cost messages whose MAC-level delivery failed: retry k
+	// waits min(base·2^(k-1), max), up to limit retries.
+	ctrlRetryBase  = 50 * time.Millisecond
+	ctrlRetryMax   = 400 * time.Millisecond
+	ctrlRetryLimit = 3
+
+	// linkAlpha is the EWMA weight of the newest unicast outcome in the
+	// per-neighbor link-quality estimate; minLinkQuality is the healthy
+	// threshold below which a neighbor is sidelined (excluded from repair
+	// choices, skipped by the data path when a healthier gradient exists).
+	linkAlpha      float64 = 0.4
+	minLinkQuality float64 = 0.25
+
+	// qualityTTL is the probation horizon: an estimate with no fresh
+	// samples for this long is forgiven (treated as healthy again), so a
+	// link that failed during a transient outage is re-tried instead of
+	// being blacklisted forever.
+	qualityTTL = 10 * time.Second
+
+	// probeCooldown rate-limits scoped re-exploration: at most one repair
+	// probe per entry per cooldown.
+	probeCooldown = 2 * time.Second
+
+	// dataRetention bounds how long a node re-buffers data whose unicast
+	// was abandoned by the MAC; items older than this die instead of being
+	// retried.
+	dataRetention = 30 * time.Second
+)
+
+// Params holds the protocol settings the figures vary: the timers Ta, Tn
+// and Tp, the aggregation function, and the repair layer's switch. The
+// zero value is not valid; start from DefaultParams.
+type Params struct {
 	// AggregationDelay is Ta, how long an aggregation point holds data
 	// before flushing (paper: 0.5 s).
 	AggregationDelay time.Duration
@@ -43,15 +102,6 @@ type Params struct {
 	// ReinforceDelay is Tp, the sink's reinforcement timer in the greedy
 	// scheme (paper: 1 s). The opportunistic strategy ignores it.
 	ReinforceDelay time.Duration
-	// RepairTimeout is how long an on-tree node tolerates data silence
-	// before locally re-reinforcing an alternate upstream neighbor.
-	RepairTimeout time.Duration
-	// FloodJitterMax is the maximum random delay before rebroadcasting an
-	// interest or exploratory event, decorrelating flood storms.
-	FloodJitterMax time.Duration
-	// DataCacheTTL bounds how long item keys stay in the duplicate-
-	// suppression cache.
-	DataCacheTTL time.Duration
 	// Agg is the aggregation function sizing outgoing aggregates.
 	Agg agg.Func
 
@@ -62,143 +112,49 @@ type Params struct {
 	Repair RepairParams
 }
 
-// RepairParams configures the self-healing resilience layer: link-quality
+// RepairParams switches the self-healing resilience layer: link-quality
 // estimation from unicast ACK outcomes, adaptive control retransmission,
 // the data-silence watchdog with localized path repair, and graceful
 // degradation of the data path while repair is in flight. Everything is
-// deterministic — no field introduces randomness — so enabling repair keeps
-// the (seed, config) reproducibility contract.
+// deterministic — the layer introduces no randomness — so enabling repair
+// keeps the (seed, config) reproducibility contract.
 type RepairParams struct {
-	// Enabled turns the layer on. All other fields are ignored when false.
+	// Enabled turns the layer on.
 	Enabled bool
-
-	// SilenceFactor scales the data-silence watchdog: a reinforced entry
-	// whose source has been quiet for SilenceFactor × DataPeriod is declared
-	// broken and locally repaired.
-	SilenceFactor int
-
-	// CtrlRetryBase, CtrlRetryMax, and CtrlRetryLimit shape the capped
-	// exponential backoff for retransmitting reinforcement and
-	// incremental-cost messages whose MAC-level delivery failed: retry k
-	// waits min(Base·2^(k-1), Max), up to Limit retries.
-	CtrlRetryBase  time.Duration
-	CtrlRetryMax   time.Duration
-	CtrlRetryLimit int
-
-	// LinkAlpha is the EWMA weight of the newest unicast outcome in the
-	// per-neighbor link-quality estimate; MinLinkQuality is the healthy
-	// threshold below which a neighbor is sidelined (excluded from repair
-	// choices, skipped by the data path when a healthier gradient exists).
-	LinkAlpha      float64
-	MinLinkQuality float64
-
-	// QualityTTL is the probation horizon: an estimate with no fresh
-	// samples for this long is forgiven (treated as healthy again), so a
-	// link that failed during a transient outage is re-tried instead of
-	// being blacklisted forever.
-	QualityTTL time.Duration
-
-	// ProbeCooldown rate-limits scoped re-exploration: at most one repair
-	// probe per entry per cooldown.
-	ProbeCooldown time.Duration
-
-	// DataRetention bounds how long a node re-buffers data whose unicast
-	// was abandoned by the MAC; items older than this die instead of being
-	// retried. Zero disables data re-buffering.
-	DataRetention time.Duration
 }
 
-// DefaultRepairParams returns the self-healing layer's tuning with the layer
-// enabled; assign it to Params.Repair to opt in.
+// DefaultRepairParams returns the self-healing layer enabled; assign it to
+// Params.Repair to opt in.
 func DefaultRepairParams() RepairParams {
-	return RepairParams{
-		Enabled:        true,
-		SilenceFactor:  4,
-		CtrlRetryBase:  50 * time.Millisecond,
-		CtrlRetryMax:   400 * time.Millisecond,
-		CtrlRetryLimit: 3,
-		LinkAlpha:      0.4,
-		MinLinkQuality: 0.25,
-		QualityTTL:     10 * time.Second,
-		ProbeCooldown:  2 * time.Second,
-		DataRetention:  30 * time.Second,
-	}
+	return RepairParams{Enabled: true}
 }
 
-// Validate reports the first problem with the repair parameters, if any.
-// A disabled configuration is always valid.
-func (r RepairParams) Validate() error {
-	if !r.Enabled {
-		return nil
-	}
-	switch {
-	case r.SilenceFactor < 1:
-		return fmt.Errorf("diffusion: repair silence factor %d < 1", r.SilenceFactor)
-	case r.CtrlRetryBase <= 0 || r.CtrlRetryMax < r.CtrlRetryBase:
-		return fmt.Errorf("diffusion: bad repair retry backoff [%v, %v]",
-			r.CtrlRetryBase, r.CtrlRetryMax)
-	case r.CtrlRetryLimit < 0:
-		return fmt.Errorf("diffusion: negative repair retry limit %d", r.CtrlRetryLimit)
-	case r.LinkAlpha <= 0 || r.LinkAlpha > 1:
-		return fmt.Errorf("diffusion: repair link alpha %v outside (0, 1]", r.LinkAlpha)
-	case r.MinLinkQuality < 0 || r.MinLinkQuality >= 1:
-		return fmt.Errorf("diffusion: repair quality threshold %v outside [0, 1)", r.MinLinkQuality)
-	case r.QualityTTL <= 0:
-		return fmt.Errorf("diffusion: non-positive repair quality TTL %v", r.QualityTTL)
-	case r.ProbeCooldown <= 0:
-		return fmt.Errorf("diffusion: non-positive repair probe cooldown %v", r.ProbeCooldown)
-	case r.DataRetention < 0:
-		return fmt.Errorf("diffusion: negative repair data retention %v", r.DataRetention)
-	default:
-		return nil
-	}
-}
-
-// DefaultParams returns the paper's §5.1 methodology values (with the OCR
-// reconstruction documented in DESIGN.md).
+// DefaultParams returns the paper's §5.1 values for the varied settings.
 func DefaultParams() Params {
 	return Params{
-		InterestPeriod:             5 * time.Second,
-		ExploratoryGradientTimeout: 15 * time.Second,
-		DataGradientTimeout:        60 * time.Second,
-		ExploratoryPeriod:          50 * time.Second,
-		DataPeriod:                 500 * time.Millisecond,
-		AggregationDelay:           500 * time.Millisecond,
-		NegReinforceWindow:         2 * time.Second,
-		ReinforceDelay:             time.Second,
-		RepairTimeout:              2 * time.Second,
-		FloodJitterMax:             50 * time.Millisecond,
-		DataCacheTTL:               20 * time.Second,
-		Agg:                        agg.Perfect{},
+		AggregationDelay:   500 * time.Millisecond,
+		NegReinforceWindow: 2 * time.Second,
+		ReinforceDelay:     time.Second,
+		Agg:                agg.Perfect{},
 	}
 }
 
 // Validate reports the first problem with the parameters, if any.
 func (p Params) Validate() error {
 	switch {
-	case p.InterestPeriod <= 0 || p.ExploratoryPeriod <= 0 || p.DataPeriod <= 0:
-		return fmt.Errorf("diffusion: non-positive period in %+v", p)
-	case p.ExploratoryGradientTimeout <= p.InterestPeriod:
-		return fmt.Errorf("diffusion: exploratory gradient timeout %v must exceed interest period %v",
-			p.ExploratoryGradientTimeout, p.InterestPeriod)
-	case p.DataGradientTimeout <= p.ExploratoryPeriod:
-		return fmt.Errorf("diffusion: data gradient timeout %v must exceed exploratory period %v",
-			p.DataGradientTimeout, p.ExploratoryPeriod)
 	case p.AggregationDelay <= 0:
 		return fmt.Errorf("diffusion: non-positive aggregation delay %v", p.AggregationDelay)
 	case p.NegReinforceWindow < p.AggregationDelay:
 		return fmt.Errorf("diffusion: truncation window %v below aggregation delay %v",
 			p.NegReinforceWindow, p.AggregationDelay)
-	case p.ReinforceDelay < 0 || p.RepairTimeout <= 0:
-		return fmt.Errorf("diffusion: bad reinforce/repair timing in %+v", p)
-	case p.FloodJitterMax < 0:
-		return fmt.Errorf("diffusion: negative flood jitter %v", p.FloodJitterMax)
-	case p.DataCacheTTL <= p.NegReinforceWindow:
+	case p.ReinforceDelay < 0:
+		return fmt.Errorf("diffusion: negative reinforce delay %v", p.ReinforceDelay)
+	case DataCacheTTL <= p.NegReinforceWindow:
 		return fmt.Errorf("diffusion: data cache TTL %v must exceed truncation window %v",
-			p.DataCacheTTL, p.NegReinforceWindow)
+			DataCacheTTL, p.NegReinforceWindow)
 	case p.Agg == nil:
 		return fmt.Errorf("diffusion: nil aggregation function")
 	default:
-		return p.Repair.Validate()
+		return nil
 	}
 }

@@ -76,7 +76,7 @@ func (rt *Runtime) unicastOutcome(from, to topology.NodeID, f mac.Frame, acked b
 		return
 	}
 	n := &rt.nodes[from]
-	n.lq.observe(to, acked, rt.params.Repair.LinkAlpha, rt.kernel.Now())
+	n.lq.observe(to, acked, rt.kernel.Now())
 	if acked {
 		n.clearCtrlRetry(to, m.Kind, m.Interest, m.ID)
 		return
@@ -108,9 +108,8 @@ func (n *node) clearCtrlRetry(to topology.NodeID, kind msg.Kind, iid msg.Interes
 }
 
 // scheduleCtrlRetry arms the next retransmission of a failed control
-// message with capped exponential backoff, up to the configured budget.
+// message with capped exponential backoff, up to ctrlRetryLimit retries.
 func (n *node) scheduleCtrlRetry(to topology.NodeID, m msg.Message) {
-	rp := &n.rt.params.Repair
 	i := n.findCtrlRetry(to, m.Kind, m.Interest, m.ID)
 	if i < 0 {
 		n.retries = append(n.retries, ctrlRetry{to: to, kind: m.Kind, iid: m.Interest, id: m.ID})
@@ -119,14 +118,10 @@ func (n *node) scheduleCtrlRetry(to topology.NodeID, m msg.Message) {
 	r := &n.retries[i]
 	r.attempts++
 	r.at = n.now()
-	if r.attempts > rp.CtrlRetryLimit {
+	if r.attempts > ctrlRetryLimit {
 		return // budget exhausted; the periodic protocol machinery takes over
 	}
-	backoff := rp.CtrlRetryBase << (r.attempts - 1)
-	if backoff > rp.CtrlRetryMax {
-		backoff = rp.CtrlRetryMax
-	}
-	n.armCtrl(backoff, to, m)
+	n.armCtrl(min(ctrlRetryBase<<(r.attempts-1), ctrlRetryMax), to, m)
 }
 
 // ctrlRetryFire re-sends a control message if — and only if — the decision
@@ -181,18 +176,10 @@ func (n *node) ctrlRetryFire(to topology.NodeID, m msg.Message) {
 
 // --- data-silence watchdog ---------------------------------------------------
 
-// silenceThreshold is how long a reinforced entry's source may stay quiet
-// before the watchdog declares the path broken.
-func (n *node) silenceThreshold() time.Duration {
-	return time.Duration(n.rt.params.Repair.SilenceFactor) * n.rt.params.DataPeriod
-}
-
 // healingPass is the repair-enabled replacement for repairPass's scan: the
 // same on-tree walk, but with link-quality-aware candidate selection, probe
 // fallback, and a degradation window on the interest while repair runs.
 func (n *node) healingPass() {
-	p := n.rt.params
-	silence := n.silenceThreshold()
 	now := n.now()
 	for i := range n.interests.sts {
 		iid := n.interests.ids[i]
@@ -206,26 +193,26 @@ func (n *node) healingPass() {
 			if e.skeleton || e.Origin == n.id {
 				continue
 			}
-			if now-e.created > p.ExploratoryPeriod+p.ExploratoryPeriod/2 {
+			if now-e.created > EntryTTL {
 				continue // too stale even for repair; floods will rebuild
 			}
 			if e.repairing && !e.HasChosen {
 				// A previous repair found no usable candidate; retry with
 				// whatever the probe replies brought in.
-				st.repairingUntil = now + silence
+				st.repairingUntil = now + silenceThreshold
 				n.tryRepairReinforce(st, e)
 				continue
 			}
-			if !e.HasChosen || now-e.chosenAt < silence {
+			if !e.HasChosen || now-e.chosenAt < silenceThreshold {
 				continue
 			}
 			// Repair keys on the *source* going silent, not on which upstream
 			// carries it: truncation legitimately reroutes a source's items
 			// through a sibling branch.
-			if last, ok := st.srcSeen.get(e.Origin); ok && now-last < silence {
+			if last, ok := st.srcSeen.get(e.Origin); ok && now-last < silenceThreshold {
 				continue
 			}
-			n.repairEntry(st, e, silence)
+			n.repairEntry(st, e)
 		}
 	}
 }
@@ -233,8 +220,7 @@ func (n *node) healingPass() {
 // repairEntry performs one localized repair: give up on the silent chosen
 // upstream, sideline link-quality suspects, and re-reinforce the next-best
 // cached gradient copy — probing for fresh candidates when none remains.
-func (n *node) repairEntry(st *interestState, e *entryState, silence time.Duration) {
-	rp := &n.rt.params.Repair
+func (n *node) repairEntry(st *interestState, e *entryState) {
 	now := n.now()
 	n.rt.repair.WatchdogFires++
 	n.rt.traceRepair(n.id, e.Chosen, st.id, e.ID, e.Origin)
@@ -251,7 +237,7 @@ func (n *node) repairEntry(st *interestState, e *entryState, silence time.Durati
 		if e.excluded[nbr] {
 			continue
 		}
-		if n.lq.quality(nbr, now, rp.QualityTTL) < rp.MinLinkQuality {
+		if n.lq.quality(nbr, now) < minLinkQuality {
 			e.excluded[nbr] = true
 			added = append(added, nbr)
 		}
@@ -264,7 +250,7 @@ func (n *node) repairEntry(st *interestState, e *entryState, silence time.Durati
 	}
 	e.HasChosen = false
 	e.repairing = true
-	st.repairingUntil = now + silence
+	st.repairingUntil = now + silenceThreshold
 	n.tryRepairReinforce(st, e)
 }
 
@@ -277,7 +263,7 @@ func (n *node) tryRepairReinforce(st *interestState, e *entryState) {
 		n.rt.repair.Reinforces++
 		return
 	}
-	if e.probedAt != 0 && n.now()-e.probedAt >= n.rt.params.Repair.ProbeCooldown &&
+	if e.probedAt != 0 && n.now()-e.probedAt >= probeCooldown &&
 		!e.HasAlternative(e.excluded) {
 		// The probe had its window and brought nothing usable; restart the
 		// rotation so even the original choice (perhaps rebooted by now) can
@@ -290,11 +276,10 @@ func (n *node) tryRepairReinforce(st *interestState, e *entryState) {
 // probeEntry broadcasts a scoped re-exploration request for one entry:
 // neighbors holding a live exploratory copy answer with a unicast refresh,
 // repopulating the candidate set without waiting for the next network-wide
-// exploratory flood (up to ExploratoryPeriod away).
+// exploratory flood (up to exploratoryPeriod away).
 func (n *node) probeEntry(st *interestState, e *entryState) {
-	rp := &n.rt.params.Repair
 	now := n.now()
-	if e.probedAt != 0 && now-e.probedAt < rp.ProbeCooldown {
+	if e.probedAt != 0 && now-e.probedAt < probeCooldown {
 		return
 	}
 	e.probedAt = now
@@ -344,7 +329,6 @@ func (n *node) onRepairProbe(from topology.NodeID, m msg.Message) {
 // flight fall back to one opportunistic broadcast instead of dropping the
 // aggregate on the floor.
 func (n *node) sendDataHealing(st *interestState, grads []topology.NodeID, items []msg.Item, w int) {
-	rp := &n.rt.params.Repair
 	now := n.now()
 	out := msg.Message{
 		Kind:     msg.KindData,
@@ -356,7 +340,7 @@ func (n *node) sendDataHealing(st *interestState, grads []topology.NodeID, items
 	}
 	healthy := n.rt.sc.healthy[:0]
 	for _, nbr := range grads {
-		if n.lq.quality(nbr, now, rp.QualityTTL) >= rp.MinLinkQuality {
+		if n.lq.quality(nbr, now) >= minLinkQuality {
 			healthy = append(healthy, nbr)
 		}
 	}
@@ -386,14 +370,10 @@ func (n *node) sendDataHealing(st *interestState, grads []topology.NodeID, items
 // link fails in milliseconds, so an immediate retry would just spin — and
 // items older than the retention bound are dropped at requeue time.
 func (n *node) rebufferData(m msg.Message) {
-	rp := &n.rt.params.Repair
-	if rp.DataRetention <= 0 {
-		return
-	}
 	now := n.now()
 	young := false
 	for _, it := range m.Items {
-		if now-time.Duration(it.GenTime) < rp.DataRetention {
+		if now-time.Duration(it.GenTime) < dataRetention {
 			young = true
 			break
 		}
@@ -402,7 +382,7 @@ func (n *node) rebufferData(m msg.Message) {
 		return
 	}
 	n.rt.repair.DataRebuffers++
-	n.armMsg(n.rt.params.DataPeriod, tkDataRetry, nil, m)
+	n.armMsg(DataPeriod, tkDataRetry, nil, m)
 }
 
 // dataRetryFire re-injects the still-young items of a rebuffered aggregate
@@ -413,11 +393,10 @@ func (n *node) dataRetryFire(m msg.Message) {
 	if st == nil {
 		return
 	}
-	rp := &n.rt.params.Repair
 	now := n.now()
 	keep := make([]msg.Item, 0, len(m.Items))
 	for _, it := range m.Items {
-		if now-time.Duration(it.GenTime) < rp.DataRetention {
+		if now-time.Duration(it.GenTime) < dataRetention {
 			keep = append(keep, it)
 		}
 	}
@@ -430,15 +409,14 @@ func (n *node) dataRetryFire(m msg.Message) {
 // pruneRepairState is the layer's share of prunePass: expire retransmission
 // records and stale link-quality entries.
 func (n *node) pruneRepairState(now time.Duration) {
-	p := n.rt.params
 	kept := n.retries[:0]
 	for _, r := range n.retries {
-		if now-r.at <= p.DataCacheTTL {
+		if now-r.at <= DataCacheTTL {
 			kept = append(kept, r)
 		}
 	}
 	n.retries = kept
-	n.lq.prune(now, 4*p.Repair.QualityTTL)
+	n.lq.prune(now, 4*qualityTTL)
 }
 
 // traceRepair records an OpRepair event: node gave up on upstream peer for

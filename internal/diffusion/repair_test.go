@@ -7,49 +7,47 @@ import (
 
 func TestLinkQualityEWMA(t *testing.T) {
 	var lq linkQuality
-	const alpha = 0.4
-	ttl := 10 * time.Second
 
 	// Unknown neighbors read as healthy: repair must not blacklist links it
 	// has never sampled.
-	if q := lq.quality(5, 0, ttl); q != 1 {
+	if q := lq.quality(5, 0); q != 1 {
 		t.Fatalf("unknown link quality = %v, want 1", q)
 	}
 
 	// First failure moves off the optimistic prior: 0.6*1 + 0.4*0 = 0.6.
-	lq.observe(5, false, alpha, time.Second)
-	if q := lq.quality(5, time.Second, ttl); q != 0.6 {
+	lq.observe(5, false, time.Second)
+	if q := lq.quality(5, time.Second); q != 0.6 {
 		t.Fatalf("after one nack q = %v, want 0.6", q)
 	}
 	// Second failure: 0.6*0.6 = 0.36.
-	lq.observe(5, false, alpha, 2*time.Second)
-	if q := lq.quality(5, 2*time.Second, ttl); q < 0.359 || q > 0.361 {
+	lq.observe(5, false, 2*time.Second)
+	if q := lq.quality(5, 2*time.Second); q < 0.359 || q > 0.361 {
 		t.Fatalf("after two nacks q = %v, want 0.36", q)
 	}
 	// An ack pulls it back up: 0.6*0.36 + 0.4 = 0.616.
-	lq.observe(5, true, alpha, 3*time.Second)
-	if q := lq.quality(5, 3*time.Second, ttl); q < 0.615 || q > 0.617 {
+	lq.observe(5, true, 3*time.Second)
+	if q := lq.quality(5, 3*time.Second); q < 0.615 || q > 0.617 {
 		t.Fatalf("after ack q = %v, want 0.616", q)
 	}
 
 	// Estimates stay ordered and independent across neighbors.
-	lq.observe(2, false, alpha, 3*time.Second)
-	lq.observe(9, true, alpha, 3*time.Second)
-	if q := lq.quality(2, 3*time.Second, ttl); q != 0.6 {
+	lq.observe(2, false, 3*time.Second)
+	lq.observe(9, true, 3*time.Second)
+	if q := lq.quality(2, 3*time.Second); q != 0.6 {
 		t.Fatalf("neighbor 2 q = %v, want 0.6", q)
 	}
-	if q := lq.quality(9, 3*time.Second, ttl); q != 1 {
+	if q := lq.quality(9, 3*time.Second); q != 1 {
 		t.Fatalf("neighbor 9 q = %v, want 1", q)
 	}
 
 	// Probation: a stale estimate reads healthy again so dead links get
 	// re-probed instead of being excluded forever.
-	if q := lq.quality(2, 3*time.Second+ttl+time.Nanosecond, ttl); q != 1 {
+	if q := lq.quality(2, 3*time.Second+qualityTTL+time.Nanosecond); q != 1 {
 		t.Fatalf("stale estimate q = %v, want 1 (probation)", q)
 	}
 
 	// prune drops entries older than the horizon; reset clears everything.
-	lq.observe(2, false, alpha, 20*time.Second)
+	lq.observe(2, false, 20*time.Second)
 	lq.prune(22*time.Second, 5*time.Second) // keeps only the 20 s sample
 	if len(lq.es) != 1 || lq.es[0].nbr != 2 {
 		t.Fatalf("prune kept %v, want only neighbor 2", lq.es)
@@ -57,50 +55,5 @@ func TestLinkQualityEWMA(t *testing.T) {
 	lq.reset()
 	if len(lq.es) != 0 {
 		t.Fatalf("reset left %v", lq.es)
-	}
-}
-
-func TestRepairParamsValidate(t *testing.T) {
-	if err := (RepairParams{}).Validate(); err != nil {
-		t.Fatalf("disabled zero value rejected: %v", err)
-	}
-	if err := DefaultRepairParams().Validate(); err != nil {
-		t.Fatalf("defaults rejected: %v", err)
-	}
-	base := DefaultRepairParams()
-	for name, mut := range map[string]func(*RepairParams){
-		"silence factor below 1": func(p *RepairParams) { p.SilenceFactor = 0 },
-		"zero retry base":        func(p *RepairParams) { p.CtrlRetryBase = 0 },
-		"max below base":         func(p *RepairParams) { p.CtrlRetryMax = p.CtrlRetryBase / 2 },
-		"negative retry limit":   func(p *RepairParams) { p.CtrlRetryLimit = -1 },
-		"alpha zero":             func(p *RepairParams) { p.LinkAlpha = 0 },
-		"alpha above 1":          func(p *RepairParams) { p.LinkAlpha = 1.5 },
-		"negative min quality":   func(p *RepairParams) { p.MinLinkQuality = -0.1 },
-		"min quality at 1":       func(p *RepairParams) { p.MinLinkQuality = 1 },
-		"zero quality ttl":       func(p *RepairParams) { p.QualityTTL = 0 },
-		"zero probe cooldown":    func(p *RepairParams) { p.ProbeCooldown = 0 },
-		"negative retention":     func(p *RepairParams) { p.DataRetention = -time.Second },
-	} {
-		p := base
-		mut(&p)
-		if err := p.Validate(); err == nil {
-			t.Errorf("%s: accepted", name)
-		}
-	}
-	// A disabled config is never validated field-by-field.
-	p := base
-	p.Enabled = false
-	p.LinkAlpha = -5
-	if err := p.Validate(); err != nil {
-		t.Fatalf("disabled config rejected: %v", err)
-	}
-}
-
-func TestParamsValidateIncludesRepair(t *testing.T) {
-	p := DefaultParams()
-	p.Repair = DefaultRepairParams()
-	p.Repair.LinkAlpha = -1
-	if err := p.Validate(); err == nil {
-		t.Fatal("Params.Validate ignored a bad repair config")
 	}
 }

@@ -222,9 +222,6 @@ func New(kernel *sim.Kernel, net *mac.Network, field *topology.Field, params Par
 // Strategy returns the scheme in use.
 func (rt *Runtime) Strategy() Strategy { return rt.strategy }
 
-// Params returns the runtime's protocol parameters.
-func (rt *Runtime) Params() Params { return rt.params }
-
 // Node returns the protocol state handle for tests and inspection tools.
 func (rt *Runtime) Node(id topology.NodeID) *node { return &rt.nodes[id] }
 

@@ -23,7 +23,7 @@ func testNet(t *testing.T, n int) (*sim.Kernel, *mac.Network) {
 		t.Fatal(err)
 	}
 	k := sim.NewKernel(1)
-	net, err := mac.New(k, f, energy.PaperModel(), mac.DefaultParams())
+	net, err := mac.New(k, f, energy.PaperModel(), mac.Params{})
 	if err != nil {
 		t.Fatal(err)
 	}

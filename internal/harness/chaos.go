@@ -38,11 +38,7 @@ var ChaosScenarios = []struct {
 		cfg.Chaos = &chaos.Config{Loss: chaos.LossConfig{Drop: 0.10}, CheckInvariants: true}
 	}},
 	{"burst", func(cfg *core.Config) {
-		bc := chaos.DefaultBurstConfig()
-		cfg.Chaos = &chaos.Config{
-			Loss:            chaos.LossConfig{Burst: &bc},
-			CheckInvariants: true,
-		}
+		cfg.Chaos = &chaos.Config{Loss: chaos.LossConfig{Burst: true}, CheckInvariants: true}
 	}},
 	{"asym", func(cfg *core.Config) {
 		cfg.Chaos = &chaos.Config{

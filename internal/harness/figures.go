@@ -205,7 +205,6 @@ func AblationRTSCTS(o Options) (*Table, error) {
 		func(s core.Scheme, nodes, field int) core.Config {
 			cfg := baseConfig(o, s, nodes, field)
 			cfg.MAC.UseRTSCTS = true
-			cfg.MAC.RTSThreshold = 64 // data frames and aggregates only
 			return cfg
 		})
 }

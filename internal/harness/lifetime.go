@@ -6,6 +6,7 @@ import (
 	"strings"
 
 	"repro/internal/core"
+	"repro/internal/energy"
 	"repro/internal/stats"
 )
 
@@ -90,7 +91,7 @@ func LifetimeStudy(o Options) (_ *LifetimeTable, err error) {
 	var runs []cell
 	for i, p := range probes {
 		c := probed[i].Metrics.Concentration
-		battery := p.cfg.Energy.IdlePower*o.Duration.Seconds() + (c.MeanNodeJ+c.MaxNodeJ)/2
+		battery := energy.PaperModel().IdlePower*o.Duration.Seconds() + (c.MeanNodeJ+c.MaxNodeJ)/2
 		for _, s := range bothSchemes {
 			cfg := baseConfig(o, s, p.id.x, p.id.field)
 			cfg.BatteryJ = battery

@@ -11,7 +11,8 @@
 //     pays the real MAC (contention, ACKs, losses), just not the routing.
 //
 // Both run on the same kernel/MAC/metrics substrates as the diffusion
-// schemes, so their numbers are directly comparable.
+// schemes, and read the diffusion workload's constants (event period, flood
+// jitter, cache TTL), so their numbers are directly comparable.
 package idealized
 
 import (
@@ -20,58 +21,12 @@ import (
 	"time"
 
 	"repro/internal/datacentric"
+	"repro/internal/diffusion"
 	"repro/internal/mac"
 	"repro/internal/msg"
 	"repro/internal/sim"
 	"repro/internal/topology"
 )
-
-// Observer matches diffusion.Observer so metrics collection is shared.
-type Observer interface {
-	Generated(src topology.NodeID, item msg.Item)
-	Delivered(sink topology.NodeID, item msg.Item, delay time.Duration)
-}
-
-// Params configures the idealized schemes. Zero value is invalid; use
-// DefaultParams.
-type Params struct {
-	// DataPeriod is the event generation interval (paper: 0.5 s).
-	DataPeriod time.Duration
-	// FloodJitterMax bounds the rebroadcast jitter of the flooding scheme.
-	FloodJitterMax time.Duration
-	// CacheTTL bounds the duplicate-suppression cache of the flooding
-	// scheme.
-	CacheTTL time.Duration
-}
-
-// DefaultParams matches the diffusion workload defaults.
-func DefaultParams() Params {
-	return Params{
-		DataPeriod:     500 * time.Millisecond,
-		FloodJitterMax: 50 * time.Millisecond,
-		CacheTTL:       20 * time.Second,
-	}
-}
-
-// Validate reports the first problem with the parameters, if any.
-func (p Params) Validate() error {
-	switch {
-	case p.DataPeriod <= 0:
-		return fmt.Errorf("idealized: non-positive data period %v", p.DataPeriod)
-	case p.FloodJitterMax < 0:
-		return fmt.Errorf("idealized: negative jitter %v", p.FloodJitterMax)
-	case p.CacheTTL <= 0:
-		return fmt.Errorf("idealized: non-positive cache TTL %v", p.CacheTTL)
-	default:
-		return nil
-	}
-}
-
-// Roles assigns sinks and sources (mirrors diffusion.Roles).
-type Roles struct {
-	Sinks   []topology.NodeID
-	Sources []topology.NodeID
-}
 
 // --- flooding ----------------------------------------------------------------
 
@@ -80,9 +35,8 @@ type Flooding struct {
 	kernel   *sim.Kernel
 	net      *mac.Network
 	field    *topology.Field
-	params   Params
-	roles    Roles
-	observer Observer
+	roles    diffusion.Roles
+	observer diffusion.Observer
 
 	isSink map[topology.NodeID]bool
 	seen   []map[msg.ItemKey]time.Duration
@@ -92,10 +46,7 @@ type Flooding struct {
 
 // NewFlooding constructs the scheme over the field.
 func NewFlooding(kernel *sim.Kernel, net *mac.Network, field *topology.Field,
-	params Params, roles Roles, observer Observer) (*Flooding, error) {
-	if err := params.Validate(); err != nil {
-		return nil, err
-	}
+	roles diffusion.Roles, observer diffusion.Observer) (*Flooding, error) {
 	if len(roles.Sinks) == 0 || len(roles.Sources) == 0 {
 		return nil, fmt.Errorf("idealized: need sinks and sources")
 	}
@@ -103,7 +54,6 @@ func NewFlooding(kernel *sim.Kernel, net *mac.Network, field *topology.Field,
 		kernel:   kernel,
 		net:      net,
 		field:    field,
-		params:   params,
 		roles:    roles,
 		observer: observer,
 		isSink:   make(map[topology.NodeID]bool, len(roles.Sinks)),
@@ -130,20 +80,17 @@ func (f *Flooding) Sent() int { return f.sent }
 func (f *Flooding) Start() {
 	for _, src := range f.roles.Sources {
 		src := src
-		f.kernel.Schedule(f.jitter(f.params.DataPeriod), func() { f.generate(src) })
+		f.kernel.Schedule(f.jitter(diffusion.DataPeriod), func() { f.generate(src) })
 	}
-	f.kernel.Schedule(f.params.CacheTTL, f.prune)
+	f.kernel.Schedule(diffusion.DataCacheTTL, f.prune)
 }
 
 func (f *Flooding) jitter(max time.Duration) time.Duration {
-	if max <= 0 {
-		return 0
-	}
 	return time.Duration(f.kernel.Rand().Int63n(int64(max)))
 }
 
 func (f *Flooding) generate(src topology.NodeID) {
-	defer f.kernel.Schedule(f.params.DataPeriod, func() { f.generate(src) })
+	defer f.kernel.Schedule(diffusion.DataPeriod, func() { f.generate(src) })
 	if !f.net.On(src) {
 		return
 	}
@@ -188,7 +135,7 @@ func (f *Flooding) receive(at topology.NodeID, fr mac.Frame) {
 		f.observer.Delivered(at, item, f.kernel.Now()-time.Duration(item.GenTime))
 	}
 	// Sinks still rebroadcast: other sinks may sit behind them.
-	f.kernel.Schedule(f.jitter(f.params.FloodJitterMax), func() {
+	f.kernel.Schedule(f.jitter(diffusion.FloodJitterMax), func() {
 		if f.net.On(at) {
 			f.broadcast(at, item)
 		}
@@ -196,8 +143,8 @@ func (f *Flooding) receive(at topology.NodeID, fr mac.Frame) {
 }
 
 func (f *Flooding) prune() {
-	defer f.kernel.Schedule(f.params.CacheTTL/2, f.prune)
-	cutoff := f.kernel.Now() - f.params.CacheTTL
+	defer f.kernel.Schedule(diffusion.DataCacheTTL/2, f.prune)
+	cutoff := f.kernel.Now() - diffusion.DataCacheTTL
 	for _, m := range f.seen {
 		for k, at := range m {
 			if at < cutoff {
@@ -214,9 +161,8 @@ func (f *Flooding) prune() {
 type Multicast struct {
 	kernel   *sim.Kernel
 	net      *mac.Network
-	params   Params
-	roles    Roles
-	observer Observer
+	roles    diffusion.Roles
+	observer diffusion.Observer
 
 	// children[src][node] lists the forwarding fan-out at node for src's
 	// tree; sinkSet marks delivery points.
@@ -230,17 +176,13 @@ type Multicast struct {
 // sink (using the GIT heuristic over the sinks, which is exact for one
 // sink) and wires delivery.
 func NewMulticast(kernel *sim.Kernel, net *mac.Network, field *topology.Field,
-	params Params, roles Roles, observer Observer) (*Multicast, error) {
-	if err := params.Validate(); err != nil {
-		return nil, err
-	}
+	roles diffusion.Roles, observer diffusion.Observer) (*Multicast, error) {
 	if len(roles.Sinks) == 0 || len(roles.Sources) == 0 {
 		return nil, fmt.Errorf("idealized: need sinks and sources")
 	}
 	m := &Multicast{
 		kernel:   kernel,
 		net:      net,
-		params:   params,
 		roles:    roles,
 		observer: observer,
 		children: make(map[topology.NodeID]map[topology.NodeID][]topology.NodeID),
@@ -293,13 +235,13 @@ func (m *Multicast) Sent() int { return m.sent }
 func (m *Multicast) Start() {
 	for _, src := range m.roles.Sources {
 		src := src
-		jitter := time.Duration(m.kernel.Rand().Int63n(int64(m.params.DataPeriod)))
+		jitter := time.Duration(m.kernel.Rand().Int63n(int64(diffusion.DataPeriod)))
 		m.kernel.Schedule(jitter, func() { m.generate(src) })
 	}
 }
 
 func (m *Multicast) generate(src topology.NodeID) {
-	defer m.kernel.Schedule(m.params.DataPeriod, func() { m.generate(src) })
+	defer m.kernel.Schedule(diffusion.DataPeriod, func() { m.generate(src) })
 	if !m.net.On(src) {
 		return
 	}

@@ -4,6 +4,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/diffusion"
 	"repro/internal/energy"
 	"repro/internal/geom"
 	"repro/internal/mac"
@@ -38,7 +39,7 @@ func build(t *testing.T, pts []geom.Point) (*sim.Kernel, *mac.Network, *topology
 		t.Fatal(err)
 	}
 	k := sim.NewKernel(1)
-	net, err := mac.New(k, f, energy.PaperModel(), mac.DefaultParams())
+	net, err := mac.New(k, f, energy.PaperModel(), mac.Params{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -53,26 +54,10 @@ func line(n int) []geom.Point {
 	return pts
 }
 
-func TestParamsValidate(t *testing.T) {
-	if err := DefaultParams().Validate(); err != nil {
-		t.Fatal(err)
-	}
-	bad := []Params{
-		{DataPeriod: 0, CacheTTL: time.Second},
-		{DataPeriod: time.Second, FloodJitterMax: -1, CacheTTL: time.Second},
-		{DataPeriod: time.Second},
-	}
-	for i, p := range bad {
-		if err := p.Validate(); err == nil {
-			t.Errorf("case %d accepted", i)
-		}
-	}
-}
-
 func TestFloodingDeliversEverything(t *testing.T) {
 	k, net, f := build(t, line(5))
 	rec := newRecorder()
-	fl, err := NewFlooding(k, net, f, DefaultParams(), Roles{
+	fl, err := NewFlooding(k, net, f, diffusion.Roles{
 		Sinks: []topology.NodeID{4}, Sources: []topology.NodeID{0},
 	}, rec)
 	if err != nil {
@@ -103,13 +88,8 @@ func TestFloodingDeliversEverything(t *testing.T) {
 
 func TestFloodingValidation(t *testing.T) {
 	k, net, f := build(t, line(3))
-	if _, err := NewFlooding(k, net, f, DefaultParams(), Roles{}, nil); err == nil {
+	if _, err := NewFlooding(k, net, f, diffusion.Roles{}, nil); err == nil {
 		t.Fatal("empty roles accepted")
-	}
-	if _, err := NewFlooding(k, net, f, Params{}, Roles{
-		Sinks: []topology.NodeID{1}, Sources: []topology.NodeID{0},
-	}, nil); err == nil {
-		t.Fatal("invalid params accepted")
 	}
 }
 
@@ -127,7 +107,7 @@ func TestMulticastUsesOnlyTreeNodes(t *testing.T) {
 	}
 	k, net, f := build(t, pts)
 	rec := newRecorder()
-	mc, err := NewMulticast(k, net, f, DefaultParams(), Roles{
+	mc, err := NewMulticast(k, net, f, diffusion.Roles{
 		Sinks: []topology.NodeID{0, 1}, Sources: []topology.NodeID{4},
 	}, rec)
 	if err != nil {
@@ -156,7 +136,7 @@ func TestMulticastUsesOnlyTreeNodes(t *testing.T) {
 func TestMulticastDisconnectedSinkFails(t *testing.T) {
 	pts := append(line(3), geom.Point{X: 900, Y: 900})
 	k, net, f := build(t, pts)
-	if _, err := NewMulticast(k, net, f, DefaultParams(), Roles{
+	if _, err := NewMulticast(k, net, f, diffusion.Roles{
 		Sinks: []topology.NodeID{3}, Sources: []topology.NodeID{0},
 	}, nil); err == nil {
 		t.Fatal("unreachable sink accepted")
@@ -167,7 +147,7 @@ func TestFloodingDelayBelowMulticastHops(t *testing.T) {
 	// Sanity: both schemes deliver with sub-second delay on short paths.
 	k, net, f := build(t, line(4))
 	rec := newRecorder()
-	fl, err := NewFlooding(k, net, f, DefaultParams(), Roles{
+	fl, err := NewFlooding(k, net, f, diffusion.Roles{
 		Sinks: []topology.NodeID{3}, Sources: []topology.NodeID{0},
 	}, rec)
 	if err != nil {

@@ -12,12 +12,12 @@
 //     start so completions stay consistent when the topology shifts under
 //     them.
 //   - Carrier sense with DIFS + random slotted backoff; the contention
-//     window doubles per retry up to CWMax.
+//     window doubles per retry up to cwMax.
 //   - Half-duplex radios: a transmitting node cannot receive, and two
 //     frames overlapping at a receiver corrupt each other there (no capture
 //     effect). Senders cannot detect collisions.
 //   - Unicast frames are acknowledged after SIFS and retried up to
-//     RetryLimit times; broadcast frames are sent once, unacknowledged —
+//     retryLimit times; broadcast frames are sent once, unacknowledged —
 //     exactly the asymmetry that makes reinforced (unicast) paths reliable
 //     and floods lossy, which both diffusion variants depend on.
 //   - Energy: the sender is charged transmit power for the frame airtime;
@@ -53,63 +53,33 @@ import (
 // Broadcast is the destination for broadcast frames.
 const Broadcast topology.NodeID = -1
 
-// Params holds MAC timing constants. Zero values select DefaultParams.
-type Params struct {
-	SlotTime   time.Duration // backoff slot
-	DIFS       time.Duration // sense period before contending
-	SIFS       time.Duration // gap before an ACK
-	CWMin      int           // initial contention window, slots
-	CWMax      int           // maximum contention window, slots
-	RetryLimit int           // unicast retransmission attempts after the first
-	AckBytes   int           // ACK frame size
-	QueueLimit int           // per-node transmit queue capacity
-
-	// UseRTSCTS enables the 802.11 RTS/CTS exchange (with NAV-based
-	// virtual carrier sense) for unicast frames of at least RTSThreshold
-	// bytes. The default leaves it off, matching the basic-access mode.
-	UseRTSCTS    bool
-	RTSThreshold int // bytes; 0 applies RTS/CTS to every unicast frame
-}
-
-// RTS and CTS frame sizes in bytes.
+// The MAC's fixed 802.11 timing and sizes, scaled to the paper's 1.6 Mb/s
+// radio.
 const (
-	rtsBytes = 20
-	ctsBytes = 14
+	slotTime   = 20 * time.Microsecond // backoff slot
+	difs       = 50 * time.Microsecond // sense period before contending
+	sifs       = 10 * time.Microsecond // gap before an ACK
+	cwMin      = 32                    // initial contention window, slots
+	cwMax      = 1024                  // maximum contention window, slots
+	retryLimit = 3                     // unicast retransmission attempts after the first
+	ackBytes   = 14                    // ACK frame size
+	queueLimit = 64                    // per-node transmit queue capacity
+
+	// rtsThreshold is the smallest unicast frame, in bytes, that uses the
+	// RTS/CTS handshake when it is on: data frames and aggregates do, the
+	// 36-byte control messages do not.
+	rtsThreshold = 64
+	rtsBytes     = 20 // RTS frame size
+	ctsBytes     = 14 // CTS frame size
 )
 
-// DefaultParams returns 802.11-flavored constants scaled to the 1.6 Mb/s
-// radio of the paper.
-func DefaultParams() Params {
-	return Params{
-		SlotTime:   20 * time.Microsecond,
-		DIFS:       50 * time.Microsecond,
-		SIFS:       10 * time.Microsecond,
-		CWMin:      32,
-		CWMax:      1024,
-		RetryLimit: 3,
-		AckBytes:   14,
-		QueueLimit: 64,
-	}
-}
-
-// Validate reports the first problem with the parameters, if any.
-func (p Params) Validate() error {
-	switch {
-	case p.SlotTime <= 0 || p.DIFS <= 0 || p.SIFS <= 0:
-		return fmt.Errorf("mac: non-positive timing in %+v", p)
-	case p.RTSThreshold < 0:
-		return fmt.Errorf("mac: negative RTS threshold %d", p.RTSThreshold)
-	case p.CWMin < 1 || p.CWMax < p.CWMin:
-		return fmt.Errorf("mac: bad contention window [%d, %d]", p.CWMin, p.CWMax)
-	case p.RetryLimit < 0:
-		return fmt.Errorf("mac: negative retry limit %d", p.RetryLimit)
-	case p.AckBytes <= 0:
-		return fmt.Errorf("mac: non-positive ack size %d", p.AckBytes)
-	case p.QueueLimit < 1:
-		return fmt.Errorf("mac: queue limit %d < 1", p.QueueLimit)
-	default:
-		return nil
-	}
+// Params holds the MAC's one varied setting. The zero value is the
+// basic-access mode the paper's figures use.
+type Params struct {
+	// UseRTSCTS enables the 802.11 RTS/CTS exchange (with NAV-based
+	// virtual carrier sense) for unicast frames of at least rtsThreshold
+	// bytes.
+	UseRTSCTS bool
 }
 
 // Frame is a link-layer payload: an opaque application message plus its wire
@@ -133,7 +103,7 @@ const (
 	// DropQueueFull counts frames rejected because the transmit queue was
 	// at capacity.
 	DropQueueFull DropReason = iota + 1
-	// DropRetryExceeded counts unicast frames abandoned after RetryLimit
+	// DropRetryExceeded counts unicast frames abandoned after retryLimit
 	// unacknowledged attempts.
 	DropRetryExceeded
 	// DropNodeOff counts frames submitted by or queued at a node that
@@ -215,7 +185,7 @@ type DropHook func(from, to topology.NodeID, f Frame, reason RxDropReason)
 
 // UnicastOutcome observes the final fate of each unicast attempt cycle:
 // acked == true when the sender decoded an ACK, false when the frame was
-// abandoned after RetryLimit retransmissions. retries is the number of
+// abandoned after retryLimit retransmissions. retries is the number of
 // retransmissions used. Frames whose sender died mid-exchange report
 // nothing — the crash wipes the sender's protocol state anyway. Hooks must
 // not mutate MAC state; the diffusion repair layer installs these to feed
@@ -467,9 +437,6 @@ func (n *Network) call(d time.Duration, op callOp, a, b *nodeState, of *outFrame
 // New creates a network over field with all nodes on. Receivers start nil;
 // register them with SetReceiver before traffic flows.
 func New(kernel *sim.Kernel, field *topology.Field, model energy.Model, params Params) (*Network, error) {
-	if err := params.Validate(); err != nil {
-		return nil, err
-	}
 	if err := model.Validate(); err != nil {
 		return nil, err
 	}
@@ -489,7 +456,7 @@ func New(kernel *sim.Kernel, field *topology.Field, model energy.Model, params P
 		ns := &n.nodes[i]
 		ns.id = topology.NodeID(i)
 		ns.on = true
-		ns.cw = params.CWMin
+		ns.cw = cwMin
 		ns.sense = senseEvent{net: n, ns: ns}
 	}
 	return n, nil
@@ -616,7 +583,7 @@ func (n *Network) SetOn(id topology.NodeID, on bool) {
 		ns.sending = false
 		ns.txActive = false
 		ns.audible = nil
-		ns.cw = n.params.CWMin
+		ns.cw = cwMin
 		ns.navUntil = 0
 	}
 }
@@ -647,7 +614,7 @@ func (n *Network) enqueue(from, to topology.NodeID, f Frame) error {
 	if f.Bytes <= 0 {
 		return fmt.Errorf("mac: non-positive frame size %d", f.Bytes)
 	}
-	if len(ns.queue) >= n.params.QueueLimit {
+	if len(ns.queue) >= queueLimit {
 		n.stats.Drops[DropQueueFull]++
 		return fmt.Errorf("mac: node %d queue full", from)
 	}
@@ -680,7 +647,7 @@ func (n *Network) startContention(ns *nodeState) {
 	ns.sending = true
 	n.stats.Backoffs++
 	slots := n.rng.Intn(ns.cw)
-	wait := n.params.DIFS + time.Duration(slots)*n.params.SlotTime
+	wait := difs + time.Duration(slots)*slotTime
 	n.kernel.ScheduleRunner(wait, &ns.sense)
 }
 
@@ -693,7 +660,7 @@ func (n *Network) senseAndSend(ns *nodeState) {
 		// Medium busy: back off again with the same window.
 		n.stats.Backoffs++
 		slots := n.rng.Intn(ns.cw) + 1
-		n.kernel.ScheduleRunner(time.Duration(slots)*n.params.SlotTime+n.params.DIFS, &ns.sense)
+		n.kernel.ScheduleRunner(time.Duration(slots)*slotTime+difs, &ns.sense)
 		return
 	}
 	of := ns.queue[0]
@@ -703,7 +670,7 @@ func (n *Network) senseAndSend(ns *nodeState) {
 // transmit puts the head frame on the air, via the RTS/CTS handshake when
 // enabled for unicast frames at or above the threshold.
 func (n *Network) transmit(ns *nodeState, of *outFrame) {
-	if n.params.UseRTSCTS && of.to != Broadcast && of.frame.Bytes >= n.params.RTSThreshold {
+	if n.params.UseRTSCTS && of.to != Broadcast && of.frame.Bytes >= rtsThreshold {
 		n.sendRTS(ns, of)
 		return
 	}
@@ -722,10 +689,10 @@ func (n *Network) transmitData(ns *nodeState, of *outFrame) {
 // exchangeNAV returns the medium reservation an RTS advertises: CTS + DATA
 // + ACK plus the three SIFS gaps.
 func (n *Network) exchangeNAV(dataBytes int) time.Duration {
-	return 3*n.params.SIFS +
+	return 3*sifs +
 		n.model.Airtime(ctsBytes) +
 		n.model.Airtime(dataBytes) +
-		n.model.Airtime(n.params.AckBytes)
+		n.model.Airtime(ackBytes)
 }
 
 // sendRTS starts the RTS/CTS handshake for the head frame.
@@ -749,10 +716,10 @@ func (n *Network) finishRTS(rts *transmission) {
 	}
 	dest := &n.nodes[of.to]
 	if dest.on && n.field.InRange(ns.id, of.to) && rts.destIntact() {
-		n.call(n.params.SIFS, opSendCTS, dest, ns, of)
+		n.call(sifs, opSendCTS, dest, ns, of)
 		return
 	}
-	timeout := n.params.SIFS + n.model.Airtime(ctsBytes) + n.params.SlotTime
+	timeout := sifs + n.model.Airtime(ctsBytes) + slotTime
 	n.call(timeout, opAckTimeout, ns, nil, of)
 }
 
@@ -766,7 +733,7 @@ func (n *Network) sendCTS(dest, src *nodeState, of *outFrame) {
 	cts := n.allocTx(txCTS, dest, src.id, Frame{Bytes: ctsBytes})
 	cts.peer = src
 	cts.of = of
-	cts.nav = 2*n.params.SIFS + n.model.Airtime(of.frame.Bytes) + n.model.Airtime(n.params.AckBytes)
+	cts.nav = 2*sifs + n.model.Airtime(of.frame.Bytes) + n.model.Airtime(ackBytes)
 	airtime := n.energy[dest.id].Transmit(cts.frame.Bytes)
 	n.stats.CtsTx++
 	n.stats.BytesOnAir += int64(cts.frame.Bytes)
@@ -782,10 +749,10 @@ func (n *Network) finishCTS(cts *transmission) {
 		return
 	}
 	if dest.on && n.field.InRange(dest.id, src.id) && cts.destIntact() {
-		n.call(n.params.SIFS, opDataAfterCTS, src, nil, of)
+		n.call(sifs, opDataAfterCTS, src, nil, of)
 		return
 	}
-	n.call(n.params.SIFS+n.params.SlotTime, opAckTimeout, src, nil, of)
+	n.call(sifs+slotTime, opAckTimeout, src, nil, of)
 }
 
 // begin starts a transmission: marks the sender busy, corrupts overlapping
@@ -959,11 +926,11 @@ func (n *Network) finishData(tx *transmission) {
 	gotIt := dest.on && n.field.InRange(ns.id, of.to) && tx.destIntact()
 	if gotIt {
 		// Destination sends an ACK after SIFS, bypassing contention.
-		n.call(n.params.SIFS, opSendAck, dest, ns, of)
+		n.call(sifs, opSendAck, dest, ns, of)
 		return
 	}
 	// No ACK will come; wait out the ACK window before retrying.
-	timeout := n.params.SIFS + n.model.Airtime(n.params.AckBytes) + n.params.SlotTime
+	timeout := sifs + n.model.Airtime(ackBytes) + slotTime
 	n.call(timeout, opAckTimeout, ns, nil, of)
 }
 
@@ -974,12 +941,12 @@ func (n *Network) sendAck(dest, src *nodeState, of *outFrame) {
 		n.ackTimeout(src, of)
 		return
 	}
-	ackTx := n.allocTx(txAck, dest, src.id, Frame{Bytes: n.params.AckBytes})
+	ackTx := n.allocTx(txAck, dest, src.id, Frame{Bytes: ackBytes})
 	ackTx.peer = src
 	ackTx.of = of
-	airtime := n.energy[dest.id].Transmit(n.params.AckBytes)
+	airtime := n.energy[dest.id].Transmit(ackBytes)
 	n.stats.AckTx++
-	n.stats.BytesOnAir += int64(n.params.AckBytes)
+	n.stats.BytesOnAir += int64(ackBytes)
 	n.begin(dest, ackTx, airtime)
 }
 
@@ -992,7 +959,7 @@ func (n *Network) finishAck(ack *transmission) {
 	}
 	if dest.on && n.field.InRange(dest.id, src.id) && ack.destIntact() {
 		// ACK received: success.
-		src.cw = n.params.CWMin
+		src.cw = cwMin
 		if n.outcome != nil {
 			n.outcome(src.id, of.to, of.frame, true, of.retries)
 		}
@@ -1005,9 +972,9 @@ func (n *Network) finishAck(ack *transmission) {
 // ackTimeout handles a missing ACK: retry with a doubled window or drop.
 func (n *Network) ackTimeout(ns *nodeState, of *outFrame) {
 	n.stats.AcksMissing++
-	if of.retries >= n.params.RetryLimit {
+	if of.retries >= retryLimit {
 		n.stats.Drops[DropRetryExceeded]++
-		ns.cw = n.params.CWMin
+		ns.cw = cwMin
 		if n.outcome != nil {
 			n.outcome(ns.id, of.to, of.frame, false, of.retries)
 		}
@@ -1016,13 +983,13 @@ func (n *Network) ackTimeout(ns *nodeState, of *outFrame) {
 	}
 	of.retries++
 	n.stats.Retries++
-	if ns.cw*2 <= n.params.CWMax {
+	if ns.cw*2 <= cwMax {
 		ns.cw *= 2
 	}
 	ns.sending = true
 	n.stats.Backoffs++
 	slots := n.rng.Intn(ns.cw) + 1
-	n.kernel.ScheduleRunner(time.Duration(slots)*n.params.SlotTime+n.params.DIFS, &ns.sense)
+	n.kernel.ScheduleRunner(time.Duration(slots)*slotTime+difs, &ns.sense)
 }
 
 // dequeueAndContinue pops the completed head frame and starts contention for

@@ -23,7 +23,7 @@ func line(t *testing.T, seed int64, xs ...float64) (*sim.Kernel, *Network) {
 		t.Fatal(err)
 	}
 	k := sim.NewKernel(seed)
-	n, err := New(k, f, energy.PaperModel(), DefaultParams())
+	n, err := New(k, f, energy.PaperModel(), Params{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -41,29 +41,6 @@ func (c *capture) receiver(k *sim.Kernel) Receiver {
 		c.from = append(c.from, from)
 		c.data = append(c.data, f.Payload)
 		c.times = append(c.times, k.Now())
-	}
-}
-
-func TestParamsValidate(t *testing.T) {
-	if err := DefaultParams().Validate(); err != nil {
-		t.Fatal(err)
-	}
-	bad := []func(*Params){
-		func(p *Params) { p.SlotTime = 0 },
-		func(p *Params) { p.DIFS = 0 },
-		func(p *Params) { p.SIFS = 0 },
-		func(p *Params) { p.CWMin = 0 },
-		func(p *Params) { p.CWMax = 1; p.CWMin = 2 },
-		func(p *Params) { p.RetryLimit = -1 },
-		func(p *Params) { p.AckBytes = 0 },
-		func(p *Params) { p.QueueLimit = 0 },
-	}
-	for i, mutate := range bad {
-		p := DefaultParams()
-		mutate(&p)
-		if err := p.Validate(); err == nil {
-			t.Errorf("case %d: expected validation error", i)
-		}
 	}
 }
 
@@ -127,7 +104,7 @@ func TestRejectsBadFrames(t *testing.T) {
 func TestQueueLimit(t *testing.T) {
 	k, n := line(t, 1, 0, 30)
 	var errs int
-	for i := 0; i < DefaultParams().QueueLimit+10; i++ {
+	for i := 0; i < queueLimit+10; i++ {
 		if err := n.Broadcast(0, Frame{Bytes: 64}); err != nil {
 			errs++
 		}
@@ -182,8 +159,8 @@ func TestUnicastRetriesThenDrops(t *testing.T) {
 	}
 	k.Run(5 * time.Second)
 	st := n.Stats()
-	if st.Retries != DefaultParams().RetryLimit {
-		t.Fatalf("Retries = %d, want %d", st.Retries, DefaultParams().RetryLimit)
+	if st.Retries != retryLimit {
+		t.Fatalf("Retries = %d, want %d", st.Retries, retryLimit)
 	}
 	if st.Drops[DropRetryExceeded] != 1 {
 		t.Fatalf("Drops[RetryExceeded] = %d, want 1", st.Drops[DropRetryExceeded])

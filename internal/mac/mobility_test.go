@@ -90,8 +90,8 @@ func TestUnicastDestinationMovedOutGetsRetried(t *testing.T) {
 	if n.Stats().Drops[DropRetryExceeded] != 1 {
 		t.Fatalf("drops: %+v, want one retry-exceeded", n.Stats().Drops)
 	}
-	if n.Stats().Retries != n.params.RetryLimit {
-		t.Fatalf("retries = %d, want %d", n.Stats().Retries, n.params.RetryLimit)
+	if n.Stats().Retries != retryLimit {
+		t.Fatalf("retries = %d, want %d", n.Stats().Retries, retryLimit)
 	}
 }
 

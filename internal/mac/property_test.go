@@ -25,10 +25,7 @@ func TestPropertyMACNeverWedges(t *testing.T) {
 			t.Fatal(err)
 		}
 		k := sim.NewKernel(seed)
-		params := DefaultParams()
-		if seed%2 == 1 {
-			params.UseRTSCTS = true
-		}
+		params := Params{UseRTSCTS: seed%2 == 1}
 		net, err := New(k, f, energy.PaperModel(), params)
 		if err != nil {
 			t.Fatal(err)
@@ -97,7 +94,7 @@ func TestPropertyOverhearingScalesWithDensity(t *testing.T) {
 			t.Fatal(err)
 		}
 		k := sim.NewKernel(3)
-		net, err := New(k, f, energy.PaperModel(), DefaultParams())
+		net, err := New(k, f, energy.PaperModel(), Params{})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -10,11 +10,7 @@ import (
 	"repro/internal/topology"
 )
 
-func rtsParams() Params {
-	p := DefaultParams()
-	p.UseRTSCTS = true
-	return p
-}
+func rtsParams() Params { return Params{UseRTSCTS: true} }
 
 func rtsNet(t *testing.T, seed int64, params Params, xs ...float64) (*sim.Kernel, *Network) {
 	t.Helper()
@@ -52,19 +48,17 @@ func TestRTSCTSUnicastDelivers(t *testing.T) {
 }
 
 func TestRTSThresholdSkipsSmallFrames(t *testing.T) {
-	p := rtsParams()
-	p.RTSThreshold = 100
-	k, n := rtsNet(t, 1, p, 0, 30)
+	k, n := rtsNet(t, 1, rtsParams(), 0, 30)
 	n.SetReceiver(1, func(topology.NodeID, Frame) {})
-	_ = n.Unicast(0, 1, Frame{Bytes: 36}) // below threshold: basic access
+	_ = n.Unicast(0, 1, Frame{Bytes: 36}) // a control message: basic access
 	k.Run(time.Second)
 	if st := n.Stats(); st.RtsTx != 0 {
 		t.Fatalf("small frame used RTS: %+v", st)
 	}
-	_ = n.Unicast(0, 1, Frame{Bytes: 512}) // above: handshake
+	_ = n.Unicast(0, 1, Frame{Bytes: rtsThreshold}) // at the threshold: handshake
 	k.Run(2 * time.Second)
 	if st := n.Stats(); st.RtsTx != 1 {
-		t.Fatalf("large frame skipped RTS: %+v", st)
+		t.Fatalf("threshold-sized frame skipped RTS: %+v", st)
 	}
 }
 
@@ -92,8 +86,8 @@ func TestRTSRetryOnSilentDestination(t *testing.T) {
 	if st.DataTx != 0 {
 		t.Fatalf("data frames sent without CTS: %+v", st)
 	}
-	if st.RtsTx != DefaultParams().RetryLimit+1 {
-		t.Fatalf("RtsTx = %d, want %d attempts", st.RtsTx, DefaultParams().RetryLimit+1)
+	if st.RtsTx != retryLimit+1 {
+		t.Fatalf("RtsTx = %d, want %d attempts", st.RtsTx, retryLimit+1)
 	}
 }
 
@@ -120,7 +114,7 @@ func TestRTSCTSBeatsHiddenTerminals(t *testing.T) {
 		k.Run(10 * time.Second)
 		return delivered
 	}
-	basic := run(DefaultParams())
+	basic := run(Params{})
 	rts := run(rtsParams())
 	t.Logf("hidden-terminal deliveries: basic=%d rts/cts=%d", basic, rts)
 	if rts <= basic {
@@ -148,13 +142,5 @@ func TestNAVDefersThirdParties(t *testing.T) {
 	}
 	if n.Stats().Drops[DropRetryExceeded] != 0 {
 		t.Fatalf("retry-drop under NAV protection: %+v", n.Stats())
-	}
-}
-
-func TestRTSValidation(t *testing.T) {
-	p := rtsParams()
-	p.RTSThreshold = -1
-	if err := p.Validate(); err == nil {
-		t.Fatal("negative RTSThreshold accepted")
 	}
 }

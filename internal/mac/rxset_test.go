@@ -195,7 +195,7 @@ func hiddenNet(t *testing.T) (*sim.Kernel, *Network) {
 		t.Fatal(err)
 	}
 	k := sim.NewKernel(7)
-	n, err := New(k, f, energy.PaperModel(), DefaultParams())
+	n, err := New(k, f, energy.PaperModel(), Params{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -217,7 +217,7 @@ func TestResidualMoversDeliveredAscending(t *testing.T) {
 		t.Fatalf("neighbor scan order %v, want %v", got, want)
 	}
 	k := sim.NewKernel(3)
-	n, err := New(k, f, energy.PaperModel(), DefaultParams())
+	n, err := New(k, f, energy.PaperModel(), Params{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -257,7 +257,7 @@ func clusterNet(t *testing.T, padding int) (*sim.Kernel, *Network) {
 		t.Fatal(err)
 	}
 	k := sim.NewKernel(7)
-	n, err := New(k, f, energy.PaperModel(), DefaultParams())
+	n, err := New(k, f, energy.PaperModel(), Params{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -315,7 +315,7 @@ func TestReceiverSetMatchesInRangeOracle(t *testing.T) {
 		t.Fatal(err)
 	}
 	k := sim.NewKernel(11)
-	n, err := New(k, f, energy.PaperModel(), DefaultParams())
+	n, err := New(k, f, energy.PaperModel(), Params{})
 	if err != nil {
 		t.Fatal(err)
 	}

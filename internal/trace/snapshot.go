@@ -51,12 +51,22 @@ type SnapshotSink interface {
 	RecordSnapshot(SnapshotRecord)
 }
 
-// multi fans events (and snapshots, where accepted) out to several sinks.
+// multi fans events out to several sinks.
 type multi struct{ sinks []Sink }
 
-// MultiSink returns a sink that forwards every event to all of ss and every
-// snapshot to those of ss implementing SnapshotSink.
+// snapshotMulti is a multi with at least one member taking snapshots.
+type snapshotMulti struct{ multi }
+
+// MultiSink returns a sink that forwards every event to all of ss. It is a
+// SnapshotSink only when one of ss is, and then forwards every snapshot to
+// those of ss implementing SnapshotSink: a fan-out whose members all drop
+// snapshots does not claim to take them.
 func MultiSink(ss ...Sink) Sink {
+	for _, s := range ss {
+		if _, ok := s.(SnapshotSink); ok {
+			return &snapshotMulti{multi{sinks: ss}}
+		}
+	}
 	return &multi{sinks: ss}
 }
 
@@ -68,7 +78,7 @@ func (m *multi) Record(e Event) {
 }
 
 // RecordSnapshot implements SnapshotSink.
-func (m *multi) RecordSnapshot(rec SnapshotRecord) {
+func (m *snapshotMulti) RecordSnapshot(rec SnapshotRecord) {
 	for _, s := range m.sinks {
 		if ss, ok := s.(SnapshotSink); ok {
 			ss.RecordSnapshot(rec)
