@@ -274,11 +274,7 @@ func run(args []string, out *os.File) error {
 		st := res.MAC
 		fmt.Fprintf(out, "\nMAC: %d frames (%d ACKs), %d delivered, %d collisions, %d retries, %d backoffs, %d bytes on air\n",
 			st.DataTx, st.AckTx, st.Delivered, st.Collisions, st.Retries, st.Backoffs, st.BytesOnAir)
-		for reason := mac.DropQueueFull; reason <= mac.DropNodeOff; reason++ {
-			if n, ok := st.Drops[reason]; ok {
-				fmt.Fprintf(out, "  drops[%s] = %d\n", reason, n)
-			}
-		}
+		printDrops(out, st.Drops)
 		k := res.Kernel
 		fmt.Fprintf(out, "kernel: %d events in %v (%.0f events/s), queue high water %d\n",
 			k.Events, k.WallTime.Round(time.Millisecond), k.EventsPerSec(), k.QueueHighWater)
@@ -381,6 +377,16 @@ func run(args []string, out *os.File) error {
 		}
 	}
 	return nil
+}
+
+// printDrops prints the MAC's transmit drops in DropReason order: they sit
+// in a map, whose iteration order varies from one range to the next.
+func printDrops(w io.Writer, drops map[mac.DropReason]int) {
+	for reason := mac.DropQueueFull; reason <= mac.DropNodeOff; reason++ {
+		if n, ok := drops[reason]; ok {
+			fmt.Fprintf(w, "  drops[%s] = %d\n", reason, n)
+		}
+	}
 }
 
 // printTelemetry dumps the telemetry snapshot, one aligned line per metric.

@@ -14,28 +14,32 @@ import (
 	"math/rand"
 	"os"
 
+	"repro/internal/core"
 	"repro/internal/datacentric"
 	"repro/internal/geom"
 	"repro/internal/plot"
 	"repro/internal/topology"
+	"repro/internal/workload"
 )
 
 func main() {
 	rng := rand.New(rand.NewSource(4))
+	side := core.DefaultConfig().FieldSide
 	field, err := topology.Generate(topology.Config{
-		Area: geom.Square(0, 0, 200), Nodes: 250, Range: 40,
+		Area: geom.Square(0, 0, side), Nodes: 250, Range: core.RadioRange,
 	}, rng)
 	if err != nil {
 		log.Fatal(err)
 	}
 
 	// The paper's placement: sink top-right, five sources bottom-left.
-	sinkPool := field.NodesIn(geom.Square(164, 164, 36))
+	corner := side - workload.SinkRegionSide
+	sinkPool := field.NodesIn(geom.Square(corner, corner, workload.SinkRegionSide))
 	if len(sinkPool) == 0 {
 		log.Fatal("no node in the sink corner; try another seed")
 	}
 	sink := sinkPool[0]
-	sources, err := datacentric.CornerSources(field, sink, 5, 80, rng)
+	sources, err := datacentric.CornerSources(field, sink, 5, workload.SourceRegionSide, rng)
 	if err != nil {
 		log.Fatal(err)
 	}

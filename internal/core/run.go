@@ -105,7 +105,7 @@ type Config struct {
 	Scheme Scheme
 
 	// Nodes is the field size (paper: 50..350). FieldSide sets the
-	// deployment square (paper: 200 m); radios reach 40 m (radioRange).
+	// deployment square (paper: 200 m); radios reach 40 m (RadioRange).
 	Nodes     int
 	FieldSide float64
 
@@ -182,8 +182,8 @@ type Config struct {
 	BatteryJ float64
 }
 
-// radioRange is every node's unit-disk radio range in meters (paper: 40 m).
-const radioRange float64 = 40
+// RadioRange is every node's unit-disk radio range in meters (paper: 40 m).
+const RadioRange float64 = 40
 
 // DefaultConfig returns the paper's §5.1 methodology: a 200 m field, 40 m
 // radios, five corner sources, one corner sink, perfect aggregation, no
@@ -479,7 +479,7 @@ func buildRun(cfg Config) (*runState, error) {
 	)
 	for try := 0; ; try++ {
 		field, err = topology.Generate(topology.Config{
-			Area: area, Nodes: cfg.Nodes, Range: radioRange,
+			Area: area, Nodes: cfg.Nodes, Range: RadioRange,
 		}, kernel.Rand())
 		if err != nil {
 			return nil, err

@@ -63,6 +63,7 @@ func (n *node) onData(from topology.NodeID, m msg.Message) {
 		W:        m.W,
 		NewItems: newItems,
 	})
+	n.armTruncation()
 
 	if n.isSink && m.Interest == n.sinkInterest {
 		n.deliver(st, m.Items, newItems, -1)
@@ -267,10 +268,19 @@ func (n *node) flush(st *interestState) {
 // --- truncation (negative reinforcement) -----------------------------------
 
 // truncationPass runs the strategy's path-truncation rule over the last
-// window of received aggregates, once per Tn per node.
+// window of received aggregates, on the node's Tn grid while any window
+// holds one. A node that is on empties every window, so its pass lapses
+// until onData arms the next; one that is off reads none, and keeps its
+// pass while a window is non-empty.
 func (n *node) truncationPass() {
-	defer n.armKind(n.rt.params.NegReinforceWindow, tkTruncation)
+	n.truncArmed = false
 	if !n.on() {
+		for _, st := range n.interests.sts {
+			if len(st.window) > 0 {
+				n.armTruncation()
+				return
+			}
+		}
 		return
 	}
 	for i := range n.interests.sts {
@@ -298,9 +308,12 @@ func (n *node) truncationPass() {
 
 // repairPass re-reinforces an alternate upstream neighbor when a reinforced
 // one has gone silent (§2: "if a node on this preferred path fails, sensor
-// nodes can attempt to locally repair the failed path").
+// nodes can attempt to locally repair the failed path"). It acts only on
+// the tree, so it runs on the node's grid while the node is a sink or holds
+// a live data gradient, and otherwise lapses until setGradient arms it.
 func (n *node) repairPass() {
-	defer n.armKind(time.Second, tkRepair)
+	n.repairArmed = false
+	defer n.rearmRepair()
 	if !n.on() {
 		return
 	}
@@ -344,6 +357,20 @@ func (n *node) repairPass() {
 			}
 			e.HasChosen = false
 			n.reinforceEntry(st, e)
+		}
+	}
+}
+
+// rearmRepair keeps the repair pass going after it ran if it can still act.
+func (n *node) rearmRepair() {
+	if n.isSink {
+		n.armRepair()
+		return
+	}
+	for _, st := range n.interests.sts {
+		if n.hasDataGradient(st) {
+			n.armRepair()
+			return
 		}
 	}
 }

@@ -163,6 +163,16 @@ type node struct {
 	// retransmission budgets. Both stay empty when repair is disabled.
 	lq      linkQuality
 	retries []ctrlRetry
+
+	// truncPhase and repairPhase are the instants of the node's first
+	// truncation and repair passes, drawn at Start: the passes fire on the
+	// grids truncPhase + k·Tn and repairPhase + k·repairPeriod, but only
+	// while they can act (armTruncation, armRepair). truncArmed and
+	// repairArmed mark a pending pass of each kind, so a node holds at most
+	// one of each. Crashes leave them alone: a pass armed before a crash
+	// still fires, finds nothing, and lapses.
+	truncPhase, repairPhase time.Duration
+	truncArmed, repairArmed bool
 }
 
 // initNode populates a slab slot in place; the procBias RNG draw happens
@@ -241,14 +251,53 @@ func (n *node) floodInterest() {
 	n.armKind(interestPeriod, tkInterestFlood)
 }
 
-// startHousekeeping runs periodic cache pruning, truncation, and repair.
+// startHousekeeping starts periodic cache pruning and draws the truncation
+// and repair phases. A sink's repair pass runs for the whole run; every
+// other pass is armed on demand.
 func (n *node) startHousekeeping() {
 	p := n.rt.params
-	// Offset each node's truncation phase randomly so passes do not
-	// synchronize network-wide.
-	n.armKind(p.NegReinforceWindow+n.rt.jitter(p.NegReinforceWindow), tkTruncation)
-	n.armKind(time.Second+n.rt.jitter(time.Second), tkRepair)
+	now := n.now()
+	// Offset each node's phases randomly so passes do not synchronize
+	// network-wide. Every node draws both, whether or not it ever arms
+	// them, so the random stream does not depend on which nodes act.
+	n.truncPhase = now + p.NegReinforceWindow + n.rt.jitter(p.NegReinforceWindow)
+	n.repairPhase = now + repairPeriod + n.rt.jitter(repairPeriod)
+	if n.isSink {
+		n.armRepair()
+	}
 	n.armKind(DataCacheTTL, tkPrune)
+}
+
+// nextTick returns the first instant phase + k·period (k ≥ 0) strictly
+// after now. A pass armed exactly on a grid instant waits for the next one:
+// the pass due then would already have fired.
+func nextTick(phase, period, now time.Duration) time.Duration {
+	if now < phase {
+		return phase
+	}
+	return phase + ((now-phase)/period+1)*period
+}
+
+// armTruncation schedules the node's next truncation pass on its grid,
+// unless one is pending or housekeeping has not started.
+func (n *node) armTruncation() {
+	if n.truncArmed || !n.rt.started {
+		return
+	}
+	n.truncArmed = true
+	now := n.now()
+	n.armKind(nextTick(n.truncPhase, n.rt.params.NegReinforceWindow, now)-now, tkTruncation)
+}
+
+// armRepair schedules the node's next repair pass on its grid, unless one
+// is pending or housekeeping has not started.
+func (n *node) armRepair() {
+	if n.repairArmed || !n.rt.started {
+		return
+	}
+	n.repairArmed = true
+	now := n.now()
+	n.armKind(nextTick(n.repairPhase, repairPeriod, now)-now, tkRepair)
 }
 
 // activateSource begins sensing for an interest: periodic events and
@@ -381,7 +430,9 @@ func (n *node) onInterest(from topology.NodeID, m msg.Message) {
 }
 
 // setGradient installs or refreshes a gradient toward nbr. An existing data
-// gradient is never downgraded by an interest flood; its expiry is extended.
+// gradient is never downgraded by an interest flood; its expiry is extended,
+// which revives one that expired but is not yet pruned. Either way a data
+// gradient leaves the node live on the tree, so its repair pass is armed.
 func (n *node) setGradient(st *interestState, nbr topology.NodeID, kind gradKind) {
 	g, existed := st.grads.getOrInsert(nbr)
 	if existed {
@@ -401,6 +452,9 @@ func (n *node) setGradient(st *interestState, nbr topology.NodeID, kind gradKind
 	default:
 		g.kind = gradExploratory
 		g.expires = n.now() + exploratoryGradientTimeout
+	}
+	if g.kind == gradData {
+		n.armRepair()
 	}
 }
 

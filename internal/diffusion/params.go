@@ -42,6 +42,9 @@ const (
 	// repairTimeout is how long an on-tree node tolerates data silence
 	// before locally re-reinforcing an alternate upstream neighbor.
 	repairTimeout = 2 * time.Second
+	// repairPeriod is the interval between an on-tree node's local repair
+	// passes.
+	repairPeriod = time.Second
 	// FloodJitterMax is the maximum random delay before rebroadcasting an
 	// interest or exploratory event, decorrelating flood storms.
 	FloodJitterMax = 50 * time.Millisecond

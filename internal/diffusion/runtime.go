@@ -276,8 +276,9 @@ func (rt *Runtime) BestEntryCost(id topology.NodeID, iid msg.InterestID) (int, b
 	return best, found
 }
 
-// Start schedules the initial periodic activity: interest floods at sinks
-// and housekeeping at every node. Sources activate themselves when the
+// Start schedules the initial periodic activity: interest floods and the
+// repair pass at sinks, and cache pruning at every node, whose truncation
+// and repair passes arm on demand. Sources activate themselves when the
 // first interest reaches them.
 func (rt *Runtime) Start() {
 	if rt.started {

@@ -8,6 +8,7 @@ import (
 	"strings"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/datacentric"
 	"repro/internal/geom"
 	"repro/internal/stats"
@@ -55,6 +56,7 @@ func GitSpt(o Options) (*GitSptTable, error) {
 		return nil, err
 	}
 	var rows []GitSptRow
+	side := core.DefaultConfig().FieldSide
 	started := time.Now()
 	meta := &RunMeta{Figure: "git-spt", Schemes: []string{"event-radius", "random", "corner"}, Xs: o.Nodes,
 		Fields: o.Fields, BaseSeed: o.BaseSeed, Duration: o.Duration}
@@ -63,16 +65,13 @@ func GitSpt(o Options) (*GitSptTable, error) {
 		for field := 0; field < o.Fields; field++ {
 			rng := rand.New(rand.NewSource(seedFor(o.BaseSeed, nodes, field)))
 			f, err := topology.Generate(topology.Config{
-				Area: geom.Square(0, 0, 200), Nodes: nodes, Range: 40,
+				Area: geom.Square(0, 0, side), Nodes: nodes, Range: core.RadioRange,
 			}, rng)
 			if err != nil {
 				return nil, err
 			}
-			sinkPool := f.NodesIn(geom.Rect{
-				MinX: 200 - workload.DefaultSinkRegionSide,
-				MinY: 200 - workload.DefaultSinkRegionSide,
-				MaxX: 200, MaxY: 200,
-			})
+			corner := side - workload.SinkRegionSide
+			sinkPool := f.NodesIn(geom.Square(corner, corner, workload.SinkRegionSide))
 			if len(sinkPool) == 0 {
 				continue
 			}
@@ -91,7 +90,7 @@ func GitSpt(o Options) (*GitSptTable, error) {
 				}
 			}
 			if srcs, err := datacentric.CornerSources(f, sink, gitSptSources,
-				workload.DefaultSourceRegionSide, rng); err == nil {
+				workload.SourceRegionSide, rng); err == nil {
 				if c, err := datacentric.Compare(f, sink, srcs); err == nil {
 					row.Corner = append(row.Corner, c.Savings())
 				}

@@ -578,7 +578,9 @@ func (n *Network) SetOn(id topology.NodeID, on bool) {
 	}
 	ns.on = on
 	if !on {
-		n.stats.Drops[DropNodeOff] += len(ns.queue)
+		if len(ns.queue) > 0 {
+			n.stats.Drops[DropNodeOff] += len(ns.queue)
+		}
 		ns.queue = nil
 		ns.sending = false
 		ns.txActive = false

@@ -321,3 +321,23 @@ func TestSetOnIdempotent(t *testing.T) {
 		t.Fatal("node should be off")
 	}
 }
+
+// Switching a node off counts its queued frames as node-off drops, and
+// leaves no zero entry when the queue was empty.
+func TestSetOnCountsQueuedFramesOnly(t *testing.T) {
+	_, n := line(t, 1, 0, 30)
+	n.SetOn(0, false)
+	if d, ok := n.Stats().Drops[DropNodeOff]; ok {
+		t.Fatalf("empty queue switched off: Drops[NodeOff] = %d, want no entry", d)
+	}
+	n.SetOn(0, true)
+	for i := 0; i < 2; i++ {
+		if err := n.Broadcast(0, Frame{Bytes: 64}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	n.SetOn(0, false)
+	if d := n.Stats().Drops[DropNodeOff]; d != 2 {
+		t.Fatalf("two queued frames switched off: Drops[NodeOff] = %d, want 2", d)
+	}
+}

@@ -47,18 +47,14 @@ type Config struct {
 	Sources   int
 	Sinks     int
 	Placement Placement
-	// SourceRegionSide is the side of the corner source square (paper:
-	// 80 m); ignored under PlaceRandom. Zero selects the default.
-	SourceRegionSide float64
-	// SinkRegionSide is the side of the top-right sink square (paper:
-	// 36 m). Zero selects the default.
-	SinkRegionSide float64
 }
 
-// Defaults for the paper's regions.
+// The paper's regions: SourceRegionSide is the side of the bottom-left
+// source square (ignored under PlaceRandom), SinkRegionSide that of the
+// top-right sink square.
 const (
-	DefaultSourceRegionSide = 80.0
-	DefaultSinkRegionSide   = 36.0
+	SourceRegionSide = 80.0
+	SinkRegionSide   = 36.0
 )
 
 // Validate reports the first problem with the configuration, if any.
@@ -70,8 +66,6 @@ func (c Config) Validate() error {
 		return fmt.Errorf("workload: need at least 1 sink, got %d", c.Sinks)
 	case c.Placement != PlaceCorner && c.Placement != PlaceRandom:
 		return fmt.Errorf("workload: unknown placement %d", int(c.Placement))
-	case c.SourceRegionSide < 0 || c.SinkRegionSide < 0:
-		return fmt.Errorf("workload: negative region side")
 	default:
 		return nil
 	}
@@ -92,22 +86,13 @@ func Place(field *topology.Field, cfg Config, rng *rand.Rand) (Assignment, error
 		return Assignment{}, err
 	}
 	area := field.Area()
-	srcSide := cfg.SourceRegionSide
-	if srcSide == 0 {
-		srcSide = DefaultSourceRegionSide
-	}
-	sinkSide := cfg.SinkRegionSide
-	if sinkSide == 0 {
-		sinkSide = DefaultSinkRegionSide
-	}
-
 	sinkRegion := geom.Rect{
-		MinX: area.MaxX - sinkSide, MinY: area.MaxY - sinkSide,
+		MinX: area.MaxX - SinkRegionSide, MinY: area.MaxY - SinkRegionSide,
 		MaxX: area.MaxX, MaxY: area.MaxY,
 	}
 	srcRegion := geom.Rect{
 		MinX: area.MinX, MinY: area.MinY,
-		MaxX: area.MinX + srcSide, MaxY: area.MinY + srcSide,
+		MaxX: area.MinX + SourceRegionSide, MaxY: area.MinY + SourceRegionSide,
 	}
 
 	var a Assignment

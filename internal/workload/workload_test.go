@@ -32,7 +32,6 @@ func TestValidate(t *testing.T) {
 		{Sources: 0, Sinks: 1, Placement: PlaceCorner},
 		{Sources: 1, Sinks: 0, Placement: PlaceCorner},
 		{Sources: 1, Sinks: 1},
-		{Sources: 1, Sinks: 1, Placement: PlaceCorner, SourceRegionSide: -1},
 	}
 	for i, cfg := range bad {
 		if err := cfg.Validate(); err == nil {
@@ -60,13 +59,13 @@ func TestCornerPlacementRegions(t *testing.T) {
 	if len(a.Sources) != 5 || len(a.Sinks) != 1 {
 		t.Fatalf("assignment %+v", a)
 	}
-	srcRegion := geom.Square(0, 0, DefaultSourceRegionSide)
+	srcRegion := geom.Square(0, 0, SourceRegionSide)
 	for _, s := range a.Sources {
 		if !srcRegion.Contains(f.Position(s)) {
 			t.Errorf("source %d at %v outside the 80m corner", s, f.Position(s))
 		}
 	}
-	sinkRegion := geom.Rect{MinX: 200 - DefaultSinkRegionSide, MinY: 200 - DefaultSinkRegionSide, MaxX: 200, MaxY: 200}
+	sinkRegion := geom.Rect{MinX: 200 - SinkRegionSide, MinY: 200 - SinkRegionSide, MaxX: 200, MaxY: 200}
 	if !sinkRegion.Contains(f.Position(a.Sinks[0])) {
 		t.Errorf("sink at %v outside the 36m top-right corner", f.Position(a.Sinks[0]))
 	}
@@ -100,7 +99,7 @@ func TestMultiSinkFirstInCorner(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sinkRegion := geom.Rect{MinX: 200 - DefaultSinkRegionSide, MinY: 200 - DefaultSinkRegionSide, MaxX: 200, MaxY: 200}
+	sinkRegion := geom.Rect{MinX: 200 - SinkRegionSide, MinY: 200 - SinkRegionSide, MaxX: 200, MaxY: 200}
 	if !sinkRegion.Contains(f.Position(a.Sinks[0])) {
 		t.Error("first sink must be in the top-right corner")
 	}
@@ -115,7 +114,7 @@ func TestRandomPlacementUsesWholeField(t *testing.T) {
 	// corner (probability of all-in-corner is astronomically small).
 	rng := rand.New(rand.NewSource(8))
 	outside := false
-	srcRegion := geom.Square(0, 0, DefaultSourceRegionSide)
+	srcRegion := geom.Square(0, 0, SourceRegionSide)
 	for trial := 0; trial < 5 && !outside; trial++ {
 		a, err := Place(f, cfg, rng)
 		if err != nil {
