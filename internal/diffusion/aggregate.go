@@ -84,10 +84,9 @@ func (n *node) onData(from topology.NodeID, m msg.Message) {
 func (n *node) activeSources(st *interestState) []topology.NodeID {
 	cutoff := n.now() - 2*n.rt.params.NegReinforceWindow
 	out := n.rt.sc.sources[:0]
-	for i := range st.srcSeen.es {
-		e := &st.srcSeen.es[i]
-		if e.at >= cutoff {
-			out = append(out, e.id)
+	for _, e := range st.srcSeen.es {
+		if e.val >= cutoff {
+			out = append(out, e.key)
 		}
 	}
 	n.rt.sc.sources = out
@@ -275,17 +274,16 @@ func (n *node) flush(st *interestState) {
 func (n *node) truncationPass() {
 	n.truncArmed = false
 	if !n.on() {
-		for _, st := range n.interests.sts {
-			if len(st.window) > 0 {
+		for _, e := range n.interests.es {
+			if len(e.val.window) > 0 {
 				n.armTruncation()
 				return
 			}
 		}
 		return
 	}
-	for i := range n.interests.sts {
-		iid := n.interests.ids[i]
-		st := n.interests.sts[i]
+	for _, e := range n.interests.es {
+		iid, st := e.key, e.val
 		window := st.window
 		st.window = st.window[:0]
 		if len(window) == 0 {
@@ -322,15 +320,14 @@ func (n *node) repairPass() {
 		return
 	}
 	now := n.now()
-	for i := range n.interests.sts {
-		iid := n.interests.ids[i]
-		st := n.interests.sts[i]
+	for _, ie := range n.interests.es {
+		iid, st := ie.key, ie.val
 		onTree := (n.isSink && iid == n.sinkInterest) || n.hasDataGradient(st)
 		if !onTree {
 			continue
 		}
-		for j := range st.entries.es {
-			e := st.entries.es[j]
+		for _, ee := range st.entries.es {
+			e := ee.val
 			if !e.HasChosen || e.skeleton || e.Origin == n.id {
 				continue
 			}
@@ -343,7 +340,7 @@ func (n *node) repairPass() {
 			// Repair keys on the *source* going silent, not on which
 			// upstream carries it: truncation legitimately reroutes a
 			// source's items through a sibling branch.
-			if last, ok := st.srcSeen.get(e.Origin); ok && now-last < repairTimeout {
+			if last := st.srcSeen.ref(e.Origin); last != nil && now-*last < repairTimeout {
 				continue
 			}
 			if e.excluded == nil {
@@ -367,8 +364,8 @@ func (n *node) rearmRepair() {
 		n.armRepair()
 		return
 	}
-	for _, st := range n.interests.sts {
-		if n.hasDataGradient(st) {
+	for _, e := range n.interests.es {
+		if n.hasDataGradient(e.val) {
 			n.armRepair()
 			return
 		}
@@ -393,16 +390,19 @@ func (n *node) prunePass() {
 		// delivery.
 		cacheTTL = 2 * exploratoryPeriod
 	}
-	for _, st := range n.interests.sts {
+	entryCutoff := now - EntryTTL
+	seenCutoff := now - 4*p.NegReinforceWindow
+	for _, ie := range n.interests.es {
+		st := ie.val
 		for k, at := range st.dataCache {
 			if now-at > cacheTTL {
 				delete(st.dataCache, k)
 			}
 		}
-		st.entries.compactCreatedSince(now - EntryTTL)
-		st.grads.compactExpired(now)
-		st.lastDataFrom.compactSince(now - 4*p.NegReinforceWindow)
-		st.srcSeen.compactSince(now - 4*p.NegReinforceWindow)
+		st.entries.keep(func(e *entryState) bool { return e.created >= entryCutoff })
+		st.grads.keep(func(g gradient) bool { return g.expires > now })
+		st.lastDataFrom.keep(func(at time.Duration) bool { return at >= seenCutoff })
+		st.srcSeen.keep(func(at time.Duration) bool { return at >= seenCutoff })
 	}
 	if p.Repair.Enabled {
 		n.pruneRepairState(now)

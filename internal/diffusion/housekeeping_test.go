@@ -70,9 +70,9 @@ func checkHousekeeping(t *testing.T, rt *Runtime, c *housekeepingCensus) {
 				rt.kernel.Now(), n.id, n.truncArmed, n.repairArmed, p.trunc, p.repair)
 		}
 		live, windowed := n.isSink, false
-		for _, st := range n.interests.sts {
-			live = live || n.hasDataGradient(st)
-			windowed = windowed || len(st.window) > 0
+		for _, e := range n.interests.es {
+			live = live || n.hasDataGradient(e.val)
+			windowed = windowed || len(e.val.window) > 0
 		}
 		if live && p.repair == 0 {
 			t.Fatalf("t=%v node %d: on the tree with no repair pass pending", rt.kernel.Now(), n.id)
@@ -217,7 +217,7 @@ func TestInterestRevivesExpiredDataGradient(t *testing.T) {
 		t.Fatal("tree did not form through the relay")
 	}
 	for i := range st.grads.es {
-		if g := &st.grads.es[i].g; g.kind == gradData {
+		if g := &st.grads.es[i].val; g.kind == gradData {
 			g.expires = k.Now()
 		}
 	}

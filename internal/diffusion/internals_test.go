@@ -2,6 +2,7 @@ package diffusion
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
 	"time"
 
@@ -146,31 +147,64 @@ func TestNegCascadeRateLimit(t *testing.T) {
 }
 
 func TestPrunePassEvictsStaleState(t *testing.T) {
-	k, net, f := testNet(t, 1, linePoints(3))
-	rt, err := New(k, net, f, DefaultParams(), firstCopyStrategy{}, Roles{
-		Sinks:   []topology.NodeID{2},
-		Sources: []topology.NodeID{0},
-	}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	n := rt.Node(1)
-	st := n.state(0)
-	st.dataCache[msg.ItemKey{Source: 0, Seq: 1}] = 0
-	st.entries.put(5, &entryState{created: 0, hasFwdC: true, fwdC: 3})
-	st.grads.put(0, gradient{kind: gradExploratory, expires: time.Second})
-	st.lastDataFrom.put(0, 0)
-	st.srcSeen.put(0, 0)
+	for _, repair := range []bool{false, true} {
+		k, net, f := testNet(t, 1, linePoints(3))
+		p := DefaultParams()
+		p.Repair.Enabled = repair
+		rt, err := New(k, net, f, p, firstCopyStrategy{}, Roles{
+			Sinks:   []topology.NodeID{2},
+			Sources: []topology.NodeID{0},
+		}, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		n := rt.Node(1)
+		st := n.state(0)
+		st.dataCache[msg.ItemKey{Source: 0, Seq: 1}] = 0
+		st.entries.put(5, &entryState{created: 0, hasFwdC: true, fwdC: 3})
+		st.grads.put(0, gradient{kind: gradExploratory, expires: time.Second})
+		st.lastDataFrom.put(0, 0)
+		st.srcSeen.put(0, 0)
 
-	// Jump far past every TTL and run one prune pass.
-	k.Schedule(10*exploratoryPeriod, func() { n.prunePass() })
-	k.Run(10 * exploratoryPeriod)
+		// One survivor and one victim at each table's cutoff, taken at the
+		// prune instant now, far past every TTL of the state above.
+		now := 10 * exploratoryPeriod
+		seen := now - 4*p.NegReinforceWindow
+		st.entries.put(6, &entryState{created: now - EntryTTL})
+		st.entries.put(7, &entryState{created: now - EntryTTL - 1})
+		st.grads.put(1, gradient{kind: gradData, expires: now})
+		st.grads.put(2, gradient{kind: gradData, expires: now + 1})
+		st.lastDataFrom.put(1, seen)
+		st.lastDataFrom.put(2, seen-1)
+		st.srcSeen.put(1, seen)
+		st.srcSeen.put(2, seen-1)
+		n.lq.observe(1, true, now-4*qualityTTL)
+		n.lq.observe(2, true, now-4*qualityTTL-1)
 
-	if len(st.dataCache) != 0 || st.entries.size() != 0 ||
-		st.grads.size() != 0 || st.lastDataFrom.size() != 0 || st.srcSeen.size() != 0 {
-		t.Fatalf("stale state survived prune: cache=%d entries=%d grads=%d senders=%d src=%d",
-			len(st.dataCache), st.entries.size(),
-			st.grads.size(), st.lastDataFrom.size(), st.srcSeen.size())
+		k.Schedule(now, func() { n.prunePass() })
+		k.Run(now)
+
+		if len(st.dataCache) != 0 {
+			t.Fatalf("repair %v: stale duplicate cache survived prune: %d items", repair, len(st.dataCache))
+		}
+		lq := []topology.NodeID{1, 2} // pruned only by the repair layer
+		if repair {
+			lq = []topology.NodeID{1}
+		}
+		for _, c := range []struct {
+			table     string
+			got, want any
+		}{
+			{"entries", tableKeys(&st.entries), []msg.MsgID{6}},
+			{"grads", tableKeys(&st.grads), []topology.NodeID{2}},
+			{"lastDataFrom", tableKeys(&st.lastDataFrom), []topology.NodeID{1}},
+			{"srcSeen", tableKeys(&st.srcSeen), []topology.NodeID{1}},
+			{"link quality", tableKeys(&n.lq.table), lq},
+		} {
+			if !reflect.DeepEqual(c.got, c.want) {
+				t.Errorf("repair %v: prune kept %s %v, want %v", repair, c.table, c.got, c.want)
+			}
+		}
 	}
 }
 
@@ -354,7 +388,7 @@ func TestInterestRoundDedup(t *testing.T) {
 	}
 	// Gradients toward both senders exist regardless of dedup.
 	st := n.interests.get(0)
-	if st.grads.get(2) == nil || st.grads.get(0) == nil {
+	if st.grads.ref(2) == nil || st.grads.ref(0) == nil {
 		t.Fatal("interest did not set gradients toward both senders")
 	}
 }

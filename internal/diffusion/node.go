@@ -31,13 +31,13 @@ type interestState struct {
 
 	// grads maps downstream neighbor -> gradient (direction: data sent to
 	// that neighbor flows toward the interest's sink).
-	grads gradTable
+	grads table[topology.NodeID, gradient]
 
 	// seenRound is the newest interest flood round forwarded.
 	seenRound int
 
 	// entries caches exploratory events by message id.
-	entries entryTable
+	entries table[msg.MsgID, *entryState]
 
 	// dataCache suppresses duplicate items: item key -> last seen.
 	dataCache map[msg.ItemKey]time.Duration
@@ -49,11 +49,11 @@ type interestState struct {
 	window []ReceivedAgg
 
 	// lastDataFrom tracks when each upstream neighbor last delivered data.
-	lastDataFrom timeTable
+	lastDataFrom table[topology.NodeID, time.Duration]
 
 	// srcSeen tracks when items from each source last passed through, for
 	// the aggregation-point test.
-	srcSeen timeTable
+	srcSeen table[topology.NodeID, time.Duration]
 
 	// lastNegCascade rate-limits negative-reinforcement propagation;
 	// negCascaded distinguishes "never" from a cascade at t=0.
@@ -139,7 +139,7 @@ type node struct {
 	sinkInterest msg.InterestID
 	isSource     bool
 
-	interests interestTable
+	interests table[msg.InterestID, *interestState]
 
 	seq           int // next item sequence number (sources)
 	sourceStarted bool
@@ -206,8 +206,8 @@ func (n *node) on() bool { return n.rt.net.On(n.id) }
 // flash to avoid reusing identifiers — the item sequence number and a sink's
 // interest round — survive, as does the hardware processing bias.
 func (n *node) amnesia() {
-	for _, st := range n.interests.sts {
-		n.disarmFlush(st)
+	for _, e := range n.interests.es {
+		n.disarmFlush(e.val)
 	}
 	n.interests.reset()
 	n.sourceStarted = false
@@ -327,7 +327,8 @@ func (n *node) generateEvent() {
 	if n.rt.observer != nil {
 		n.rt.observer.Generated(n.id, item)
 	}
-	for _, st := range n.interests.sts {
+	for _, e := range n.interests.es {
+		st := e.val
 		if !st.activated {
 			continue
 		}
@@ -461,7 +462,7 @@ func (n *node) setGradient(st *interestState, nbr topology.NodeID, kind gradKind
 // degradeGradient turns a data gradient toward nbr back into an exploratory
 // one (negative reinforcement) and reports whether anything changed.
 func (n *node) degradeGradient(st *interestState, nbr topology.NodeID) bool {
-	g := st.grads.get(nbr)
+	g := st.grads.ref(nbr)
 	if g == nil || g.kind != gradData {
 		return false
 	}
@@ -472,9 +473,8 @@ func (n *node) degradeGradient(st *interestState, nbr topology.NodeID) bool {
 
 func (n *node) hasDataGradient(st *interestState) bool {
 	now := n.now()
-	for i := range st.grads.es {
-		g := &st.grads.es[i].g
-		if g.kind == gradData && g.expires > now {
+	for _, e := range st.grads.es {
+		if e.val.kind == gradData && e.val.expires > now {
 			return true
 		}
 	}
@@ -487,10 +487,9 @@ func (n *node) hasDataGradient(st *interestState) bool {
 func (n *node) dataGradients(st *interestState) []topology.NodeID {
 	out := n.rt.sc.grads[:0]
 	now := n.now()
-	for i := range st.grads.es {
-		ge := &st.grads.es[i]
-		if ge.g.kind == gradData && ge.g.expires > now {
-			out = append(out, ge.nbr)
+	for _, e := range st.grads.es {
+		if e.val.kind == gradData && e.val.expires > now {
+			out = append(out, e.key)
 		}
 	}
 	n.rt.sc.grads = out
@@ -712,10 +711,9 @@ func (n *node) onNegReinforce(from topology.NodeID, m msg.Message) {
 		Origin:   n.id,
 		Bytes:    msg.ControlBytes,
 	}
-	for i := range st.lastDataFrom.es {
-		ent := &st.lastDataFrom.es[i]
-		if ent.id != from && ent.at >= cutoff {
-			n.unicast(ent.id, fwd)
+	for _, e := range st.lastDataFrom.es {
+		if e.key != from && e.val >= cutoff {
+			n.unicast(e.key, fwd)
 		}
 	}
 }

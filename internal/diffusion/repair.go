@@ -181,15 +181,14 @@ func (n *node) ctrlRetryFire(to topology.NodeID, m msg.Message) {
 // fallback, and a degradation window on the interest while repair runs.
 func (n *node) healingPass() {
 	now := n.now()
-	for i := range n.interests.sts {
-		iid := n.interests.ids[i]
-		st := n.interests.sts[i]
+	for _, ie := range n.interests.es {
+		iid, st := ie.key, ie.val
 		onTree := (n.isSink && iid == n.sinkInterest) || n.hasDataGradient(st)
 		if !onTree {
 			continue
 		}
-		for j := range st.entries.es {
-			e := st.entries.es[j]
+		for _, ee := range st.entries.es {
+			e := ee.val
 			if e.skeleton || e.Origin == n.id {
 				continue
 			}
@@ -209,7 +208,7 @@ func (n *node) healingPass() {
 			// Repair keys on the *source* going silent, not on which upstream
 			// carries it: truncation legitimately reroutes a source's items
 			// through a sibling branch.
-			if last, ok := st.srcSeen.get(e.Origin); ok && now-last < silenceThreshold {
+			if last := st.srcSeen.ref(e.Origin); last != nil && now-*last < silenceThreshold {
 				continue
 			}
 			n.repairEntry(st, e)

@@ -49,7 +49,7 @@ func TestLinkQualityEWMA(t *testing.T) {
 	// prune drops entries older than the horizon; reset clears everything.
 	lq.observe(2, false, 20*time.Second)
 	lq.prune(22*time.Second, 5*time.Second) // keeps only the 20 s sample
-	if len(lq.es) != 1 || lq.es[0].nbr != 2 {
+	if len(lq.es) != 1 || lq.es[0].key != 2 {
 		t.Fatalf("prune kept %v, want only neighbor 2", lq.es)
 	}
 	lq.reset()

@@ -265,7 +265,8 @@ func (rt *Runtime) BestEntryCost(id topology.NodeID, iid msg.InterestID) (int, b
 		return 0, false
 	}
 	best, found := 0, false
-	for _, e := range st.entries.es {
+	for _, ee := range st.entries.es {
+		e := ee.val
 		if !e.HasE || e.Origin == id {
 			continue
 		}
@@ -320,9 +321,8 @@ func (rt *Runtime) Snapshot() []trace.SnapshotRecord {
 	now := rt.kernel.Now()
 	for ni := range rt.nodes {
 		n := &rt.nodes[ni]
-		for i := range n.interests.sts {
-			iid := n.interests.ids[i]
-			st := n.interests.sts[i]
+		for _, ie := range n.interests.es {
+			iid, st := ie.key, ie.val
 			rec := trace.SnapshotRecord{
 				At:       now,
 				Node:     n.id,
@@ -334,13 +334,12 @@ func (rt *Runtime) Snapshot() []trace.SnapshotRecord {
 				Entries:  st.entries.size(),
 			}
 			rec.OnTree = rec.Sink || n.hasDataGradient(st)
-			for j := range st.grads.es {
-				ge := &st.grads.es[j]
-				if ge.g.expires <= now {
+			for _, ge := range st.grads.es {
+				if ge.val.expires <= now {
 					continue
 				}
 				rec.Gradients = append(rec.Gradients, trace.SnapshotGradient{
-					Nbr: ge.nbr, Data: ge.g.kind == gradData, Expires: ge.g.expires,
+					Nbr: ge.key, Data: ge.val.kind == gradData, Expires: ge.val.expires,
 				})
 			}
 			out = append(out, rec)

@@ -4,46 +4,46 @@ package diffusion
 //
 // The diffusion node used to keep its per-interest soft state in Go maps and
 // sort the key sets on every hot-path call that needed deterministic
-// iteration. These sorted-insert slice tables replace that pattern: inserts
-// keep ascending key order, so every iteration is deterministic for free and
-// no lookup, insert, or traversal allocates.
+// iteration. A sorted-insert slice table replaces that pattern: inserts keep
+// ascending key order, so every iteration is deterministic for free and no
+// lookup, insert, or traversal allocates. One generic table backs every
+// soft-state collection: gradients by downstream neighbor, exploratory
+// entries by message id, interest states by interest id, last-heard times
+// by node id, and link-quality estimates by neighbor.
 //
 // Three rules govern the tables (see DESIGN.md §8):
 //
-//   - Ordering invariant: entries are always sorted by key; iterating the
-//     backing slices front to back visits keys in ascending order, exactly
-//     the order the old sortedNeighborIDs/sortedMsgIDs helpers produced.
-//   - Pointer stability: gradients are stored by value, so a *gradient from
-//     get/getOrInsert is valid only until the next insert — callers mutate
+//   - Ordering invariant: entries are always sorted by key; iterating es
+//     front to back visits keys in ascending order.
+//   - Pointer stability: values live in the table's one slice, so a *V from
+//     ref/getOrInsert is valid only until the next insert — callers mutate
 //     immediately and never hold one across calls. Exploratory entries and
 //     interest states are stored as pointers because timer records hold them
 //     across kernel events.
 //   - Lazy expiry: expired entries stay in the tables (preserving the
 //     hit/miss semantics of the gradient telemetry counters) until the
-//     periodic prune pass compacts them out in one ordered pass; every use
-//     site checks expiry as it iterates.
+//     periodic prune pass compacts them out with keep; every use site checks
+//     expiry as it iterates.
 
-import (
-	"time"
+import "cmp"
 
-	"repro/internal/msg"
-	"repro/internal/topology"
-)
-
-// gradEntry pairs a downstream neighbor with its gradient.
-type gradEntry struct {
-	nbr topology.NodeID
-	g   gradient
+// tableEntry is one key and its value, stored side by side.
+type tableEntry[K cmp.Ordered, V any] struct {
+	key K
+	val V
 }
 
-// gradTable is the per-interest gradient table, sorted by neighbor id.
-type gradTable struct{ es []gradEntry }
+// table maps K to V in one slice sorted by key. Slots between len and cap
+// always hold zero values, so a dropped pointer value can be collected.
+type table[K cmp.Ordered, V any] struct{ es []tableEntry[K, V] }
 
-func (t *gradTable) find(nbr topology.NodeID) int {
+// find returns the index of k's entry, or the index where it would be
+// inserted.
+func (t *table[K, V]) find(k K) int {
 	lo, hi := 0, len(t.es)
 	for lo < hi {
 		mid := int(uint(lo+hi) >> 1)
-		if t.es[mid].nbr < nbr {
+		if t.es[mid].key < k {
 			lo = mid + 1
 		} else {
 			hi = mid
@@ -52,220 +52,62 @@ func (t *gradTable) find(nbr topology.NodeID) int {
 	return lo
 }
 
-// get returns the gradient toward nbr, or nil. The pointer is valid only
-// until the next insert.
-func (t *gradTable) get(nbr topology.NodeID) *gradient {
-	if i := t.find(nbr); i < len(t.es) && t.es[i].nbr == nbr {
-		return &t.es[i].g
+// ref returns k's value in place, or nil. The pointer is valid only until
+// the next insert.
+func (t *table[K, V]) ref(k K) *V {
+	if i := t.find(k); i < len(t.es) && t.es[i].key == k {
+		return &t.es[i].val
 	}
 	return nil
 }
 
-// getOrInsert returns the gradient toward nbr, inserting a zero gradient in
-// key order if absent; existed reports which case applied.
-func (t *gradTable) getOrInsert(nbr topology.NodeID) (g *gradient, existed bool) {
-	i := t.find(nbr)
-	if i < len(t.es) && t.es[i].nbr == nbr {
-		return &t.es[i].g, true
+// get returns k's value, or the zero value when k is absent — nil for the
+// pointer tables. Use ref where absence must differ from a zero value. The
+// single named result keeps get within the compiler's inlining budget.
+func (t *table[K, V]) get(k K) (v V) {
+	if i := t.find(k); i < len(t.es) && t.es[i].key == k {
+		v = t.es[i].val
 	}
-	t.es = append(t.es, gradEntry{})
+	return v
+}
+
+// getOrInsert returns k's value in place, inserting a zero value in key
+// order if absent; existed reports which case applied.
+func (t *table[K, V]) getOrInsert(k K) (v *V, existed bool) {
+	i := t.find(k)
+	if i < len(t.es) && t.es[i].key == k {
+		return &t.es[i].val, true
+	}
+	t.es = append(t.es, tableEntry[K, V]{})
 	copy(t.es[i+1:], t.es[i:])
-	t.es[i] = gradEntry{nbr: nbr}
-	return &t.es[i].g, false
+	t.es[i] = tableEntry[K, V]{key: k}
+	return &t.es[i].val, false
 }
 
-// put installs g toward nbr, replacing any existing gradient (test setup).
-func (t *gradTable) put(nbr topology.NodeID, g gradient) {
-	p, _ := t.getOrInsert(nbr)
-	*p = g
+// put installs v under k, replacing any existing value.
+func (t *table[K, V]) put(k K, v V) {
+	p, _ := t.getOrInsert(k)
+	*p = v
 }
 
-func (t *gradTable) size() int { return len(t.es) }
+func (t *table[K, V]) size() int { return len(t.es) }
 
-// compactExpired drops gradients whose expiry has passed, in one ordered
-// in-place pass.
-func (t *gradTable) compactExpired(now time.Duration) {
-	kept := t.es[:0]
-	for i := range t.es {
-		if t.es[i].g.expires > now {
-			kept = append(kept, t.es[i])
-		}
-	}
-	t.es = kept
-}
-
-// entryTable caches exploratory events by message id, sorted ascending.
-// Entries are pointers: timer records and reinforcement bookkeeping hold
-// them across kernel events, so they must survive table growth.
-type entryTable struct {
-	ids []msg.MsgID
-	es  []*entryState
-}
-
-func (t *entryTable) find(id msg.MsgID) int {
-	lo, hi := 0, len(t.ids)
-	for lo < hi {
-		mid := int(uint(lo+hi) >> 1)
-		if t.ids[mid] < id {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	return lo
-}
-
-// get returns the entry for id, or nil.
-func (t *entryTable) get(id msg.MsgID) *entryState {
-	if i := t.find(id); i < len(t.ids) && t.ids[i] == id {
-		return t.es[i]
-	}
-	return nil
-}
-
-// put installs e under id in key order, replacing any existing entry.
-func (t *entryTable) put(id msg.MsgID, e *entryState) {
-	i := t.find(id)
-	if i < len(t.ids) && t.ids[i] == id {
-		t.es[i] = e
-		return
-	}
-	t.ids = append(t.ids, 0)
-	copy(t.ids[i+1:], t.ids[i:])
-	t.ids[i] = id
-	t.es = append(t.es, nil)
-	copy(t.es[i+1:], t.es[i:])
-	t.es[i] = e
-}
-
-func (t *entryTable) size() int { return len(t.ids) }
-
-// compactCreatedSince drops entries created before cutoff, in one ordered
-// in-place pass, clearing vacated pointer slots so dropped entries can be
-// collected.
-func (t *entryTable) compactCreatedSince(cutoff time.Duration) {
+// keep drops every entry whose value fails live, in one ordered in-place
+// pass, and clears the vacated slots.
+func (t *table[K, V]) keep(live func(V) bool) {
 	w := 0
-	for i := range t.ids {
-		if t.es[i].created >= cutoff {
-			t.ids[w], t.es[w] = t.ids[i], t.es[i]
+	for _, e := range t.es {
+		if live(e.val) {
+			t.es[w] = e
 			w++
 		}
 	}
-	for i := w; i < len(t.es); i++ {
-		t.es[i] = nil
-	}
-	t.ids, t.es = t.ids[:w], t.es[:w]
+	clear(t.es[w:])
+	t.es = t.es[:w]
 }
 
-// timeEntry records when a node was last seen in some role.
-type timeEntry struct {
-	id topology.NodeID
-	at time.Duration
-}
-
-// timeTable is a node-id -> last-seen-time table, sorted by id. It backs
-// both the recent-upstream-sender set (negative-reinforcement cascades) and
-// the recently-seen-source set (the aggregation-point test).
-type timeTable struct{ es []timeEntry }
-
-func (t *timeTable) find(id topology.NodeID) int {
-	lo, hi := 0, len(t.es)
-	for lo < hi {
-		mid := int(uint(lo+hi) >> 1)
-		if t.es[mid].id < id {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	return lo
-}
-
-// put records id as seen at time at.
-func (t *timeTable) put(id topology.NodeID, at time.Duration) {
-	i := t.find(id)
-	if i < len(t.es) && t.es[i].id == id {
-		t.es[i].at = at
-		return
-	}
-	t.es = append(t.es, timeEntry{})
-	copy(t.es[i+1:], t.es[i:])
-	t.es[i] = timeEntry{id: id, at: at}
-}
-
-// get returns when id was last seen.
-func (t *timeTable) get(id topology.NodeID) (time.Duration, bool) {
-	if i := t.find(id); i < len(t.es) && t.es[i].id == id {
-		return t.es[i].at, true
-	}
-	return 0, false
-}
-
-func (t *timeTable) size() int { return len(t.es) }
-
-// compactSince drops records last seen before cutoff, in one ordered
-// in-place pass.
-func (t *timeTable) compactSince(cutoff time.Duration) {
-	kept := t.es[:0]
-	for i := range t.es {
-		if t.es[i].at >= cutoff {
-			kept = append(kept, t.es[i])
-		}
-	}
-	t.es = kept
-}
-
-// interestTable maps interest ids to per-interest state, sorted ascending.
-// States are pointers: timers, pending buffers, and the protocol handlers
-// hold them across kernel events.
-type interestTable struct {
-	ids []msg.InterestID
-	sts []*interestState
-}
-
-func (t *interestTable) find(iid msg.InterestID) int {
-	lo, hi := 0, len(t.ids)
-	for lo < hi {
-		mid := int(uint(lo+hi) >> 1)
-		if t.ids[mid] < iid {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	return lo
-}
-
-// get returns the state for iid, or nil.
-func (t *interestTable) get(iid msg.InterestID) *interestState {
-	if i := t.find(iid); i < len(t.ids) && t.ids[i] == iid {
-		return t.sts[i]
-	}
-	return nil
-}
-
-// put installs st under iid in key order.
-func (t *interestTable) put(iid msg.InterestID, st *interestState) {
-	i := t.find(iid)
-	if i < len(t.ids) && t.ids[i] == iid {
-		t.sts[i] = st
-		return
-	}
-	t.ids = append(t.ids, 0)
-	copy(t.ids[i+1:], t.ids[i:])
-	t.ids[i] = iid
-	t.sts = append(t.sts, nil)
-	copy(t.sts[i+1:], t.sts[i:])
-	t.sts[i] = st
-}
-
-func (t *interestTable) size() int { return len(t.ids) }
-
-// reset drops every interest (crash-with-amnesia), clearing pointer slots
-// so the dead states can be collected while keeping table capacity.
-func (t *interestTable) reset() {
-	for i := range t.sts {
-		t.sts[i] = nil
-	}
-	t.ids, t.sts = t.ids[:0], t.sts[:0]
+// reset drops every entry and clears its slot, keeping the capacity.
+func (t *table[K, V]) reset() {
+	clear(t.es)
+	t.es = t.es[:0]
 }

@@ -20,6 +20,7 @@ package sim
 import (
 	"errors"
 	"fmt"
+	"math"
 	"math/rand"
 	"sort"
 	"time"
@@ -32,6 +33,10 @@ type Time = time.Duration
 
 // Handler is a callback invoked when a scheduled event fires.
 type Handler func()
+
+// Run calls h, so a Handler is itself a Runner. A func value is
+// pointer-shaped, so storing one in a Runner allocates nothing.
+func (h Handler) Run() { h() }
 
 // Runner is the interface-based alternative to Handler for hot paths:
 // a long-lived (typically pooled) object schedules itself and the kernel
@@ -46,7 +51,6 @@ type Runner interface {
 // handles can never act on a successor event. The firing key lives in the
 // event's heap slot, not here.
 type event struct {
-	fn     Handler
 	runner Runner
 	gen    uint32
 	state  uint8
@@ -89,7 +93,6 @@ func (t Timer) Stop() bool {
 		return false
 	}
 	ev.state = evCancelled
-	ev.fn = nil
 	ev.runner = nil
 	t.k.cancelled++
 	t.k.maybeCompact()
@@ -156,8 +159,8 @@ func (k *Kernel) PoolSize() int { return len(k.pool) }
 type PendingEvent struct {
 	At  Time
 	Seq uint64
-	// Runner is the scheduled object of a ScheduleRunner event; nil for a
-	// closure event.
+	// Runner is the event's callback: the scheduled object of a
+	// ScheduleRunner event, or the Handler of a closure event.
 	Runner Runner
 }
 
@@ -192,7 +195,7 @@ func (k *Kernel) Schedule(delay Time, fn Handler) Timer {
 	if fn == nil {
 		panic("sim: nil handler")
 	}
-	return k.schedule(delay, fn, nil)
+	return k.schedule(delay, fn)
 }
 
 // ScheduleRunner is Schedule for pooled objects: r.Run fires at the
@@ -203,14 +206,14 @@ func (k *Kernel) ScheduleRunner(delay Time, r Runner) Timer {
 	if r == nil {
 		panic("sim: nil runner")
 	}
-	return k.schedule(delay, nil, r)
+	return k.schedule(delay, r)
 }
 
-func (k *Kernel) schedule(delay Time, fn Handler, r Runner) Timer {
+func (k *Kernel) schedule(delay Time, r Runner) Timer {
 	if delay < 0 {
 		panic(fmt.Errorf("%w: %v", ErrNegativeDelay, delay))
 	}
-	return k.at(k.now+delay, fn, r)
+	return k.at(k.now+delay, r)
 }
 
 // At runs fn at the absolute virtual time at. Times in the past panic.
@@ -218,16 +221,15 @@ func (k *Kernel) At(at Time, fn Handler) Timer {
 	if fn == nil {
 		panic("sim: nil handler")
 	}
-	return k.at(at, fn, nil)
+	return k.at(at, fn)
 }
 
-func (k *Kernel) at(at Time, fn Handler, r Runner) Timer {
+func (k *Kernel) at(at Time, r Runner) Timer {
 	if at < k.now {
 		panic(fmt.Errorf("%w: at=%v now=%v", ErrNegativeDelay, at, k.now))
 	}
 	idx := k.alloc()
 	ev := &k.pool[idx]
-	ev.fn = fn
 	ev.runner = r
 	ev.state = evPending
 	k.heap = append(k.heap, heapSlot{at: at, seq: k.seq, idx: idx})
@@ -252,11 +254,10 @@ func (k *Kernel) alloc() int32 {
 }
 
 // release recycles a record. The generation bump invalidates every Timer
-// handle still pointing at it; clearing the callbacks drops any captured
+// handle still pointing at it; clearing the callback drops any captured
 // references so fired closures do not outlive their deadline.
 func (k *Kernel) release(idx int32) {
 	ev := &k.pool[idx]
-	ev.fn = nil
 	ev.runner = nil
 	ev.state = evFree
 	ev.gen++
@@ -279,29 +280,7 @@ func (k *Kernel) Run(horizon Time) Time {
 	k.stopped = false
 	defer func() { k.running = false }()
 
-	for len(k.heap) > 0 && !k.stopped {
-		top := k.heap[0]
-		if top.at > horizon {
-			k.now = horizon
-			return k.now
-		}
-		ev := &k.pool[top.idx]
-		if ev.state == evCancelled {
-			k.popHead()
-			k.cancelled--
-			k.release(top.idx)
-			continue
-		}
-		k.now = top.at
-		fn, r := ev.fn, ev.runner
-		k.popHead()
-		k.release(top.idx)
-		k.processed++
-		if fn != nil {
-			fn()
-		} else {
-			r.Run()
-		}
+	for !k.stopped && k.fire(horizon) {
 	}
 	if k.now < horizon && !k.stopped {
 		k.now = horizon
@@ -311,9 +290,17 @@ func (k *Kernel) Run(horizon Time) Time {
 
 // Step fires exactly one pending (non-cancelled) event and reports whether
 // one fired. It is mainly useful in tests that want to single-step a model.
-func (k *Kernel) Step() bool {
+func (k *Kernel) Step() bool { return k.fire(math.MaxInt64) }
+
+// fire drops cancelled events from the head of the queue and fires the
+// first live event due by horizon, reporting whether one fired. Events
+// past the horizon, cancelled or not, stay queued.
+func (k *Kernel) fire(horizon Time) bool {
 	for len(k.heap) > 0 {
 		top := k.heap[0]
+		if top.at > horizon {
+			return false
+		}
 		ev := &k.pool[top.idx]
 		if ev.state == evCancelled {
 			k.popHead()
@@ -322,15 +309,11 @@ func (k *Kernel) Step() bool {
 			continue
 		}
 		k.now = top.at
-		fn, r := ev.fn, ev.runner
+		r := ev.runner
 		k.popHead()
 		k.release(top.idx)
 		k.processed++
-		if fn != nil {
-			fn()
-		} else {
-			r.Run()
-		}
+		r.Run()
 		return true
 	}
 	return false
