@@ -208,8 +208,8 @@ func TestFigureGoldenCSVs(t *testing.T) {
 
 // telemetryLines runs one instrumented quick simulation and renders every
 // telemetry metric as a stable line. sim_queue_highwater is excluded: it
-// reflects event-queue memory footprint and is intentionally lowered by
-// cancelled-event compaction.
+// reflects the event queue's memory footprint, which kernel changes move
+// without changing the simulated run.
 func telemetryLines(t *testing.T) []byte {
 	t.Helper()
 	cfg := core.DefaultConfig()

@@ -7,7 +7,6 @@ import (
 
 	"repro/internal/msg"
 	"repro/internal/setcover"
-	"repro/internal/sim"
 	"repro/internal/topology"
 )
 
@@ -20,12 +19,11 @@ type contribution struct {
 	newItems []msg.Item // the subset not already forwarded
 }
 
-// pendingBuffer holds contributions awaiting the aggregation flush.
+// pendingBuffer holds contributions awaiting the aggregation flush. rec is
+// the armed flush timer, nil when none is armed.
 type pendingBuffer struct {
 	contribs []contribution
-	timer    sim.Timer
 	rec      *nodeTimer
-	armed    bool
 }
 
 // --- data path ------------------------------------------------------------
@@ -108,9 +106,9 @@ func (n *node) isAggregationPoint(st *interestState) bool {
 func (n *node) addPending(st *interestState, c contribution) {
 	st.pending.contribs = append(st.pending.contribs, c)
 
-	if st.pending.armed {
+	if st.pending.rec != nil {
 		if n.sufficientForFlush(st) {
-			n.disarmFlush(st)
+			st.pending.rec = nil // its timer now fires as a no-op
 			n.flush(st)
 		}
 		return

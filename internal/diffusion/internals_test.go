@@ -210,7 +210,8 @@ func TestPrunePassEvictsStaleState(t *testing.T) {
 
 func TestEarlyFlushWhenAllSourcesPresent(t *testing.T) {
 	// An aggregation point holding items from every active source flushes
-	// without waiting out Ta.
+	// without waiting out Ta, and the Ta timer that early flush overtook
+	// fires as a no-op rather than cutting the next window short.
 	pts := []geom.Point{
 		{X: 0, Y: 0}, {X: 0, Y: 40}, {X: 25, Y: 20}, {X: 55, Y: 20},
 	}
@@ -233,7 +234,7 @@ func TestEarlyFlushWhenAllSourcesPresent(t *testing.T) {
 	item1 := msg.Item{Source: 1, Seq: 1}
 	n.onData(0, msg.Message{Kind: msg.KindData, Interest: 0, Origin: 0,
 		Items: []msg.Item{item0}, W: 1, Bytes: msg.EventBytes})
-	if !st.pending.armed {
+	if st.pending.rec == nil {
 		t.Fatal("first contribution did not arm the flush timer")
 	}
 	if rt.Sent()[msg.KindData] != 0 {
@@ -244,6 +245,21 @@ func TestEarlyFlushWhenAllSourcesPresent(t *testing.T) {
 	// Both active sources present: flush fires immediately, not at Ta.
 	if rt.Sent()[msg.KindData] != 1 {
 		t.Fatalf("early flush did not fire: sent=%d", rt.Sent()[msg.KindData])
+	}
+
+	// Half a window later a second item from source 0 arms a fresh Ta
+	// flush. The overtaken timer fires at Ta and must leave it pending.
+	ta := DefaultParams().AggregationDelay
+	k.Run(now + ta/2)
+	n.onData(0, msg.Message{Kind: msg.KindData, Interest: 0, Origin: 0,
+		Items: []msg.Item{{Source: 0, Seq: 2}}, W: 1, Bytes: msg.EventBytes})
+	k.Run(now + ta)
+	if sent, pending := rt.Sent()[msg.KindData], len(st.pending.contribs); sent != 1 || pending != 1 {
+		t.Fatalf("stale flush timer flushed early: sent=%d pending=%d", sent, pending)
+	}
+	k.Run(now + ta + ta/2)
+	if sent := rt.Sent()[msg.KindData]; sent != 2 {
+		t.Fatalf("fresh flush timer did not fire at its Ta: sent=%d", sent)
 	}
 }
 

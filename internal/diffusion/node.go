@@ -206,9 +206,6 @@ func (n *node) on() bool { return n.rt.net.On(n.id) }
 // flash to avoid reusing identifiers — the item sequence number and a sink's
 // interest round — survive, as does the hardware processing bias.
 func (n *node) amnesia() {
-	for _, e := range n.interests.es {
-		n.disarmFlush(e.val)
-	}
 	n.interests.reset()
 	n.sourceStarted = false
 	n.lq.reset()

@@ -219,9 +219,6 @@ func New(kernel *sim.Kernel, net *mac.Network, field *topology.Field, params Par
 	return rt, nil
 }
 
-// Strategy returns the scheme in use.
-func (rt *Runtime) Strategy() Strategy { return rt.strategy }
-
 // Node returns the protocol state handle for tests and inspection tools.
 func (rt *Runtime) Node(id topology.NodeID) *node { return &rt.nodes[id] }
 

@@ -7,11 +7,10 @@ package diffusion
 // record scheduled via sim.ScheduleRunner, so arming a timer on the hot
 // path allocates nothing once the runtime's free list is warm.
 //
-// Records are released back to the free list in exactly one place each:
-// Run releases before dispatching (the kernel never fires a record twice),
-// and disarmFlush releases at the Stop site only when Stop() reports the
-// event was still pending (a cancelled event never fires, so the two
-// release sites are mutually exclusive).
+// Every scheduled event fires, so a record goes back to the free list in
+// exactly one place: Run releases it before dispatching. A record is
+// therefore never handed to a new arm while its event is still queued,
+// which is what lets the flush recognise a stale timer by pointer identity.
 
 import (
 	"time"
@@ -98,8 +97,9 @@ func (t *nodeTimer) Run() {
 			n.reinforceEntry(st, e)
 		}
 	case tkFlush:
-		if n.epoch == ep {
-			st.pending.armed = false
+		// A flush that an early flush or a crash overtook is stale: only
+		// the armed record may flush.
+		if n.epoch == ep && st.pending.rec == t {
 			st.pending.rec = nil
 			if n.on() {
 				n.flush(st)
@@ -159,25 +159,11 @@ func (n *node) armEntry(d time.Duration, kind timerKind, st *interestState, e *e
 	n.rt.kernel.ScheduleRunner(d, t)
 }
 
-// armFlush schedules the aggregation flush and hands back both handles so
-// disarmFlush can cancel and recycle it.
+// armFlush schedules the aggregation flush and records it as st's armed
+// flush.
 func (n *node) armFlush(d time.Duration, st *interestState) {
 	t := n.rt.acquireTimer()
 	t.n, t.st, t.ep, t.kind = n, st, n.epoch, tkFlush
-	st.pending.armed = true
 	st.pending.rec = t
-	st.pending.timer = n.rt.kernel.ScheduleRunner(d, t)
-}
-
-// disarmFlush cancels a pending flush timer, recycling its record when the
-// cancellation actually won (otherwise the fired event already did).
-func (n *node) disarmFlush(st *interestState) {
-	if !st.pending.armed {
-		return
-	}
-	if st.pending.timer.Stop() && st.pending.rec != nil {
-		n.rt.releaseTimer(st.pending.rec)
-	}
-	st.pending.rec = nil
-	st.pending.armed = false
+	n.rt.kernel.ScheduleRunner(d, t)
 }

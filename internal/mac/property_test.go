@@ -39,7 +39,7 @@ func TestPropertyMACNeverWedges(t *testing.T) {
 			from := topology.NodeID(rng.Intn(nodes))
 			size := rng.Intn(900) + 10
 			at := time.Duration(rng.Int63n(int64(2 * time.Second)))
-			k.At(at, func() {
+			k.Schedule(at-k.Now(), func() {
 				if rng.Intn(4) == 0 {
 					to := topology.NodeID(rng.Intn(nodes))
 					if to != from {
@@ -55,8 +55,8 @@ func TestPropertyMACNeverWedges(t *testing.T) {
 		for i := 0; i < 5; i++ {
 			id := topology.NodeID(rng.Intn(nodes))
 			at := time.Duration(rng.Int63n(int64(2 * time.Second)))
-			k.At(at, func() { net.SetOn(id, false) })
-			k.At(at+300*time.Millisecond, func() { net.SetOn(id, true) })
+			k.Schedule(at-k.Now(), func() { net.SetOn(id, false) })
+			k.Schedule(at+300*time.Millisecond-k.Now(), func() { net.SetOn(id, true) })
 		}
 
 		k.Run(30 * time.Second)
@@ -100,7 +100,7 @@ func TestPropertyOverhearingScalesWithDensity(t *testing.T) {
 		}
 		for i := 0; i < 50; i++ {
 			i := i
-			k.At(time.Duration(i)*50*time.Millisecond, func() {
+			k.Schedule(time.Duration(i)*50*time.Millisecond-k.Now(), func() {
 				_ = net.Broadcast(topology.NodeID(i%10), Frame{Bytes: 64})
 			})
 		}

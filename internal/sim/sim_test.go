@@ -59,37 +59,6 @@ func TestKernelZeroDelayRunsAfterCurrentInstant(t *testing.T) {
 	}
 }
 
-func TestTimerStop(t *testing.T) {
-	k := NewKernel(1)
-	fired := false
-	tm := k.Schedule(time.Second, func() { fired = true })
-	if !tm.Active() {
-		t.Fatal("timer should be active before firing")
-	}
-	if !tm.Stop() {
-		t.Fatal("Stop should report cancellation")
-	}
-	if tm.Stop() {
-		t.Fatal("second Stop should be a no-op")
-	}
-	k.Run(2 * time.Second)
-	if fired {
-		t.Fatal("cancelled timer fired")
-	}
-	if tm.Active() {
-		t.Fatal("stopped timer reports active")
-	}
-}
-
-func TestTimerStopAfterFire(t *testing.T) {
-	k := NewKernel(1)
-	tm := k.Schedule(time.Millisecond, func() {})
-	k.Run(time.Second)
-	if tm.Stop() {
-		t.Fatal("Stop after fire should return false")
-	}
-}
-
 func TestRunHorizonStopsBeforeLaterEvents(t *testing.T) {
 	k := NewKernel(1)
 	fired := 0
@@ -116,23 +85,6 @@ func TestEventAtHorizonFires(t *testing.T) {
 	k.Run(2 * time.Second)
 	if !fired {
 		t.Fatal("event scheduled exactly at horizon did not fire")
-	}
-}
-
-func TestStopEndsRun(t *testing.T) {
-	k := NewKernel(1)
-	count := 0
-	for i := 1; i <= 10; i++ {
-		k.Schedule(Time(i)*time.Second, func() {
-			count++
-			if count == 3 {
-				k.Stop()
-			}
-		})
-	}
-	k.Run(time.Hour)
-	if count != 3 {
-		t.Fatalf("count = %d, want 3 (Stop should halt the loop)", count)
 	}
 }
 
@@ -169,6 +121,13 @@ func TestStepSingleSteps(t *testing.T) {
 	}
 	if k.Step() {
 		t.Fatal("Step on empty queue should return false")
+	}
+	// Popping clears the vacated slot, so the heap's spare capacity keeps
+	// no fired callback reachable.
+	for i, s := range k.heap[:cap(k.heap)] {
+		if s != (heapSlot{}) {
+			t.Fatalf("spare heap slot %d still holds %+v", i, s)
+		}
 	}
 }
 
@@ -229,7 +188,7 @@ func TestProcessedAndPendingCounts(t *testing.T) {
 }
 
 // Property: regardless of the (non-negative) delays scheduled, events fire in
-// nondecreasing time order and every non-cancelled event fires exactly once.
+// nondecreasing time order and every event fires exactly once.
 func TestPropertyOrderedFiring(t *testing.T) {
 	f := func(raw []uint32) bool {
 		if len(raw) > 200 {
@@ -257,63 +216,6 @@ func TestPropertyOrderedFiring(t *testing.T) {
 	}
 }
 
-// Property: interleaving cancellations never fires a stopped timer and fires
-// all others.
-func TestPropertyCancellation(t *testing.T) {
-	f := func(mask []bool) bool {
-		if len(mask) > 100 {
-			mask = mask[:100]
-		}
-		k := NewKernel(3)
-		fired := make([]bool, len(mask))
-		timers := make([]Timer, len(mask))
-		for i := range mask {
-			i := i
-			timers[i] = k.Schedule(Time(i+1)*time.Millisecond, func() { fired[i] = true })
-		}
-		for i, cancel := range mask {
-			if cancel {
-				timers[i].Stop()
-			}
-		}
-		k.Run(time.Hour)
-		for i, cancel := range mask {
-			if cancel == fired[i] {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestAtPastPanics(t *testing.T) {
-	k := NewKernel(1)
-	k.Schedule(time.Second, func() {
-		defer func() {
-			if recover() == nil {
-				t.Error("expected panic scheduling into the past")
-			}
-		}()
-		k.At(500*time.Millisecond, func() {})
-	})
-	k.Run(2 * time.Second)
-}
-
-func TestAtExactNowAllowed(t *testing.T) {
-	k := NewKernel(1)
-	fired := false
-	k.Schedule(time.Second, func() {
-		k.At(k.Now(), func() { fired = true })
-	})
-	k.Run(2 * time.Second)
-	if !fired {
-		t.Fatal("At(now) did not fire")
-	}
-}
-
 func TestRunReentryPanics(t *testing.T) {
 	k := NewKernel(1)
 	k.Schedule(time.Second, func() {
@@ -325,4 +227,48 @@ func TestRunReentryPanics(t *testing.T) {
 		k.Run(2 * time.Second)
 	})
 	k.Run(3 * time.Second)
+}
+
+// TestZeroAllocSteadyState verifies the headline property of the kernel:
+// once the heap's backing array is warm, a schedule→fire cycle allocates
+// nothing.
+func TestZeroAllocSteadyState(t *testing.T) {
+	k := NewKernel(1)
+	tick := func() {}
+	// Warm the heap's backing array.
+	for i := 0; i < 64; i++ {
+		k.Schedule(Time(i)*time.Microsecond, tick)
+	}
+	k.Run(k.Now() + time.Millisecond)
+
+	allocs := testing.AllocsPerRun(1000, func() {
+		k.Schedule(time.Microsecond, tick)
+		k.Step()
+	})
+	if allocs != 0 {
+		t.Fatalf("steady-state schedule+fire allocates %.1f objects/op, want 0", allocs)
+	}
+}
+
+type countingRunner struct{ n int }
+
+func (r *countingRunner) Run() { r.n++ }
+
+// TestScheduleRunner exercises the closure-free scheduling path.
+func TestScheduleRunner(t *testing.T) {
+	k := NewKernel(1)
+	r := &countingRunner{}
+	k.ScheduleRunner(time.Millisecond, r)
+	k.ScheduleRunner(2*time.Millisecond, r)
+	k.Run(time.Second)
+	if r.n != 2 {
+		t.Fatalf("runner fired %d times, want 2", r.n)
+	}
+
+	defer func() {
+		if recover() == nil {
+			t.Fatal("expected panic on nil runner")
+		}
+	}()
+	k.ScheduleRunner(time.Millisecond, nil)
 }
