@@ -1,6 +1,7 @@
 package diffusion
 
 import (
+	"slices"
 	"sort"
 	"testing"
 	"time"
@@ -424,19 +425,16 @@ func TestRecordCopy(t *testing.T) {
 	e := &entryState{}
 	e.recordCopy(5, 3, 100, 8)
 	e.recordCopy(7, 2, 200, 8)
-	e.recordCopy(5, 1, 300, 8) // improves node 5's cost, keeps arrival order
+	e.recordCopy(5, 1, 300, 8)   // improves node 5's cost, keeps arrival order
+	e.recordCopy(133, 4, 400, 8) // shares node 5's filter bit, but is a new neighbor
+	e.recordCopy(133, 2, 500, 8) // improves node 133's cost
 
 	if !e.HasE || e.BestE != 1 {
 		t.Fatalf("BestE = %d (HasE=%v), want 1", e.BestE, e.HasE)
 	}
-	if len(e.Copies) != 2 {
-		t.Fatalf("Copies = %v, want 2 entries", e.Copies)
-	}
-	if e.Copies[0].Nbr != 5 || e.Copies[0].E != 1 || e.Copies[0].Arrival != 100 {
-		t.Fatalf("first copy = %+v", e.Copies[0])
-	}
-	if e.Copies[1].Nbr != 7 || e.Copies[1].E != 2 {
-		t.Fatalf("second copy = %+v", e.Copies[1])
+	want := []Copy{{Nbr: 5, E: 1, Arrival: 100}, {Nbr: 7, E: 2, Arrival: 200}, {Nbr: 133, E: 2, Arrival: 400}}
+	if !slices.Equal(e.Copies, want) {
+		t.Fatalf("Copies = %+v, want %+v", e.Copies, want)
 	}
 }
 

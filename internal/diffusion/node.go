@@ -90,33 +90,44 @@ type entryState struct {
 
 	// fwdC is the lowest incremental cost already forwarded for this entry,
 	// so improvements propagate but duplicates do not; sentC is the lowest C
-	// this node emitted as an on-tree source for it.
-	fwdC     int
-	hasFwdC  bool
-	sentC    int
-	hasSentC bool
+	// this node emitted as an on-tree source for it. The two flags share a
+	// word, which keeps the entry, seen included, in the 320-byte size class.
+	fwdC, sentC       int
+	hasFwdC, hasSentC bool
 
 	// copiesBuf is inline storage backing Copies for the common small
 	// fan-in, so recording the first few flood copies never allocates.
 	copiesBuf [4]Copy
+
+	// seen is a 128-bit filter over the neighbors Copies holds, bit
+	// nbr&127: a clear bit proves nbr has no copy yet.
+	seen [2]uint64
 }
 
 // recordCopy notes a flood delivery from nbr at the given accumulated cost,
-// keeping the cheapest cost per neighbor and first-arrival order. degree is
-// the node's current neighbor count: a flood can reach a node once per
-// neighbor, so when copies outgrow the inline buffer they move to a slice
-// sized for that many in one allocation rather than a doubling chain.
+// keeping the cheapest cost per neighbor and first-arrival order. A flood
+// reaches a node at most once per neighbor, so most copies are a neighbor's
+// first: the seen filter lets those append without scanning Copies, and
+// only a set bit (a repeat, or another neighbor on the same bit) scans.
+// degree is the node's current neighbor count: when copies outgrow the
+// inline buffer they move to a slice sized for that many in one allocation
+// rather than a doubling chain.
 func (e *entryState) recordCopy(nbr topology.NodeID, cost int, at time.Duration, degree int) {
 	if !e.HasE || cost < e.BestE {
 		e.HasE = true
 		e.BestE = cost
 	}
-	for i := range e.Copies {
-		if e.Copies[i].Nbr == nbr {
-			if cost < e.Copies[i].E {
-				e.Copies[i].E = cost
+	b := uint(nbr) & 127
+	if w, bit := &e.seen[b>>6], uint64(1)<<(b&63); *w&bit == 0 {
+		*w |= bit
+	} else {
+		for i := range e.Copies {
+			if e.Copies[i].Nbr == nbr {
+				if cost < e.Copies[i].E {
+					e.Copies[i].E = cost
+				}
+				return
 			}
-			return
 		}
 	}
 	switch {

@@ -89,7 +89,7 @@ type Runtime struct {
 	// runtime's lifetime without a pointer-chase per node.
 	nodes   []node
 	started bool
-	sent    map[msg.Kind]int
+	sent    [msg.KindRepairProbe + 1]int // by kind; msg.Validate bounds the index
 	tracer  Tracer
 
 	// count holds the protocol counters; cascades counts each exploratory
@@ -168,11 +168,14 @@ func (rt *Runtime) traceDeliver(sink topology.NodeID, it msg.Item, delay time.Du
 }
 
 // Sent returns how many messages of each kind the protocol handed to the
-// MAC (one count per unicast copy or broadcast).
+// MAC (one count per unicast copy or broadcast), holding exactly the kinds
+// sent at least once.
 func (rt *Runtime) Sent() map[msg.Kind]int {
-	out := make(map[msg.Kind]int, len(rt.sent))
+	out := make(map[msg.Kind]int)
 	for k, v := range rt.sent {
-		out[k] = v
+		if v > 0 {
+			out[msg.Kind(k)] = v
+		}
 	}
 	return out
 }
@@ -198,7 +201,6 @@ func New(kernel *sim.Kernel, net *mac.Network, field *topology.Field, params Par
 		roles:    roles,
 		observer: observer,
 		nodes:    make([]node, field.Len()),
-		sent:     make(map[msg.Kind]int),
 		cascades: make(map[cascadeKey]int),
 	}
 	for i := range rt.nodes {

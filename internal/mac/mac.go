@@ -30,11 +30,14 @@
 // receivers they were put in front of (capacity grows to the radio degree,
 // never the field size). Every receiver holds its slot in that list, and
 // every entry holds the position of its hearing in the receiver's audible
-// list, so settling a reception needs no search of either. Receive energy
-// is computed once per frame and charged to each receiver. Outbound frames
-// are pooled, contention re-arms through a prebuilt per-node runner, and
-// every delayed MAC step (airtime end, SIFS gaps, ACK timeouts) is dispatched
-// through pooled sim.Runner records instead of fresh closures. Density
+// list, so settling a reception needs no search of either. End of airtime
+// settles the receivers in the order the frame's start recorded them, unless
+// the field took a MoveNode during the airtime; only then does it re-walk
+// the sender's live neighbor list. Receive energy is computed once per
+// frame and charged to each receiver. Outbound frames are pooled,
+// contention re-arms through a prebuilt per-node runner, and every delayed
+// MAC step (airtime end, SIFS gaps, ACK timeouts) is dispatched through
+// pooled sim.Runner records instead of fresh closures. Density
 // sweeps spend most of their events here, so per-frame garbage directly
 // caps simulator throughput, and constant-density scale sweeps depend on
 // per-frame work tracking degree rather than population.
@@ -266,9 +269,9 @@ type Network struct {
 	outcome UnicastOutcome
 
 	// rxSlot maps a node to its slot plus one in the receiver set of the
-	// frame end() is settling, zero when absent. It is all zeros between
-	// end() calls, so construction needs no fill loop; movers is end()'s
-	// scratch for receivers that left range mid-frame.
+	// frame end()'s live-neighbor walk is settling, zero when absent. It is
+	// all zeros between end() calls, so construction needs no fill loop;
+	// movers is that walk's scratch for receivers that left range mid-frame.
 	rxSlot []int32
 	movers []int32
 
@@ -346,6 +349,8 @@ type transmission struct {
 	// zero when it has none (broadcast, or destination off or out of range
 	// at airtime start).
 	dst int32
+	// moves is the field's MoveNode count when begin() recorded recv.
+	moves uint64
 
 	// Completion context, interpreted per kind: owner is the transmitting
 	// node, peer the unicast counterpart an ACK/CTS answers, of the queued
@@ -768,6 +773,7 @@ func (n *Network) begin(ns *nodeState, tx *transmission, airtime time.Duration) 
 	for _, h := range ns.audible {
 		n.corrupt(&h.tx.recv[h.slot])
 	}
+	tx.moves = n.field.Moves()
 	for _, nb := range n.field.Neighbors(ns.id) {
 		rs := &n.nodes[nb]
 		if !rs.on {
@@ -811,17 +817,28 @@ func (n *Network) begin(ns *nodeState, tx *transmission, airtime time.Duration) 
 // end removes tx from every receiver's audible set and delivers it where it
 // survived — exactly the receivers recorded heard at airtime start: under
 // mobility the live neighbor set can differ by the time the airtime ends,
-// and only nodes that heard the frame start can finish receiving it. The
-// walk keeps the begin()-time scan order: live neighbors first, each
+// and only nodes that heard the frame start can finish receiving it.
+//
+// If the field took no MoveNode since begin(), receivers are settled in
+// slot order. That is the live-neighbor walk below, exactly: begin()
+// appended one entry per on neighbor in list order, the list is unchanged,
+// and every entry is still heard (finishReception alone clears rxHeard, and
+// end() is its only caller). Any move sends the frame to the walk, even one
+// that changed no link, since rescanning the moved node's list can reorder
+// it. The walk keeps the live list's order: live neighbors first, each
 // resolved to its entry through the rxSlot index, then any receivers that
-// moved out of range mid-frame in ascending ID — none on a static field,
-// so static runs finish receptions in the exact pre-mobility order.
-// Nothing inside finishReception can append to tx.recv or re-enter end()
-// (no begin() runs reentrantly; contention and handshake steps are
-// scheduled, not called), so the index and slots stay valid across
-// delivery callbacks.
+// moved out of range mid-frame in ascending ID. Nothing inside
+// finishReception can append to tx.recv, move a node or re-enter end() (no
+// begin() runs reentrantly; contention and handshake steps are scheduled,
+// not called), so the index and slots stay valid across delivery callbacks.
 func (n *Network) end(tx *transmission) {
 	senderDied := !n.nodes[tx.from].on // died mid-frame: nothing decodable
+	if tx.moves == n.field.Moves() {
+		for i := range tx.recv {
+			n.finishReception(tx, int32(i), senderDied)
+		}
+		return
+	}
 	for i := range tx.recv {
 		if tx.recv[i].flags&rxHeard != 0 {
 			n.rxSlot[tx.recv[i].id] = int32(i) + 1

@@ -2,6 +2,7 @@ package mac
 
 import (
 	"math/rand"
+	"reflect"
 	"slices"
 	"testing"
 	"time"
@@ -108,17 +109,7 @@ func TestReceiverSetSlotInvariants(t *testing.T) {
 			for i := 0; i < 8; i++ {
 				n.SetReceiver(topology.NodeID(i), (&capture{}).receiver(k))
 			}
-			for round := 0; round < 4; round++ {
-				for i := 0; i < 8; i++ {
-					id := topology.NodeID(i)
-					if err := n.Broadcast(id, Frame{Bytes: 64, Payload: i}); err != nil {
-						t.Fatal(err)
-					}
-					if err := n.Unicast(id, topology.NodeID((i+1)%8), Frame{Bytes: 96, Payload: i}); err != nil {
-						t.Fatal(err)
-					}
-				}
-			}
+			queueRounds(t, n, 4)
 			const off, mover, firstCycle = 3, 7, 100
 			cycles, moves, staleMet, moved := 0, 0, false, false
 			// prev holds every hearing's audible index as the last step left
@@ -166,6 +157,23 @@ func TestReceiverSetSlotInvariants(t *testing.T) {
 				t.Fatal("no collisions: the layout was not contended")
 			}
 		})
+	}
+}
+
+// queueRounds queues, rounds times over, a broadcast and a unicast to the
+// next node from each of nodes 0-7.
+func queueRounds(t *testing.T, n *Network, rounds int) {
+	t.Helper()
+	for round := 0; round < rounds; round++ {
+		for i := 0; i < 8; i++ {
+			id := topology.NodeID(i)
+			if err := n.Broadcast(id, Frame{Bytes: 64, Payload: i}); err != nil {
+				t.Fatal(err)
+			}
+			if err := n.Unicast(id, topology.NodeID((i+1)%8), Frame{Bytes: 96, Payload: i}); err != nil {
+				t.Fatal(err)
+			}
+		}
 	}
 }
 
@@ -235,6 +243,113 @@ func TestResidualMoversDeliveredAscending(t *testing.T) {
 	k.Run(time.Second)
 	if want := []topology.NodeID{1, 3, 2, 4}; !slices.Equal(order, want) {
 		t.Fatalf("delivery order %v, want %v", order, want)
+	}
+}
+
+func TestLinkNeutralMoveReordersDelivery(t *testing.T) {
+	// Node 3 joins sender 0's list last, so the list is 2, 1, 3. Mid-airtime
+	// the sender itself moves by 1 m: no link is gained or lost, but its list
+	// is rescanned in grid order as 3, 2, 1, and the frame must settle in
+	// that live order, not in the order its receivers were recorded.
+	pts := []geom.Point{{X: 60, Y: 60}, {X: 90, Y: 60}, {X: 30, Y: 60}, {X: 900, Y: 900}}
+	f, err := topology.FromPositions(geom.Square(0, 0, 1000), 40, pts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	f.MoveNode(3, geom.Point{X: 60, Y: 30})
+	if got, want := f.Neighbors(0), []topology.NodeID{2, 1, 3}; !slices.Equal(got, want) {
+		t.Fatalf("neighbor list %v before the frame, want %v", got, want)
+	}
+	k := sim.NewKernel(3)
+	n, err := New(k, f, energy.PaperModel(), Params{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var order []topology.NodeID
+	for i := 1; i < len(pts); i++ {
+		id := topology.NodeID(i)
+		n.SetReceiver(id, func(topology.NodeID, Frame) { order = append(order, id) })
+	}
+	if err := n.Broadcast(0, Frame{Bytes: 64, Payload: "reordered"}); err != nil {
+		t.Fatal(err)
+	}
+	stepUntilOnAir(t, k, n, 0)
+	if changed := f.MoveNode(0, geom.Point{X: 61, Y: 60}); changed != 0 {
+		t.Fatalf("the 1 m move changed %d links, want 0", changed)
+	}
+	want := []topology.NodeID{3, 2, 1}
+	if got := f.Neighbors(0); !slices.Equal(got, want) {
+		t.Fatalf("neighbor list %v after the move, want %v", got, want)
+	}
+	k.Run(time.Second)
+	if !slices.Equal(order, want) {
+		t.Fatalf("delivery order %v, want %v", order, want)
+	}
+}
+
+func TestSettlePathsAgreeOnUnmovedField(t *testing.T) {
+	// end() settles a frame in slot order when the field took no MoveNode
+	// during its airtime, and re-walks the live neighbor list otherwise. On a
+	// field whose lists never change the two must agree. The same seeded,
+	// contended, lossy traffic runs twice: once with no move, so every frame
+	// settles in slot order, and once with a same-position move of the
+	// isolated padding node inside every frame's airtime, so every frame
+	// takes the walk. Deliveries and drops, in order, the counters and every
+	// meter must match.
+	type rx struct {
+		to, from topology.NodeID
+		payload  any
+		drop     RxDropReason // zero for a delivery
+	}
+	run := func(walk bool) ([]rx, Stats, []energy.Meter) {
+		k, n := clusterNet(t, 1)
+		const pad = 8
+		var log []rx
+		for i := 0; i < 8; i++ {
+			to := topology.NodeID(i)
+			n.SetReceiver(to, func(from topology.NodeID, f Frame) { log = append(log, rx{to, from, f.Payload, 0}) })
+		}
+		n.SetDropHook(func(from, to topology.NodeID, f Frame, r RxDropReason) { log = append(log, rx{to, from, f.Payload, r}) })
+		rng := k.Rand()
+		n.SetLinkFilter(func(topology.NodeID, topology.NodeID) bool { return rng.Intn(8) != 0 })
+		queueRounds(t, n, 4)
+		for k.Step() {
+			if !walk {
+				continue
+			}
+			// A frame that started this step has not seen a move yet.
+			for _, ev := range k.PendingEvents() {
+				if tx, ok := ev.Runner.(*transmission); ok && tx.moves == n.field.Moves() {
+					n.field.MoveNode(pad, n.field.Position(pad))
+					break
+				}
+			}
+		}
+		if moved := n.field.Moves() > 0; moved != walk {
+			t.Fatalf("walk run %v took %d moves", walk, n.field.Moves())
+		}
+		meters := make([]energy.Meter, len(n.energy))
+		copy(meters, n.energy)
+		return log, n.Stats(), meters
+	}
+	slotLog, slotStats, slotMeters := run(false)
+	walkLog, walkStats, walkMeters := run(true)
+	if slotStats.Collisions == 0 || slotStats.LinkLoss == 0 {
+		t.Fatalf("stats %+v: the traffic saw no collision or no link loss", slotStats)
+	}
+	if !reflect.DeepEqual(slotLog, walkLog) {
+		for i := range slotLog {
+			if i >= len(walkLog) || slotLog[i] != walkLog[i] {
+				t.Fatalf("reception %d of %d: slot order %+v, live walk %+v", i, len(slotLog), slotLog[i:], walkLog[min(i, len(walkLog)):])
+			}
+		}
+		t.Fatalf("live walk logged %d receptions, slot order %d", len(walkLog), len(slotLog))
+	}
+	if !reflect.DeepEqual(slotStats, walkStats) {
+		t.Fatalf("stats differ: slot order %+v, live walk %+v", slotStats, walkStats)
+	}
+	if !slices.Equal(slotMeters, walkMeters) {
+		t.Fatalf("meters differ: slot order %+v, live walk %+v", slotMeters, walkMeters)
 	}
 }
 

@@ -30,11 +30,15 @@ type NodeID int
 // valid only until the next MoveNode call; callers that must survive a move
 // (the MAC's in-flight transmissions) record the node IDs they care about
 // instead of holding the slice.
+//
+// MoveNode is the only writer of neighbor lists, so while Moves reads the
+// same count every list is exactly as it was, in content and in order.
 type Field struct {
 	area      geom.Rect
 	rng       float64 // radio range, meters
 	positions []geom.Point
 	neighbors [][]NodeID
+	moves     uint64 // MoveNode calls so far
 
 	// Persistent uniform grid (cell side = radio range) so a move only
 	// rescans the 3×3 cell neighborhood instead of rebuilding the field.
@@ -182,6 +186,7 @@ func (f *Field) scanNeighbors(id NodeID, dst []NodeID) []NodeID {
 // order; lists of nodes that gained id append it, so their order reflects
 // link history — still fully deterministic for a fixed move sequence.
 func (f *Field) MoveNode(id NodeID, p geom.Point) int {
+	f.moves++
 	p = f.area.Clamp(p)
 	f.positions[id] = p
 	if c := f.cellAt(p); c != f.cellIdx[id] {
@@ -242,6 +247,11 @@ func removeID(s []NodeID, id NodeID) []NodeID {
 	}
 	return s
 }
+
+// Moves returns how many MoveNode calls the field has taken. It counts every
+// call, not only those that gain or lose a link: rescanning the moved node's
+// list can reorder it with no link changed.
+func (f *Field) Moves() uint64 { return f.moves }
 
 // Len returns the number of nodes in the field.
 func (f *Field) Len() int { return len(f.positions) }
