@@ -20,7 +20,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/datacentric"
-	"repro/internal/energy"
 	"repro/internal/geom"
 	"repro/internal/harness"
 	"repro/internal/mac"
@@ -240,10 +239,7 @@ func BenchmarkMACFrameFieldSize(b *testing.B) {
 				b.Fatal(err)
 			}
 			k := sim.NewKernel(1)
-			net, err := mac.New(k, f, energy.PaperModel(), mac.Params{})
-			if err != nil {
-				b.Fatal(err)
-			}
+			net := mac.New(k, f, mac.Params{})
 			// Rotate a fixed sender set and warm their queues, frame pools,
 			// and neighbors' audible slices up front, so the loop measures
 			// the steady-state per-frame cost rather than first-touch
@@ -295,10 +291,7 @@ func BenchmarkMACBroadcast(b *testing.B) {
 		b.Fatal(err)
 	}
 	k := sim.NewKernel(1)
-	net, err := mac.New(k, f, energy.PaperModel(), mac.Params{})
-	if err != nil {
-		b.Fatal(err)
-	}
+	net := mac.New(k, f, mac.Params{})
 	for i := 0; i < 350; i++ {
 		_ = net.Broadcast(topology.NodeID(i), mac.Frame{Bytes: 64})
 		k.Run(k.Now() + 10*time.Millisecond)

@@ -379,11 +379,10 @@ func run(args []string, out *os.File) error {
 	return nil
 }
 
-// printDrops prints the MAC's transmit drops in DropReason order: they sit
-// in a map, whose iteration order varies from one range to the next.
-func printDrops(w io.Writer, drops map[mac.DropReason]int) {
+// printDrops prints the MAC's non-zero transmit drops in DropReason order.
+func printDrops(w io.Writer, drops [mac.DropNodeOff + 1]int) {
 	for reason := mac.DropQueueFull; reason <= mac.DropNodeOff; reason++ {
-		if n, ok := drops[reason]; ok {
+		if n := drops[reason]; n > 0 {
 			fmt.Fprintf(w, "  drops[%s] = %d\n", reason, n)
 		}
 	}
@@ -478,18 +477,11 @@ func parsePartition(arg string, fieldSide float64) (chaos.Partition, error) {
 func parseKinds(arg string) ([]msg.Kind, error) {
 	var kinds []msg.Kind
 	for _, name := range strings.Split(arg, ",") {
-		name = strings.TrimSpace(name)
-		found := false
-		for k := msg.KindInterest; k <= msg.KindRepairProbe; k++ {
-			if k.String() == name {
-				kinds = append(kinds, k)
-				found = true
-				break
-			}
+		k, err := msg.ParseKind(strings.TrimSpace(name))
+		if err != nil {
+			return nil, err
 		}
-		if !found {
-			return nil, fmt.Errorf("unknown message kind %q", name)
-		}
+		kinds = append(kinds, k)
 	}
 	return kinds, nil
 }

@@ -123,7 +123,10 @@ func TestTraceMatchesSendCounters(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	counts := rec.CountByKind()
+	counts := make(map[msg.Kind]int)
+	for _, e := range rec.Events() {
+		counts[e.Kind]++
+	}
 	for k, want := range out.Sent {
 		if counts[k] != want {
 			t.Errorf("trace saw %d %v sends, runtime counted %d", counts[k], k, want)

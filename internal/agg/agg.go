@@ -10,8 +10,8 @@
 //     header — lossless packing whose only savings are per-transmission
 //     overheads.
 //   - Packing aggregation: the §3 lossless example, equivalent in wire size
-//     to linear aggregation but kept as a distinct named function so
-//     experiments can label it separately.
+//     to linear aggregation but kept as its own function, which ByName
+//     selects as "packing".
 package agg
 
 import "fmt"
@@ -23,8 +23,6 @@ type Func interface {
 	// Size returns the wire size of an aggregate holding items data items.
 	// items must be >= 1.
 	Size(items int) int
-	// Name identifies the function in reports.
-	Name() string
 }
 
 // Perfect is the paper's perfect aggregation: any aggregate is one event's
@@ -37,9 +35,6 @@ func (Perfect) Size(items int) int {
 	return msg.EventBytes
 }
 
-// Name implements Func.
-func (Perfect) Name() string { return "perfect" }
-
 // Linear is the paper's linear aggregation z(S) = d·|x| + h, with the
 // paper's |x| = msg.LinearItemBytes and h = msg.LinearHeaderBytes.
 type Linear struct{}
@@ -49,9 +44,6 @@ func (Linear) Size(items int) int {
 	mustPositive(items)
 	return items*msg.LinearItemBytes + msg.LinearHeaderBytes
 }
-
-// Name implements Func.
-func (Linear) Name() string { return "linear" }
 
 // Packing packs whole unaggregated events behind a single header: the §3
 // lossless "packing aggregation" whose only savings are the shared
@@ -66,9 +58,6 @@ func (Packing) Size(items int) int {
 	payload := msg.EventBytes - msg.LinearHeaderBytes
 	return items*payload + msg.LinearHeaderBytes
 }
-
-// Name implements Func.
-func (Packing) Name() string { return "packing" }
 
 // Timestamp models the §3 timestamp aggregation: temporally correlated
 // events share their coarse timestamp fields (e.g. hour+minute, 8 bytes),
@@ -88,9 +77,6 @@ func (Timestamp) Size(items int) int {
 	return msg.LinearHeaderBytes + payload + (items-1)*(payload-timestampSharedBytes)
 }
 
-// Name implements Func.
-func (Timestamp) Name() string { return "timestamp" }
-
 // Outline models the §3 escan-style lossy aggregation: topologically
 // adjacent readings collapse into a bounded summary (a polygon), so the
 // aggregate size saturates at outlineCapItems regardless of item count.
@@ -104,9 +90,6 @@ func (Outline) Size(items int) int {
 	mustPositive(items)
 	return (Linear{}).Size(min(items, outlineCapItems))
 }
-
-// Name implements Func.
-func (Outline) Name() string { return "outline" }
 
 // ByName returns the aggregation function with the given name.
 func ByName(name string) (Func, error) {

@@ -14,9 +14,6 @@ func TestPerfect(t *testing.T) {
 			t.Errorf("Perfect.Size(%d) = %d, want %d", n, got, msg.EventBytes)
 		}
 	}
-	if p.Name() != "perfect" {
-		t.Errorf("Name = %q", p.Name())
-	}
 }
 
 func TestLinearPaperValues(t *testing.T) {
@@ -76,13 +73,16 @@ func TestOutline(t *testing.T) {
 }
 
 func TestByName(t *testing.T) {
-	for _, name := range []string{"perfect", "linear", "packing", "timestamp", "outline"} {
+	for name, want := range map[string]Func{
+		"perfect": Perfect{}, "linear": Linear{}, "packing": Packing{},
+		"timestamp": Timestamp{}, "outline": Outline{},
+	} {
 		f, err := ByName(name)
 		if err != nil {
 			t.Fatalf("ByName(%q): %v", name, err)
 		}
-		if f.Name() != name {
-			t.Errorf("ByName(%q).Name() = %q", name, f.Name())
+		if f != want {
+			t.Errorf("ByName(%q) = %T, want %T", name, f, want)
 		}
 	}
 	if _, err := ByName("bogus"); err == nil {
@@ -95,7 +95,7 @@ func TestZeroItemsPanics(t *testing.T) {
 		func() {
 			defer func() {
 				if recover() == nil {
-					t.Errorf("%s: expected panic for 0 items", f.Name())
+					t.Errorf("%T: expected panic for 0 items", f)
 				}
 			}()
 			f.Size(0)

@@ -4,7 +4,6 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/energy"
 	"repro/internal/geom"
 	"repro/internal/mac"
 	"repro/internal/msg"
@@ -34,10 +33,7 @@ func checkerFixture(t *testing.T) (*sim.Kernel, *Checker) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	net, err := mac.New(kernel, field, energy.PaperModel(), mac.Params{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	net := mac.New(kernel, field, mac.Params{})
 	c := newChecker(kernel, net, field)
 	c.bind(ringTrees{}, 1)
 	return kernel, c
@@ -118,10 +114,7 @@ func TestCheckerExcusesOutOfRangeCycle(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	net, err := mac.New(kernel, field, energy.PaperModel(), mac.Params{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	net := mac.New(kernel, field, mac.Params{})
 	c := newChecker(kernel, net, field)
 	c.bind(ringTrees{}, 1)
 

@@ -5,7 +5,6 @@ import (
 	"time"
 
 	"repro/internal/diffusion"
-	"repro/internal/energy"
 	"repro/internal/geom"
 	"repro/internal/mac"
 	"repro/internal/sim"
@@ -55,10 +54,7 @@ func TestGreedyAttachesAtClosestTreePoint(t *testing.T) {
 	}
 
 	kernel := sim.NewKernel(3)
-	net, err := mac.New(kernel, f, energy.PaperModel(), mac.Params{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	net := mac.New(kernel, f, mac.Params{})
 	rt, err := diffusion.New(kernel, net, f, diffusion.DefaultParams(), Strategy{},
 		diffusion.Roles{Sinks: []topology.NodeID{5}, Sources: []topology.NodeID{0, 6}}, nil)
 	if err != nil {

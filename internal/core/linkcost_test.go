@@ -5,7 +5,6 @@ import (
 	"time"
 
 	"repro/internal/diffusion"
-	"repro/internal/energy"
 	"repro/internal/geom"
 	"repro/internal/mac"
 	"repro/internal/sim"
@@ -23,10 +22,7 @@ func TestDefaultLinkCostIsHops(t *testing.T) {
 		t.Fatal(err)
 	}
 	kernel := sim.NewKernel(1)
-	net, err := mac.New(kernel, f, energy.PaperModel(), mac.Params{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	net := mac.New(kernel, f, mac.Params{})
 	rt, err := diffusion.New(kernel, net, f, diffusion.DefaultParams(), Strategy{},
 		diffusion.Roles{Sinks: []topology.NodeID{3}, Sources: []topology.NodeID{0}}, nil)
 	if err != nil {

@@ -140,11 +140,11 @@ type Config struct {
 	Duration  time.Duration
 	DrainTail time.Duration
 
-	// Diffusion and MAC configure the substrates; every radio runs the
-	// paper's energy model (energy.PaperModel). Diffusion.Agg is the
-	// aggregation function (paper: perfect; §5.4 uses linear). The
-	// idealized schemes have no repair layer, so Validate rejects
-	// Diffusion.Repair.Enabled on them.
+	// Diffusion and MAC configure the substrates; every radio draws the
+	// paper's powers, which package energy holds as constants.
+	// Diffusion.Agg is the aggregation function (paper: perfect; §5.4 uses
+	// linear). The idealized schemes have no repair layer, so Validate
+	// rejects Diffusion.Repair.Enabled on them.
 	Diffusion diffusion.Params
 	MAC       mac.Params
 
@@ -421,7 +421,7 @@ type batteryWatch struct {
 
 // Run implements sim.Runner.
 func (b *batteryWatch) Run() {
-	idleSpent := energy.PaperModel().IdlePower * b.kernel.Now().Seconds()
+	idleSpent := energy.IdlePower * b.kernel.Now().Seconds()
 	for i := 0; i < b.nodes; i++ {
 		id := topology.NodeID(i)
 		if b.protected[id] || !b.network.On(id) {
@@ -494,10 +494,7 @@ func buildRun(cfg Config) (*runState, error) {
 		}
 	}
 
-	network, err := mac.New(kernel, field, energy.PaperModel(), cfg.MAC)
-	if err != nil {
-		return nil, err
-	}
+	network := mac.New(kernel, field, cfg.MAC)
 
 	collector := metrics.NewCollector(0, cfg.Duration-cfg.DrainTail, kernel.Now)
 

@@ -46,14 +46,6 @@ type Strategy struct {
 
 var _ diffusion.Strategy = Strategy{}
 
-// Name implements diffusion.Strategy.
-func (s Strategy) Name() string {
-	if s.TruncateOnEvents {
-		return "greedy-eventcover"
-	}
-	return "greedy"
-}
-
 // SinkReinforceDelay implements diffusion.Strategy: the sink arms a timer of
 // Tp so incremental cost messages can compete with the raw flood before it
 // commits to a neighbor.

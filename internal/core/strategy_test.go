@@ -13,12 +13,6 @@ import (
 	"repro/internal/topology"
 )
 
-func TestStrategyName(t *testing.T) {
-	if (Strategy{}).Name() != "greedy" {
-		t.Fatal("wrong name")
-	}
-}
-
 func TestSinkReinforceDelayIsTp(t *testing.T) {
 	p := diffusion.DefaultParams()
 	p.ReinforceDelay = 1250 * time.Millisecond
@@ -133,19 +127,16 @@ func TestTruncatePaperExample(t *testing.T) {
 	window := []diffusion.ReceivedAgg{
 		{ // S1 = {a1, a2, b1}, w=5 (from G)
 			From:     gNbr,
-			Items:    []msg.Item{it(srcA, 1), it(srcA, 2), it(srcB, 1)},
 			NewItems: []msg.Item{it(srcA, 1), it(srcA, 2), it(srcB, 1)},
 			W:        5,
 		},
 		{ // S2 = {b1, b2}, w=6 (from H)
 			From:     hNbr,
-			Items:    []msg.Item{it(srcB, 1), it(srcB, 2)},
 			NewItems: []msg.Item{it(srcB, 1), it(srcB, 2)},
 			W:        6,
 		},
 		{ // S3 = {a2, b2}, w=7 (from K)
 			From:     kNbr,
-			Items:    []msg.Item{it(srcA, 2), it(srcB, 2)},
 			NewItems: []msg.Item{it(srcA, 2), it(srcB, 2)},
 			W:        7,
 		},
@@ -160,8 +151,8 @@ func TestTruncateDuplicateOnlyNeighborPruned(t *testing.T) {
 	// A neighbor whose aggregates were all duplicates (echoes) covers
 	// nothing and must be pruned even if its W is attractive.
 	window := []diffusion.ReceivedAgg{
-		{From: 1, Items: []msg.Item{it(10, 1)}, NewItems: []msg.Item{it(10, 1)}, W: 9},
-		{From: 2, Items: []msg.Item{it(10, 1)}, W: 1}, // duplicate, cheap
+		{From: 1, NewItems: []msg.Item{it(10, 1)}, W: 9},
+		{From: 2, W: 1}, // duplicate, cheap
 	}
 	victims := Strategy{}.Truncate(window, &diffusion.TruncateWorkspace{})
 	if len(victims) != 1 || victims[0] != 2 {
@@ -171,7 +162,7 @@ func TestTruncateDuplicateOnlyNeighborPruned(t *testing.T) {
 
 func TestTruncateSingleUpstreamKept(t *testing.T) {
 	window := []diffusion.ReceivedAgg{
-		{From: 4, Items: []msg.Item{it(10, 1)}, NewItems: []msg.Item{it(10, 1)}, W: 3},
+		{From: 4, NewItems: []msg.Item{it(10, 1)}, W: 3},
 	}
 	if victims := (Strategy{}).Truncate(window, &diffusion.TruncateWorkspace{}); len(victims) != 0 {
 		t.Fatalf("victims = %v, want none for a single useful upstream", victims)
@@ -275,12 +266,12 @@ func randomWindow(rng *rand.Rand) []diffusion.ReceivedAgg {
 		if rng.Intn(20) == 0 {
 			a.W = 1 << 20
 		}
-		a.Items = make([]msg.Item, 1+rng.Intn(5))
-		for j := range a.Items {
-			a.Items[j] = it(topology.NodeID(rng.Intn(5)), rng.Intn(4))
+		items := make([]msg.Item, 1+rng.Intn(5))
+		for j := range items {
+			items[j] = it(topology.NodeID(rng.Intn(5)), rng.Intn(4))
 		}
 		if rng.Intn(4) > 0 {
-			a.NewItems = a.Items[:rng.Intn(len(a.Items)+1)]
+			a.NewItems = items[:rng.Intn(len(items)+1)]
 		}
 	}
 	return window
@@ -299,7 +290,7 @@ func TestTruncateMatchesReference(t *testing.T) {
 			want := referenceTruncate(s, window)
 			got := s.Truncate(window, &ws)
 			if !slices.Equal(got, want) {
-				t.Fatalf("trial %d %s: victims %v, want %v\nwindow %+v", trial, s.Name(), got, want, window)
+				t.Fatalf("trial %d %+v: victims %v, want %v\nwindow %+v", trial, s, got, want, window)
 			}
 			if len(want) > 0 {
 				pruned++

@@ -82,8 +82,8 @@ func dropHook(kernel *sim.Kernel, tracer diffusion.Tracer, drops *rxDrops) mac.D
 
 // telemetry renders the run's snapshot, sorted by key, from the counters
 // each layer kept. Every scheme gets the MAC counters, mac_tx_drops for
-// every reason in the MAC's drop map (zeros included), protocol_sent for
-// every kind in sent, sim_events and the sim_queue_highwater gauge. A
+// each reason the MAC dropped a frame for, protocol_sent for every kind in
+// sent, sim_events and the sim_queue_highwater gauge. A
 // diffusion scheme adds its nine protocol entries and mac_rx_drops for each
 // reason its drop hook counted; a repair run adds the repair counters.
 // Wall time stays out (it is in KernelStats): the snapshot holds only what
@@ -109,7 +109,9 @@ func (st *runState) telemetry(sent map[msg.Kind]int, ks KernelStats, repair *dif
 	add("mac_link_loss", l, ms.LinkLoss)
 	add("mac_bytes_on_air", l, int(ms.BytesOnAir))
 	for reason, v := range ms.Drops {
-		add("mac_tx_drops", "reason="+reason.String()+","+l, v)
+		if v > 0 {
+			add("mac_tx_drops", "reason="+mac.DropReason(reason).String()+","+l, v)
+		}
 	}
 	for reason, v := range st.rxDrops {
 		if v > 0 {

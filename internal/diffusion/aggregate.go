@@ -57,7 +57,6 @@ func (n *node) onData(from topology.NodeID, m msg.Message) {
 
 	st.window = append(st.window, ReceivedAgg{
 		From:     from,
-		Items:    m.Items,
 		W:        m.W,
 		NewItems: newItems,
 	})
@@ -258,7 +257,7 @@ func (n *node) flush(st *interestState) {
 		Bytes:    n.rt.params.Agg.Size(len(items)),
 	}
 	for _, nbr := range grads {
-		n.unicast(nbr, out.Clone())
+		n.unicast(nbr, out)
 	}
 }
 

@@ -6,7 +6,6 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/energy"
 	"repro/internal/geom"
 	"repro/internal/mac"
 	"repro/internal/msg"
@@ -24,10 +23,7 @@ func benchRig(b *testing.B, pts []geom.Point, strat Strategy, roles Roles) (*sim
 		b.Fatal(err)
 	}
 	k := sim.NewKernel(1)
-	net, err := mac.New(k, f, energy.PaperModel(), mac.Params{})
-	if err != nil {
-		b.Fatal(err)
-	}
+	net := mac.New(k, f, mac.Params{})
 	rt, err := New(k, net, f, DefaultParams(), strat, roles, nil)
 	if err != nil {
 		b.Fatal(err)

@@ -6,7 +6,6 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/energy"
 	"repro/internal/geom"
 	"repro/internal/mac"
 	"repro/internal/msg"
@@ -20,7 +19,6 @@ import (
 // it (that package depends on this one).
 type firstCopyStrategy struct{}
 
-func (firstCopyStrategy) Name() string                            { return "test-first" }
 func (firstCopyStrategy) SinkReinforceDelay(Params) time.Duration { return 0 }
 func (firstCopyStrategy) UsesIncrementalCost() bool               { return false }
 
@@ -80,10 +78,7 @@ func testNet(t *testing.T, seed int64, pts []geom.Point) (*sim.Kernel, *mac.Netw
 		t.Fatal(err)
 	}
 	k := sim.NewKernel(seed)
-	n, err := mac.New(k, f, energy.PaperModel(), mac.Params{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	n := mac.New(k, f, mac.Params{})
 	return k, n, f
 }
 

@@ -5,7 +5,6 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/energy"
 	"repro/internal/geom"
 	"repro/internal/mac"
 	"repro/internal/msg"
@@ -264,10 +263,7 @@ func TestHousekeepingInvariantsUnderChurn(t *testing.T) {
 			}
 		}
 		k := sim.NewKernel(7)
-		net, err := mac.New(k, f, energy.PaperModel(), mac.Params{})
-		if err != nil {
-			t.Fatal(err)
-		}
+		net := mac.New(k, f, mac.Params{})
 		p := DefaultParams()
 		if repair {
 			p.Repair = DefaultRepairParams()

@@ -6,7 +6,6 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/energy"
 	"repro/internal/geom"
 	"repro/internal/mac"
 	"repro/internal/msg"
@@ -308,10 +307,7 @@ func TestPropertyRandomWorkloads(t *testing.T) {
 			}
 		}
 		k := sim.NewKernel(seed)
-		net, err := mac.New(k, f, energy.PaperModel(), mac.Params{})
-		if err != nil {
-			t.Fatal(err)
-		}
+		net := mac.New(k, f, mac.Params{})
 		rec := newRecorder()
 		rt, err := New(k, net, f, DefaultParams(), firstCopyStrategy{},
 			Roles{Sinks: []topology.NodeID{sink}, Sources: sources}, rec)

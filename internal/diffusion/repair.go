@@ -350,7 +350,7 @@ func (n *node) sendDataHealing(st *interestState, grads []topology.NodeID, items
 	}
 	if len(targets) > 0 {
 		for _, nbr := range targets {
-			n.unicast(nbr, out.Clone())
+			n.unicast(nbr, out)
 		}
 		return
 	}

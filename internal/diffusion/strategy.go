@@ -93,8 +93,6 @@ func (e *ExplorEntry) FirstCopy(exclude map[topology.NodeID]bool) (Copy, bool) {
 type ReceivedAgg struct {
 	// From is the upstream neighbor that delivered the aggregate.
 	From topology.NodeID
-	// Items are the aggregate's distinct events.
-	Items []msg.Item
 	// W is the aggregate's energy cost attribute.
 	W int
 	// NewItems are the items that were not already in the data cache when
@@ -107,9 +105,6 @@ type ReceivedAgg struct {
 // Strategy is the pluggable policy distinguishing the paper's greedy
 // aggregation from the opportunistic baseline.
 type Strategy interface {
-	// Name labels the scheme in reports ("greedy", "opportunistic").
-	Name() string
-
 	// SinkReinforceDelay returns how long a sink waits after the first copy
 	// of a previously unseen exploratory event before reinforcing: Tp for
 	// the greedy scheme, 0 for immediate opportunistic reinforcement.

@@ -88,9 +88,8 @@ func (t *nodeTimer) Run() {
 		}
 	case tkExplorForward:
 		if n.epoch == ep && n.on() {
-			fwd := m.Clone()
-			fwd.E = e.BestE // best known at send time
-			n.broadcast(fwd)
+			m.E = e.BestE // best known at send time
+			n.broadcast(m)
 		}
 	case tkSinkReinforce:
 		if n.epoch == ep && n.on() {

@@ -16,92 +16,55 @@ import (
 	"time"
 )
 
-// Model holds the radio power levels and channel bit rate.
-type Model struct {
-	// TxPower is the transmit power draw in watts (paper: 0.660 W).
-	TxPower float64
-	// RxPower is the receive power draw in watts (paper: 0.395 W).
-	RxPower float64
-	// IdlePower is the idle-listening power draw in watts (paper: 0.035 W).
-	IdlePower float64
-	// BitRate is the channel rate in bits/s (paper: 1.6 Mb/s).
-	BitRate float64
-}
-
-// PaperModel returns the energy model from the paper's methodology section.
-func PaperModel() Model {
-	return Model{TxPower: 0.660, RxPower: 0.395, IdlePower: 0.035, BitRate: 1.6e6}
-}
-
-// Validate reports the first problem with the model, if any.
-func (m Model) Validate() error {
-	switch {
-	case m.TxPower <= 0 || m.RxPower <= 0 || m.IdlePower < 0:
-		return fmt.Errorf("energy: non-positive power in %+v", m)
-	case m.BitRate <= 0:
-		return fmt.Errorf("energy: non-positive bit rate %v", m.BitRate)
-	default:
-		return nil
-	}
-}
+// The paper's radio (§5.1).
+const (
+	txPower = 0.660 // transmit draw in watts
+	rxPower = 0.395 // receive draw in watts
+	// IdlePower is the idle-listening draw in watts, about 10% of receive.
+	IdlePower = 0.035
+	bitRate   = 1.6e6 // channel rate in bits/s
+)
 
 // Airtime returns the serialization time of a packet of the given size.
-func (m Model) Airtime(bytes int) time.Duration {
+func Airtime(bytes int) time.Duration {
 	bits := float64(bytes) * 8
-	return time.Duration(bits / m.BitRate * float64(time.Second))
+	return time.Duration(bits / bitRate * float64(time.Second))
 }
 
-// Charge is the cost one receiver pays for one frame: the frame's airtime
-// and the joules above idle spent receiving it. Every receiver of a
-// transmission pays the same charge, so the MAC computes it once per frame.
-type Charge struct {
-	Airtime time.Duration
-	Joules  float64
+// RxCharge returns the joules above idle that one receiver spends on a
+// packet of the given size. Every receiver of a transmission pays the same
+// charge, so the MAC computes it once per frame.
+func RxCharge(bytes int) float64 {
+	return (rxPower - IdlePower) * Airtime(bytes).Seconds()
 }
 
-// RxCharge returns the receive charge of a packet of the given size.
-func (m Model) RxCharge(bytes int) Charge {
-	at := m.Airtime(bytes)
-	return Charge{Airtime: at, Joules: (m.RxPower - m.IdlePower) * at.Seconds()}
-}
-
-// Meter accumulates dissipated energy for one node. The zero value is not
-// usable; create meters with NewMeter.
+// Meter accumulates dissipated energy for one node. The zero value is a
+// meter that has charged nothing.
 type Meter struct {
-	model Model
-
-	txJoules   float64
-	rxJoules   float64
-	upTime     time.Duration // total powered-on time, for the idle baseline
-	activeTime time.Duration // time spent transmitting or receiving
+	txJoules float64
+	rxJoules float64
+	upTime   time.Duration // total powered-on time, for the idle baseline
 
 	txPackets int
 	rxPackets int
-}
-
-// NewMeter returns a meter using the given model.
-func NewMeter(model Model) *Meter {
-	return &Meter{model: model}
 }
 
 // Transmit charges the node for transmitting a packet of the given size and
 // returns its airtime. Only the increment over idle is charged beyond the
 // baseline (the baseline covers IdlePower for the whole up-time).
 func (e *Meter) Transmit(bytes int) time.Duration {
-	at := e.model.Airtime(bytes)
-	e.txJoules += (e.model.TxPower - e.model.IdlePower) * at.Seconds()
-	e.activeTime += at
+	at := Airtime(bytes)
+	e.txJoules += (txPower - IdlePower) * at.Seconds()
 	e.txPackets++
 	return at
 }
 
 // ChargeReceive charges the node for receiving (or overhearing) one frame
-// whose charge the caller computed with RxCharge under this meter's model,
-// once for all of the frame's receivers. Collision victims pay this too:
-// their radio was busy for the corrupted frame's airtime.
-func (e *Meter) ChargeReceive(c Charge) {
-	e.rxJoules += c.Joules
-	e.activeTime += c.Airtime
+// whose charge the caller computed with RxCharge, once for all of the
+// frame's receivers. Collision victims pay this too: their radio was busy
+// for the corrupted frame's airtime.
+func (e *Meter) ChargeReceive(joules float64) {
+	e.rxJoules += joules
 	e.rxPackets++
 }
 
@@ -122,7 +85,7 @@ func (e *Meter) RxJoules() float64 { return e.rxJoules }
 
 // IdleJoules returns the idle baseline energy over the recorded up-time.
 func (e *Meter) IdleJoules() float64 {
-	return e.model.IdlePower * e.upTime.Seconds()
+	return IdlePower * e.upTime.Seconds()
 }
 
 // CommJoules returns the communication-induced energy (tx + rx increments

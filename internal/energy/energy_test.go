@@ -9,69 +9,38 @@ import (
 )
 
 func TestPaperModelValues(t *testing.T) {
-	m := PaperModel()
-	if m.TxPower != 0.660 || m.RxPower != 0.395 || m.IdlePower != 0.035 {
-		t.Fatalf("paper powers wrong: %+v", m)
-	}
-	if m.BitRate != 1.6e6 {
-		t.Fatalf("paper bit rate wrong: %v", m.BitRate)
-	}
 	// Idle should be "nearly 10% of receive" and "about 5% of transmit".
-	if r := m.IdlePower / m.RxPower; r < 0.08 || r > 0.1 {
+	if r := IdlePower / rxPower; r < 0.08 || r > 0.1 {
 		t.Errorf("idle/rx ratio = %.3f, paper says ~0.1", r)
 	}
-	if r := m.IdlePower / m.TxPower; r < 0.04 || r > 0.06 {
+	if r := IdlePower / txPower; r < 0.04 || r > 0.06 {
 		t.Errorf("idle/tx ratio = %.3f, paper says ~0.05", r)
-	}
-	if err := m.Validate(); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestValidate(t *testing.T) {
-	tests := []struct {
-		name string
-		m    Model
-	}{
-		{"zero tx", Model{RxPower: 1, IdlePower: 0.1, BitRate: 1}},
-		{"zero rx", Model{TxPower: 1, IdlePower: 0.1, BitRate: 1}},
-		{"negative idle", Model{TxPower: 1, RxPower: 1, IdlePower: -0.1, BitRate: 1}},
-		{"zero bitrate", Model{TxPower: 1, RxPower: 1, IdlePower: 0.1}},
-	}
-	for _, tt := range tests {
-		t.Run(tt.name, func(t *testing.T) {
-			if err := tt.m.Validate(); err == nil {
-				t.Fatal("expected error")
-			}
-		})
 	}
 }
 
 func TestAirtime(t *testing.T) {
-	m := PaperModel()
 	// 64-byte event: 512 bits / 1.6 Mb/s = 320 µs.
-	if at := m.Airtime(64); at != 320*time.Microsecond {
+	if at := Airtime(64); at != 320*time.Microsecond {
 		t.Fatalf("Airtime(64) = %v, want 320µs", at)
 	}
 	// 36-byte message: 288 bits / 1.6 Mb/s = 180 µs.
-	if at := m.Airtime(36); at != 180*time.Microsecond {
+	if at := Airtime(36); at != 180*time.Microsecond {
 		t.Fatalf("Airtime(36) = %v, want 180µs", at)
 	}
-	if at := m.Airtime(0); at != 0 {
+	if at := Airtime(0); at != 0 {
 		t.Fatalf("Airtime(0) = %v, want 0", at)
 	}
 }
 
 func TestMeterAccounting(t *testing.T) {
-	m := PaperModel()
-	e := NewMeter(m)
+	var e Meter
 	e.AddUpTime(10 * time.Second)
 
 	at := e.Transmit(64)
 	if at != 320*time.Microsecond {
 		t.Fatalf("tx airtime = %v", at)
 	}
-	e.ChargeReceive(m.RxCharge(64))
+	e.ChargeReceive(RxCharge(64))
 
 	wantIdle := 0.035 * 10
 	if got := e.IdleJoules(); math.Abs(got-wantIdle) > 1e-9 {
@@ -105,21 +74,21 @@ func TestNegativeUpTimePanics(t *testing.T) {
 			t.Fatal("expected panic")
 		}
 	}()
-	NewMeter(PaperModel()).AddUpTime(-time.Second)
+	new(Meter).AddUpTime(-time.Second)
 }
 
 // Property: total energy is monotone in activity and never less than the
 // idle baseline.
 func TestPropertyMonotoneTotals(t *testing.T) {
 	f := func(ops []bool, up uint16) bool {
-		e := NewMeter(PaperModel())
+		var e Meter
 		e.AddUpTime(time.Duration(up) * time.Millisecond)
 		prev := e.TotalJoules()
 		for _, tx := range ops {
 			if tx {
 				e.Transmit(64)
 			} else {
-				e.ChargeReceive(PaperModel().RxCharge(36))
+				e.ChargeReceive(RxCharge(36))
 			}
 			cur := e.TotalJoules()
 			if cur < prev {
@@ -137,10 +106,9 @@ func TestPropertyMonotoneTotals(t *testing.T) {
 // Transmitting costs more than receiving the same packet, which costs more
 // than idling over the same span — the ordering the mechanisms rely on.
 func TestPowerOrdering(t *testing.T) {
-	tx := NewMeter(PaperModel())
-	rx := NewMeter(PaperModel())
+	var tx, rx Meter
 	tx.Transmit(64)
-	rx.ChargeReceive(PaperModel().RxCharge(64))
+	rx.ChargeReceive(RxCharge(64))
 	if tx.CommJoules() <= rx.CommJoules() {
 		t.Fatal("tx should cost more than rx")
 	}
@@ -150,39 +118,24 @@ func TestPowerOrdering(t *testing.T) {
 }
 
 // referenceReceive is the receive charge of one frame computed from its size
-// alone, per receiver: the reference RxCharge and ChargeReceive must
-// reproduce bit for bit.
-func referenceReceive(m Model, bytes int) (time.Duration, float64) {
-	at := m.Airtime(bytes)
-	return at, (m.RxPower - m.IdlePower) * at.Seconds()
-}
-
-// referenceModels are the paper's model and two other valid ones: a
-// low-power radio that draws more receiving than transmitting, and one with
-// no idle draw whose bit rate leaves airtimes fractional in nanoseconds
-// before truncation.
-func referenceModels() []Model {
-	return []Model{
-		PaperModel(),
-		{TxPower: 0.0522, RxPower: 0.0591, IdlePower: 0.00042, BitRate: 250e3},
-		{TxPower: 1.3, RxPower: 0.9, IdlePower: 0, BitRate: 11e6 / 3},
-	}
+// alone, per receiver, with the paper's radio held in float64 variables:
+// RxCharge, whose power difference the compiler folds from constants, and
+// ChargeReceive must reproduce this run-time arithmetic bit for bit.
+func referenceReceive(bytes int) (time.Duration, float64) {
+	rx, idle, rate := 0.395, 0.035, 1.6e6
+	bits := float64(bytes) * 8
+	at := time.Duration(bits / rate * float64(time.Second))
+	return at, (rx - idle) * at.Seconds()
 }
 
 func TestRxChargeMatchesReference(t *testing.T) {
-	for _, m := range referenceModels() {
-		if err := m.Validate(); err != nil {
-			t.Fatal(err)
+	for b := 1; b <= 2048; b++ {
+		at, j := referenceReceive(b)
+		if got := Airtime(b); got != at {
+			t.Fatalf("Airtime(%d) = %v, reference %v", b, got, at)
 		}
-		for b := 1; b <= 2048; b++ {
-			at, j := referenceReceive(m, b)
-			c := m.RxCharge(b)
-			if c.Airtime != at {
-				t.Fatalf("%+v: RxCharge(%d).Airtime = %v, reference %v", m, b, c.Airtime, at)
-			}
-			if math.Float64bits(c.Joules) != math.Float64bits(j) {
-				t.Fatalf("%+v: RxCharge(%d).Joules = %v, reference %v", m, b, c.Joules, j)
-			}
+		if got := RxCharge(b); math.Float64bits(got) != math.Float64bits(j) {
+			t.Fatalf("RxCharge(%d) = %v, reference %v", b, got, j)
 		}
 	}
 }
@@ -195,22 +148,17 @@ func TestChargeReceiveMatchesReceive(t *testing.T) {
 	for i := range sizes {
 		sizes[i] = 1 + rng.Intn(2048)
 	}
-	for _, m := range referenceModels() {
-		e := NewMeter(m)
-		var refJoules float64
-		var refActive time.Duration
-		for _, b := range sizes {
-			e.ChargeReceive(m.RxCharge(b))
-			at, j := referenceReceive(m, b)
-			refJoules += j
-			refActive += at
-		}
-		if math.Float64bits(e.RxJoules()) != math.Float64bits(refJoules) {
-			t.Fatalf("%+v: RxJoules = %v, reference sum %v", m, e.RxJoules(), refJoules)
-		}
-		if e.RxPackets() != len(sizes) || e.activeTime != refActive {
-			t.Fatalf("%+v: %d packets over %v active, reference %d over %v",
-				m, e.RxPackets(), e.activeTime, len(sizes), refActive)
-		}
+	var e Meter
+	var refJoules float64
+	for _, b := range sizes {
+		e.ChargeReceive(RxCharge(b))
+		_, j := referenceReceive(b)
+		refJoules += j
+	}
+	if math.Float64bits(e.RxJoules()) != math.Float64bits(refJoules) {
+		t.Fatalf("RxJoules = %v, reference sum %v", e.RxJoules(), refJoules)
+	}
+	if e.RxPackets() != len(sizes) {
+		t.Fatalf("%d packets charged, reference %d", e.RxPackets(), len(sizes))
 	}
 }

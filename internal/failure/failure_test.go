@@ -5,7 +5,6 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/energy"
 	"repro/internal/geom"
 	"repro/internal/mac"
 	"repro/internal/sim"
@@ -23,10 +22,7 @@ func testNet(t *testing.T, n int) (*sim.Kernel, *mac.Network) {
 		t.Fatal(err)
 	}
 	k := sim.NewKernel(1)
-	net, err := mac.New(k, f, energy.PaperModel(), mac.Params{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	net := mac.New(k, f, mac.Params{})
 	return k, net
 }
 

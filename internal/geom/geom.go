@@ -44,9 +44,6 @@ func (r Rect) Width() float64 { return r.MaxX - r.MinX }
 // Height returns the rectangle's extent along Y.
 func (r Rect) Height() float64 { return r.MaxY - r.MinY }
 
-// Area returns the rectangle's area.
-func (r Rect) Area() float64 { return r.Width() * r.Height() }
-
 // Contains reports whether p lies inside the rectangle (boundaries
 // inclusive).
 func (r Rect) Contains(p Point) bool {
@@ -76,11 +73,6 @@ func (r Rect) Sample(rng *rand.Rand) Point {
 		X: r.MinX + rng.Float64()*r.Width(),
 		Y: r.MinY + rng.Float64()*r.Height(),
 	}
-}
-
-// Center returns the rectangle's midpoint.
-func (r Rect) Center() Point {
-	return Point{X: (r.MinX + r.MaxX) / 2, Y: (r.MinY + r.MaxY) / 2}
 }
 
 // Valid reports whether the rectangle is non-degenerate (positive extent in

@@ -49,8 +49,8 @@ func TestSquare(t *testing.T) {
 	if r.MinX != 10 || r.MinY != 20 || r.MaxX != 15 || r.MaxY != 25 {
 		t.Fatalf("Square = %+v", r)
 	}
-	if r.Width() != 5 || r.Height() != 5 || r.Area() != 25 {
-		t.Fatalf("dims wrong: w=%v h=%v a=%v", r.Width(), r.Height(), r.Area())
+	if r.Width() != 5 || r.Height() != 5 {
+		t.Fatalf("dims wrong: w=%v h=%v", r.Width(), r.Height())
 	}
 	if !r.Valid() {
 		t.Fatal("square should be valid")
@@ -103,14 +103,6 @@ func TestSampleCoversRect(t *testing.T) {
 				t.Fatalf("cell (%d,%d) never sampled", i, j)
 			}
 		}
-	}
-}
-
-func TestCenter(t *testing.T) {
-	r := Rect{MinX: 0, MinY: 0, MaxX: 10, MaxY: 4}
-	c := r.Center()
-	if c.X != 5 || c.Y != 2 {
-		t.Fatalf("Center = %v", c)
 	}
 }
 

@@ -91,7 +91,7 @@ func LifetimeStudy(o Options) (_ *LifetimeTable, err error) {
 	var runs []cell
 	for i, p := range probes {
 		c := probed[i].Metrics.Concentration
-		battery := energy.PaperModel().IdlePower*o.Duration.Seconds() + (c.MeanNodeJ+c.MaxNodeJ)/2
+		battery := energy.IdlePower*o.Duration.Seconds() + (c.MeanNodeJ+c.MaxNodeJ)/2
 		for _, s := range bothSchemes {
 			cfg := baseConfig(o, s, p.id.x, p.id.field)
 			cfg.BatteryJ = battery

@@ -8,22 +8,23 @@ import (
 	"repro/internal/stats"
 )
 
-// Render writes the table as the paper's three panels (a: average
-// dissipated energy, b: average delay, c: distinct-event delivery ratio)
-// in aligned text, one row per sweep value, one column pair per scheme.
+// panels are the paper's figure panels, which Render tabulates and Charts
+// plots: each metric's name, unit and per-row sample.
+var panels = []struct {
+	name, unit string
+	sample     func(*Row) stats.Sample
+}{
+	{"(a) average dissipated energy", "J/node/event", func(r *Row) stats.Sample { return r.Energy }},
+	{"(a') communication energy", "J/node/event (tx+rx)", func(r *Row) stats.Sample { return r.CommEnergy }},
+	{"(b) average delay", "s/received distinct event", func(r *Row) stats.Sample { return r.Delay }},
+	{"(c) distinct-event delivery ratio", "", func(r *Row) stats.Sample { return r.Ratio }},
+}
+
+// Render writes the table's panels in aligned text, one row per sweep
+// value, one column pair per scheme.
 func (t *Table) Render(w io.Writer) error {
 	if _, err := fmt.Fprintf(w, "== %s: %s ==\n", t.Figure, t.Title); err != nil {
 		return err
-	}
-	panels := []struct {
-		name string
-		get  func(Row) (mean, ci float64)
-		unit string
-	}{
-		{"(a) average dissipated energy", func(c Row) (float64, float64) { return c.Energy.Mean(), c.Energy.CI95() }, "J/node/event"},
-		{"(a') communication energy", func(c Row) (float64, float64) { return c.CommEnergy.Mean(), c.CommEnergy.CI95() }, "J/node/event (tx+rx)"},
-		{"(b) average delay", func(c Row) (float64, float64) { return c.Delay.Mean(), c.Delay.CI95() }, "s/received distinct event"},
-		{"(c) distinct-event delivery ratio", func(c Row) (float64, float64) { return c.Ratio.Mean(), c.Ratio.CI95() }, ""},
 	}
 	for _, p := range panels {
 		fmt.Fprintf(w, "\n-- %s %s\n", p.name, p.unit)
@@ -41,9 +42,10 @@ func (t *Table) Render(w io.Writer) error {
 			row := fmt.Sprintf("%10d %9.1f", x, density)
 			var means []float64
 			for _, s := range t.Schemes {
-				mean, ci := p.get(t.Cells[s][i])
+				sample := p.sample(&t.Cells[s][i])
+				mean := sample.Mean()
 				means = append(means, mean)
-				row += fmt.Sprintf(" %12.6g ±%7.2g", mean, ci)
+				row += fmt.Sprintf(" %12.6g ±%7.2g", mean, sample.CI95())
 			}
 			if len(means) == 2 && means[1] != 0 {
 				row += fmt.Sprintf(" %8.0f%%", 100*(means[0]/means[1]-1))

@@ -34,7 +34,6 @@ import (
 type Flooding struct {
 	kernel   *sim.Kernel
 	net      *mac.Network
-	field    *topology.Field
 	roles    diffusion.Roles
 	observer diffusion.Observer
 
@@ -53,7 +52,6 @@ func NewFlooding(kernel *sim.Kernel, net *mac.Network, field *topology.Field,
 	f := &Flooding{
 		kernel:   kernel,
 		net:      net,
-		field:    field,
 		roles:    roles,
 		observer: observer,
 		isSink:   make(map[topology.NodeID]bool, len(roles.Sinks)),

@@ -5,7 +5,6 @@ import (
 	"time"
 
 	"repro/internal/diffusion"
-	"repro/internal/energy"
 	"repro/internal/geom"
 	"repro/internal/mac"
 	"repro/internal/msg"
@@ -39,10 +38,7 @@ func build(t *testing.T, pts []geom.Point) (*sim.Kernel, *mac.Network, *topology
 		t.Fatal(err)
 	}
 	k := sim.NewKernel(1)
-	net, err := mac.New(k, f, energy.PaperModel(), mac.Params{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	net := mac.New(k, f, mac.Params{})
 	return k, net, f
 }
 

@@ -134,12 +134,11 @@ type Stats struct {
 	AckTx       int
 	RtsTx       int
 	CtsTx       int
-	Delivered   int // frame deliveries to a receiver callback (per receiver)
-	Collisions  int // frame receptions corrupted by overlap or half-duplex
-	Drops       map[DropReason]int
+	Delivered   int                  // frame deliveries to a receiver callback (per receiver)
+	Collisions  int                  // frame receptions corrupted by overlap or half-duplex
+	Drops       [DropNodeOff + 1]int // frames dropped at the sender, by DropReason
 	Retries     int
 	Backoffs    int // backoff waits scheduled: initial contention, busy-medium re-sense, retry
-	QueueMax    int // high-water mark across all nodes' queues
 	BytesOnAir  int64
 	AcksMissing int // unicast attempts that timed out waiting for an ACK
 	LinkLoss    int // receptions suppressed by an installed LinkFilter
@@ -254,7 +253,6 @@ type Network struct {
 	kernel *sim.Kernel
 	field  *topology.Field
 	params Params
-	model  energy.Model
 	rng    *rand.Rand
 	// energy and nodes are struct-of-arrays slabs: one contiguous value
 	// slice each, allocated once at field size and never grown, so interior
@@ -441,30 +439,24 @@ func (n *Network) call(d time.Duration, op callOp, a, b *nodeState, of *outFrame
 
 // New creates a network over field with all nodes on. Receivers start nil;
 // register them with SetReceiver before traffic flows.
-func New(kernel *sim.Kernel, field *topology.Field, model energy.Model, params Params) (*Network, error) {
-	if err := model.Validate(); err != nil {
-		return nil, err
-	}
+func New(kernel *sim.Kernel, field *topology.Field, params Params) *Network {
 	n := &Network{
 		kernel: kernel,
 		field:  field,
 		params: params,
-		model:  model,
 		rng:    kernel.Rand(),
 		energy: make([]energy.Meter, field.Len()),
 		nodes:  make([]nodeState, field.Len()),
 		rxSlot: make([]int32, field.Len()),
 	}
-	n.stats.Drops = make(map[DropReason]int)
 	for i := range n.nodes {
-		n.energy[i] = *energy.NewMeter(model)
 		ns := &n.nodes[i]
 		ns.id = topology.NodeID(i)
 		ns.on = true
 		ns.cw = cwMin
 		ns.sense = senseEvent{net: n, ns: ns}
 	}
-	return n, nil
+	return n
 }
 
 // --- pooled records ---------------------------------------------------------
@@ -561,14 +553,7 @@ func (n *Network) reportDrop(tx *transmission, nb topology.NodeID, reason RxDrop
 func (n *Network) Meter(id topology.NodeID) *energy.Meter { return &n.energy[id] }
 
 // Stats returns a snapshot of the link-layer counters.
-func (n *Network) Stats() Stats {
-	s := n.stats
-	s.Drops = make(map[DropReason]int, len(n.stats.Drops))
-	for k, v := range n.stats.Drops {
-		s.Drops[k] = v
-	}
-	return s
-}
+func (n *Network) Stats() Stats { return n.stats }
 
 // On reports whether node id is powered on.
 func (n *Network) On(id topology.NodeID) bool { return n.nodes[id].on }
@@ -583,9 +568,7 @@ func (n *Network) SetOn(id topology.NodeID, on bool) {
 	}
 	ns.on = on
 	if !on {
-		if len(ns.queue) > 0 {
-			n.stats.Drops[DropNodeOff] += len(ns.queue)
-		}
+		n.stats.Drops[DropNodeOff] += len(ns.queue)
 		ns.queue = nil
 		ns.sending = false
 		ns.txActive = false
@@ -626,9 +609,6 @@ func (n *Network) enqueue(from, to topology.NodeID, f Frame) error {
 		return fmt.Errorf("mac: node %d queue full", from)
 	}
 	ns.queue = append(ns.queue, n.allocFrame(to, f))
-	if len(ns.queue) > n.stats.QueueMax {
-		n.stats.QueueMax = len(ns.queue)
-	}
 	if !ns.sending {
 		n.startContention(ns)
 	}
@@ -697,9 +677,9 @@ func (n *Network) transmitData(ns *nodeState, of *outFrame) {
 // + ACK plus the three SIFS gaps.
 func (n *Network) exchangeNAV(dataBytes int) time.Duration {
 	return 3*sifs +
-		n.model.Airtime(ctsBytes) +
-		n.model.Airtime(dataBytes) +
-		n.model.Airtime(ackBytes)
+		energy.Airtime(ctsBytes) +
+		energy.Airtime(dataBytes) +
+		energy.Airtime(ackBytes)
 }
 
 // sendRTS starts the RTS/CTS handshake for the head frame.
@@ -726,7 +706,7 @@ func (n *Network) finishRTS(rts *transmission) {
 		n.call(sifs, opSendCTS, dest, ns, of)
 		return
 	}
-	timeout := sifs + n.model.Airtime(ctsBytes) + slotTime
+	timeout := sifs + energy.Airtime(ctsBytes) + slotTime
 	n.call(timeout, opAckTimeout, ns, nil, of)
 }
 
@@ -740,7 +720,7 @@ func (n *Network) sendCTS(dest, src *nodeState, of *outFrame) {
 	cts := n.allocTx(txCTS, dest, src.id, Frame{Bytes: ctsBytes})
 	cts.peer = src
 	cts.of = of
-	cts.nav = 2*sifs + n.model.Airtime(of.frame.Bytes) + n.model.Airtime(ackBytes)
+	cts.nav = 2*sifs + energy.Airtime(of.frame.Bytes) + energy.Airtime(ackBytes)
 	airtime := n.energy[dest.id].Transmit(cts.frame.Bytes)
 	n.stats.CtsTx++
 	n.stats.BytesOnAir += int64(cts.frame.Bytes)
@@ -768,7 +748,7 @@ func (n *Network) finishCTS(cts *transmission) {
 func (n *Network) begin(ns *nodeState, tx *transmission, airtime time.Duration) {
 	ns.txActive = true
 	// Every receiver pays the same charge for this frame.
-	rx := n.model.RxCharge(tx.frame.Bytes)
+	rx := energy.RxCharge(tx.frame.Bytes)
 	// Half-duplex: anything the sender was hearing is lost to it.
 	for _, h := range ns.audible {
 		n.corrupt(&h.tx.recv[h.slot])
@@ -949,7 +929,7 @@ func (n *Network) finishData(tx *transmission) {
 		return
 	}
 	// No ACK will come; wait out the ACK window before retrying.
-	timeout := sifs + n.model.Airtime(ackBytes) + slotTime
+	timeout := sifs + energy.Airtime(ackBytes) + slotTime
 	n.call(timeout, opAckTimeout, ns, nil, of)
 }
 

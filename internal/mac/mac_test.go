@@ -4,7 +4,6 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/energy"
 	"repro/internal/geom"
 	"repro/internal/sim"
 	"repro/internal/topology"
@@ -23,10 +22,7 @@ func line(t *testing.T, seed int64, xs ...float64) (*sim.Kernel, *Network) {
 		t.Fatal(err)
 	}
 	k := sim.NewKernel(seed)
-	n, err := New(k, f, energy.PaperModel(), Params{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	n := New(k, f, Params{})
 	return k, n
 }
 
@@ -292,7 +288,7 @@ func TestStatsSnapshotIsolated(t *testing.T) {
 	s := n.Stats()
 	s.Drops[DropQueueFull] = 999
 	if n.Stats().Drops[DropQueueFull] == 999 {
-		t.Fatal("Stats returned a shared map")
+		t.Fatal("Stats shares the network's counters")
 	}
 }
 
@@ -323,12 +319,12 @@ func TestSetOnIdempotent(t *testing.T) {
 }
 
 // Switching a node off counts its queued frames as node-off drops, and
-// leaves no zero entry when the queue was empty.
+// nothing when the queue was empty.
 func TestSetOnCountsQueuedFramesOnly(t *testing.T) {
 	_, n := line(t, 1, 0, 30)
 	n.SetOn(0, false)
-	if d, ok := n.Stats().Drops[DropNodeOff]; ok {
-		t.Fatalf("empty queue switched off: Drops[NodeOff] = %d, want no entry", d)
+	if d := n.Stats().Drops[DropNodeOff]; d != 0 {
+		t.Fatalf("empty queue switched off: Drops[NodeOff] = %d, want 0", d)
 	}
 	n.SetOn(0, true)
 	for i := 0; i < 2; i++ {

@@ -5,7 +5,6 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/energy"
 	"repro/internal/geom"
 	"repro/internal/sim"
 	"repro/internal/topology"
@@ -26,10 +25,7 @@ func TestPropertyMACNeverWedges(t *testing.T) {
 		}
 		k := sim.NewKernel(seed)
 		params := Params{UseRTSCTS: seed%2 == 1}
-		net, err := New(k, f, energy.PaperModel(), params)
-		if err != nil {
-			t.Fatal(err)
-		}
+		net := New(k, f, params)
 		for i := 0; i < nodes; i++ {
 			net.SetReceiver(topology.NodeID(i), func(topology.NodeID, Frame) {})
 		}
@@ -94,10 +90,7 @@ func TestPropertyOverhearingScalesWithDensity(t *testing.T) {
 			t.Fatal(err)
 		}
 		k := sim.NewKernel(3)
-		net, err := New(k, f, energy.PaperModel(), Params{})
-		if err != nil {
-			t.Fatal(err)
-		}
+		net := New(k, f, Params{})
 		for i := 0; i < 50; i++ {
 			i := i
 			k.Schedule(time.Duration(i)*50*time.Millisecond-k.Now(), func() {

@@ -4,7 +4,6 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/energy"
 	"repro/internal/geom"
 	"repro/internal/sim"
 	"repro/internal/topology"
@@ -23,10 +22,7 @@ func rtsNet(t *testing.T, seed int64, params Params, xs ...float64) (*sim.Kernel
 		t.Fatal(err)
 	}
 	k := sim.NewKernel(seed)
-	n, err := New(k, f, energy.PaperModel(), params)
-	if err != nil {
-		t.Fatal(err)
-	}
+	n := New(k, f, params)
 	return k, n
 }
 

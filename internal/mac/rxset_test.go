@@ -203,10 +203,7 @@ func hiddenNet(t *testing.T) (*sim.Kernel, *Network) {
 		t.Fatal(err)
 	}
 	k := sim.NewKernel(7)
-	n, err := New(k, f, energy.PaperModel(), Params{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	n := New(k, f, Params{})
 	return k, n
 }
 
@@ -225,10 +222,7 @@ func TestResidualMoversDeliveredAscending(t *testing.T) {
 		t.Fatalf("neighbor scan order %v, want %v", got, want)
 	}
 	k := sim.NewKernel(3)
-	n, err := New(k, f, energy.PaperModel(), Params{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	n := New(k, f, Params{})
 	var order []topology.NodeID
 	for i := 1; i < len(pts); i++ {
 		id := topology.NodeID(i)
@@ -261,10 +255,7 @@ func TestLinkNeutralMoveReordersDelivery(t *testing.T) {
 		t.Fatalf("neighbor list %v before the frame, want %v", got, want)
 	}
 	k := sim.NewKernel(3)
-	n, err := New(k, f, energy.PaperModel(), Params{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	n := New(k, f, Params{})
 	var order []topology.NodeID
 	for i := 1; i < len(pts); i++ {
 		id := topology.NodeID(i)
@@ -372,10 +363,7 @@ func clusterNet(t *testing.T, padding int) (*sim.Kernel, *Network) {
 		t.Fatal(err)
 	}
 	k := sim.NewKernel(7)
-	n, err := New(k, f, energy.PaperModel(), Params{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	n := New(k, f, Params{})
 	return k, n
 }
 
@@ -430,10 +418,7 @@ func TestReceiverSetMatchesInRangeOracle(t *testing.T) {
 		t.Fatal(err)
 	}
 	k := sim.NewKernel(11)
-	n, err := New(k, f, energy.PaperModel(), Params{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	n := New(k, f, Params{})
 	caps := make([]capture, nodes)
 	for i := 0; i < nodes; i++ {
 		n.SetReceiver(topology.NodeID(i), caps[i].receiver(k))

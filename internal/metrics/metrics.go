@@ -110,9 +110,6 @@ func (c *Collector) DeliveredCount() int {
 	return total
 }
 
-// SinkCount returns how many sinks received at least one event.
-func (c *Collector) SinkCount() int { return len(c.delivered) }
-
 // Result is a run's metric values.
 type Result struct {
 	// Scheme labels the strategy ("greedy", "opportunistic").
@@ -196,22 +193,6 @@ func NewConcentration(perNodeCommJ []float64) Concentration {
 		c.PeakToMean = c.MaxNodeJ / c.MeanNodeJ
 	}
 	return c
-}
-
-// LifetimeBound estimates how long the hottest node would last on a battery
-// of the given capacity (joules) at the run's observed dissipation rate
-// (including the idle floor), over the given observed duration. It returns
-// 0 when nothing was observed — the paper's "overall lifetime" reading of
-// the energy metric, made explicit.
-func (r Result) LifetimeBound(batteryJ float64, observed time.Duration, idleWatts float64) time.Duration {
-	if observed <= 0 || batteryJ <= 0 {
-		return 0
-	}
-	watts := r.Concentration.MaxNodeJ/observed.Seconds() + idleWatts
-	if watts <= 0 {
-		return 0
-	}
-	return time.Duration(batteryJ / watts * float64(time.Second))
 }
 
 // Finalize combines the collector with the run's energy totals. sinks is

@@ -1,10 +1,6 @@
 package msg
 
-import (
-	"testing"
-
-	"repro/internal/topology"
-)
+import "testing"
 
 func TestKindString(t *testing.T) {
 	tests := []struct {
@@ -17,12 +13,21 @@ func TestKindString(t *testing.T) {
 		{KindIncCost, "inccost"},
 		{KindReinforce, "reinforce"},
 		{KindNegReinforce, "negreinforce"},
+		{KindRepairProbe, "repairprobe"},
 		{Kind(0), "kind(0)"},
 		{Kind(99), "kind(99)"},
 	}
 	for _, tt := range tests {
 		if got := tt.k.String(); got != tt.want {
 			t.Errorf("Kind(%d).String() = %q, want %q", int(tt.k), got, tt.want)
+		}
+		k, err := ParseKind(tt.want)
+		valid := tt.k >= KindInterest && tt.k <= KindRepairProbe
+		if valid && (err != nil || k != tt.k) {
+			t.Errorf("ParseKind(%q) = %v, %v; want %v", tt.want, k, err, tt.k)
+		}
+		if !valid && err == nil {
+			t.Errorf("ParseKind(%q) accepted an invalid kind as %v", tt.want, k)
 		}
 	}
 }
@@ -36,76 +41,6 @@ func TestPaperSizes(t *testing.T) {
 	}
 	if LinearItemBytes != 28 || LinearHeaderBytes != 36 {
 		t.Errorf("linear params %d/%d, paper says 28/36", LinearItemBytes, LinearHeaderBytes)
-	}
-}
-
-func TestCloneIsCopyOnWrite(t *testing.T) {
-	m := Message{
-		Kind:  KindData,
-		Items: []Item{{Source: 1, Seq: 2}, {Source: 3, Seq: 4}},
-		Bytes: EventBytes,
-		E:     7,
-	}
-	c := m.Clone()
-	c.E = 99
-	c.W = 5
-	if m.E != 7 || m.W != 0 {
-		t.Fatal("Clone shares scalar fields")
-	}
-	if &c.Items[0] != &m.Items[0] {
-		t.Fatal("Clone should share the Items backing array (copy-on-write)")
-	}
-	allocs := testing.AllocsPerRun(100, func() {
-		c = m.Clone()
-		c.E++
-	})
-	if allocs != 0 {
-		t.Fatalf("cost-only clone allocates %.1f objects/op, want 0", allocs)
-	}
-}
-
-func TestCloneDeepIsDeep(t *testing.T) {
-	m := Message{
-		Kind:  KindData,
-		Items: []Item{{Source: 1, Seq: 2}, {Source: 3, Seq: 4}},
-		Bytes: EventBytes,
-	}
-	c := m.CloneDeep()
-	c.Items[0].Seq = 99
-	if m.Items[0].Seq != 2 {
-		t.Fatal("CloneDeep shares the Items slice")
-	}
-}
-
-func TestDistinctSourcesReusesBuffer(t *testing.T) {
-	m := Message{Items: []Item{
-		{Source: 5, Seq: 1}, {Source: 2, Seq: 1}, {Source: 5, Seq: 2}, {Source: 2, Seq: 9},
-	}}
-	buf := make([]topology.NodeID, 0, 8)
-	got := m.DistinctSources(buf)
-	if len(got) != 2 || got[0] != 5 || got[1] != 2 {
-		t.Fatalf("DistinctSources = %v, want [5 2]", got)
-	}
-	allocs := testing.AllocsPerRun(100, func() {
-		buf = m.DistinctSources(buf[:0])
-	})
-	if allocs != 0 {
-		t.Fatalf("scratch-buffer DistinctSources allocates %.1f objects/op, want 0", allocs)
-	}
-	// Appending after existing elements must not dedup against them.
-	pre := []topology.NodeID{5}
-	if got := m.DistinctSources(pre); len(got) != 3 || got[1] != 5 || got[2] != 2 {
-		t.Fatalf("DistinctSources with prefix = %v, want [5 5 2]", got)
-	}
-}
-
-func TestSources(t *testing.T) {
-	m := Message{Items: []Item{
-		{Source: 5, Seq: 1}, {Source: 2, Seq: 1}, {Source: 5, Seq: 2}, {Source: 2, Seq: 9},
-	}}
-	got := m.Sources()
-	if len(got) != 2 || got[0] != 5 || got[1] != 2 {
-		t.Fatalf("Sources = %v, want [5 2] in first-seen order", got)
 	}
 }
 
@@ -148,12 +83,5 @@ func TestValidate(t *testing.T) {
 				t.Fatal("expected error")
 			}
 		})
-	}
-}
-
-func TestSourcesEmpty(t *testing.T) {
-	var m Message
-	if got := m.Sources(); len(got) != 0 {
-		t.Fatalf("Sources of empty message = %v", got)
 	}
 }

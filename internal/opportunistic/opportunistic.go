@@ -28,9 +28,6 @@ type Strategy struct{}
 
 var _ diffusion.Strategy = Strategy{}
 
-// Name implements diffusion.Strategy.
-func (Strategy) Name() string { return "opportunistic" }
-
 // SinkReinforceDelay implements diffusion.Strategy: reinforcement is
 // immediate on the first copy.
 func (Strategy) SinkReinforceDelay(diffusion.Params) time.Duration { return 0 }

@@ -12,12 +12,6 @@ import (
 	"repro/internal/topology"
 )
 
-func TestName(t *testing.T) {
-	if (Strategy{}).Name() != "opportunistic" {
-		t.Fatal("wrong name")
-	}
-}
-
 func TestNoReinforceDelay(t *testing.T) {
 	p := diffusion.DefaultParams()
 	p.ReinforceDelay = 7 * time.Second
@@ -71,9 +65,9 @@ func item(src topology.NodeID, seq int) msg.Item { return msg.Item{Source: src, 
 
 func TestTruncateDuplicatesOnly(t *testing.T) {
 	window := []diffusion.ReceivedAgg{
-		{From: 1, Items: []msg.Item{item(10, 1)}, NewItems: []msg.Item{item(10, 1)}},
-		{From: 2, Items: []msg.Item{item(10, 1)}}, // pure duplicate
-		{From: 3, Items: []msg.Item{item(11, 1)}, NewItems: []msg.Item{item(11, 1)}},
+		{From: 1, NewItems: []msg.Item{item(10, 1)}},
+		{From: 2}, // pure duplicate
+		{From: 3, NewItems: []msg.Item{item(11, 1)}},
 	}
 	victims := Strategy{}.Truncate(window, &diffusion.TruncateWorkspace{})
 	if len(victims) != 1 || victims[0] != 2 {
@@ -84,8 +78,8 @@ func TestTruncateDuplicatesOnly(t *testing.T) {
 func TestTruncateMixedWindowKeepsNeighbor(t *testing.T) {
 	// A neighbor that sent one duplicate and one fresh aggregate stays.
 	window := []diffusion.ReceivedAgg{
-		{From: 2, Items: []msg.Item{item(10, 1)}},
-		{From: 2, Items: []msg.Item{item(10, 2)}, NewItems: []msg.Item{item(10, 2)}},
+		{From: 2},
+		{From: 2, NewItems: []msg.Item{item(10, 2)}},
 	}
 	if victims := (Strategy{}).Truncate(window, &diffusion.TruncateWorkspace{}); len(victims) != 0 {
 		t.Fatalf("victims = %v, want none", victims)
@@ -100,9 +94,9 @@ func TestTruncateEmptyWindow(t *testing.T) {
 
 func TestTruncateDeterministicOrder(t *testing.T) {
 	window := []diffusion.ReceivedAgg{
-		{From: 7, Items: []msg.Item{item(1, 1)}},
-		{From: 3, Items: []msg.Item{item(1, 1)}},
-		{From: 5, Items: []msg.Item{item(1, 1)}},
+		{From: 7},
+		{From: 3},
+		{From: 5},
 	}
 	victims := Strategy{}.Truncate(window, &diffusion.TruncateWorkspace{})
 	if len(victims) != 3 || victims[0] != 3 || victims[1] != 5 || victims[2] != 7 {
@@ -142,9 +136,9 @@ func randomWindow(rng *rand.Rand) []diffusion.ReceivedAgg {
 	for i := range window {
 		a := &window[i]
 		a.From = topology.NodeID(100 + rng.Intn(senders))
-		a.Items = []msg.Item{item(topology.NodeID(rng.Intn(5)), rng.Intn(4))}
+		items := []msg.Item{item(topology.NodeID(rng.Intn(5)), rng.Intn(4))}
 		if rng.Intn(3) == 0 {
-			a.NewItems = a.Items
+			a.NewItems = items
 		}
 	}
 	return window

@@ -6,7 +6,6 @@ package stats
 import (
 	"fmt"
 	"math"
-	"sort"
 )
 
 // Sample is a collection of observations.
@@ -52,49 +51,6 @@ func (s Sample) StdErr() float64 {
 // error-bar convention of the era's simulation papers.
 func (s Sample) CI95() float64 { return 1.96 * s.StdErr() }
 
-// Min returns the smallest observation, or NaN for an empty sample.
-func (s Sample) Min() float64 {
-	if len(s) == 0 {
-		return math.NaN()
-	}
-	m := s[0]
-	for _, v := range s[1:] {
-		if v < m {
-			m = v
-		}
-	}
-	return m
-}
-
-// Max returns the largest observation, or NaN for an empty sample.
-func (s Sample) Max() float64 {
-	if len(s) == 0 {
-		return math.NaN()
-	}
-	m := s[0]
-	for _, v := range s[1:] {
-		if v > m {
-			m = v
-		}
-	}
-	return m
-}
-
-// Median returns the middle observation (mean of the two middle ones for
-// even sizes), or NaN for an empty sample.
-func (s Sample) Median() float64 {
-	if len(s) == 0 {
-		return math.NaN()
-	}
-	c := append(Sample(nil), s...)
-	sort.Float64s(c)
-	n := len(c)
-	if n%2 == 1 {
-		return c[n/2]
-	}
-	return (c[n/2-1] + c[n/2]) / 2
-}
-
 // NearestRank returns the nearest-rank p-th percentile (0 < p <= 1) of an
 // ascending sample: the observation at rank ceil(p·n), clamped to the
 // sample, so every percentile is an observed value. It returns the zero
@@ -106,30 +62,6 @@ func NearestRank[T any](sorted []T, p float64) T {
 	}
 	i := int(math.Ceil(p*float64(len(sorted)))) - 1
 	return sorted[max(0, min(i, len(sorted)-1))]
-}
-
-// Summary is a one-line rendering: mean ± ci95.
-func (s Sample) Summary() string {
-	return fmt.Sprintf("%.6g ± %.2g", s.Mean(), s.CI95())
-}
-
-// Ratio returns a/b with a descriptive error when b is zero, for
-// savings-percentage computations in reports.
-func Ratio(a, b float64) (float64, error) {
-	if b == 0 {
-		return 0, fmt.Errorf("stats: division by zero (a=%v)", a)
-	}
-	return a / b, nil
-}
-
-// SavingsPercent returns how much smaller `ours` is than `baseline`, in
-// percent: 100·(1 − ours/baseline). Positive values mean savings.
-func SavingsPercent(ours, baseline float64) (float64, error) {
-	r, err := Ratio(ours, baseline)
-	if err != nil {
-		return 0, err
-	}
-	return 100 * (1 - r), nil
 }
 
 // PairedSavings summarizes a paired comparison: given per-trial

@@ -250,9 +250,6 @@ func (m *Mover) Epochs() int { return m.epochs }
 // LinkChanges returns the total directed links gained plus lost so far.
 func (m *Mover) LinkChanges() int { return m.linkChanges }
 
-// Distance returns the meters node id has traveled.
-func (m *Mover) Distance(id NodeID) float64 { return m.distance[id] }
-
 // TotalDistance returns the meters traveled summed over all nodes.
 func (m *Mover) TotalDistance() float64 {
 	var sum float64

@@ -17,7 +17,7 @@ func rebuiltField(t *testing.T, f *Field) *Field {
 	for i := range pts {
 		pts[i] = f.Position(NodeID(i))
 	}
-	nf, err := FromPositions(f.Area(), f.Range(), pts)
+	nf, err := FromPositions(f.Area(), f.rng, pts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -110,7 +110,7 @@ func TestMoveNodeKeepsStaticOrderForUnaffectedNodes(t *testing.T) {
 	f.MoveNode(0, geom.Point{X: 1, Y: 1})
 	far := f.Position(0)
 	for i := 1; i < f.Len(); i++ {
-		if f.Position(NodeID(i)).Dist(far) < 3*f.Range() {
+		if f.Position(NodeID(i)).Dist(far) < 3*f.rng {
 			continue
 		}
 		got := f.Neighbors(NodeID(i))
@@ -291,7 +291,7 @@ func TestMoverPinsNodes(t *testing.T) {
 	if m.Mobile() != 28 {
 		t.Fatalf("Mobile = %d, want 28", m.Mobile())
 	}
-	if m.Distance(3) != 0 || m.Distance(7) != 0 {
+	if m.distance[3] != 0 || m.distance[7] != 0 {
 		t.Fatal("pinned nodes accumulated distance")
 	}
 	speeds := m.Speeds(50 * time.Second)

@@ -259,9 +259,6 @@ func (f *Field) Len() int { return len(f.positions) }
 // Area returns the deployment region.
 func (f *Field) Area() geom.Rect { return f.area }
 
-// Range returns the radio range in meters.
-func (f *Field) Range() float64 { return f.rng }
-
 // Position returns the location of node id.
 func (f *Field) Position(id NodeID) geom.Point { return f.positions[id] }
 
@@ -344,27 +341,4 @@ func (f *Field) components() []int {
 		next++
 	}
 	return comp
-}
-
-// HopDistances returns the hop count from src to every node (-1 if
-// unreachable) via breadth-first search. Used by the abstract tree models
-// and by tests as an oracle for path lengths.
-func (f *Field) HopDistances(src NodeID) []int {
-	dist := make([]int, len(f.positions))
-	for i := range dist {
-		dist[i] = -1
-	}
-	dist[src] = 0
-	queue := []NodeID{src}
-	for len(queue) > 0 {
-		v := queue[0]
-		queue = queue[1:]
-		for _, w := range f.neighbors[v] {
-			if dist[w] == -1 {
-				dist[w] = dist[v] + 1
-				queue = append(queue, w)
-			}
-		}
-	}
-	return dist
 }

@@ -184,23 +184,6 @@ func TestConnected(t *testing.T) {
 	}
 }
 
-func TestHopDistances(t *testing.T) {
-	// A chain: 0 - 1 - 2 - 3, plus isolated node 4.
-	f, err := FromPositions(paperArea(), 40, []geom.Point{
-		{X: 0, Y: 0}, {X: 35, Y: 0}, {X: 70, Y: 0}, {X: 105, Y: 0}, {X: 0, Y: 199},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	d := f.HopDistances(0)
-	want := []int{0, 1, 2, 3, -1}
-	for i, w := range want {
-		if d[i] != w {
-			t.Errorf("hop[%d] = %d, want %d", i, d[i], w)
-		}
-	}
-}
-
 // Property: generated fields always produce symmetric adjacency consistent
 // with the range predicate, for random node counts and ranges.
 func TestPropertyAdjacencyConsistent(t *testing.T) {

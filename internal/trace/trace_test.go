@@ -68,32 +68,18 @@ func TestKindFilter(t *testing.T) {
 	if len(r.Events()) != 1 || r.Events()[0].Kind != msg.KindReinforce {
 		t.Fatalf("filter failed: %v", r.Events())
 	}
-	if r.Filtered() != 2 {
-		t.Fatalf("Filtered = %d", r.Filtered())
-	}
 }
 
 func TestNodeFilterAndAnd(t *testing.T) {
-	f := And(KindFilter(msg.KindData), NodeFilter(1))
-	if !f(Event{Node: 1, Kind: msg.KindData}) {
-		t.Fatal("matching event rejected")
+	f := And(KindFilter(msg.KindData, msg.KindInterest), KindFilter(msg.KindData, msg.KindReinforce))
+	if !f(Event{Kind: msg.KindData}) {
+		t.Fatal("event both filters keep rejected")
 	}
-	if f(Event{Node: 2, Kind: msg.KindData}) {
-		t.Fatal("wrong node accepted")
+	if f(Event{Kind: msg.KindInterest}) {
+		t.Fatal("event the second filter rejects accepted")
 	}
-	if f(Event{Node: 1, Kind: msg.KindInterest}) {
-		t.Fatal("wrong kind accepted")
-	}
-}
-
-func TestCountByKind(t *testing.T) {
-	r := NewRecorder(10)
-	r.Record(ev(0, msg.KindData))
-	r.Record(ev(1, msg.KindData))
-	r.Record(ev(2, msg.KindInterest))
-	counts := r.CountByKind()
-	if counts[msg.KindData] != 2 || counts[msg.KindInterest] != 1 {
-		t.Fatalf("counts = %v", counts)
+	if f(Event{Kind: msg.KindReinforce}) {
+		t.Fatal("event the first filter rejects accepted")
 	}
 }
 
