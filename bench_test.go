@@ -240,8 +240,8 @@ func BenchmarkMACFrameFieldSize(b *testing.B) {
 			}
 			k := sim.NewKernel(1)
 			net := mac.New(k, f, mac.Params{})
-			// Rotate a fixed sender set and warm their queues, frame pools,
-			// and neighbors' audible slices up front, so the loop measures
+			// Rotate a fixed sender set and warm their queues and frame
+			// pools up front, so the loop measures
 			// the steady-state per-frame cost rather than first-touch
 			// allocations spread across the whole population.
 			const senders = 64

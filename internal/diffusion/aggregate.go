@@ -35,7 +35,7 @@ func (n *node) onData(from topology.NodeID, m msg.Message) {
 
 	fresh := 0
 	for _, it := range m.Items {
-		if _, dup := st.dataCache[it.Key()]; !dup {
+		if !st.dataCache.has(it.Key()) {
 			fresh++
 		}
 		st.srcSeen.put(it.Source, now)
@@ -49,7 +49,7 @@ func (n *node) onData(from topology.NodeID, m msg.Message) {
 	case fresh > 0:
 		newItems = make([]msg.Item, 0, fresh)
 		for _, it := range m.Items {
-			if _, dup := st.dataCache[it.Key()]; !dup {
+			if !st.dataCache.has(it.Key()) {
 				newItems = append(newItems, it)
 			}
 		}
@@ -70,7 +70,7 @@ func (n *node) onData(from topology.NodeID, m msg.Message) {
 		return // pure duplicate: the cache absorbs it (loop prevention)
 	}
 	for _, it := range newItems {
-		st.dataCache[it.Key()] = now
+		st.dataCache.add(it.Key(), now)
 	}
 	n.addPending(st, contribution{from: from, items: m.Items, w: m.W, newItems: newItems})
 }
@@ -391,13 +391,9 @@ func (n *node) prunePass() {
 	seenCutoff := now - 4*p.NegReinforceWindow
 	for _, ie := range n.interests.es {
 		st := ie.val
-		for k, at := range st.dataCache {
-			if now-at > cacheTTL {
-				delete(st.dataCache, k)
-			}
-		}
+		st.dataCache.expire(now, cacheTTL)
 		st.entries.keep(func(e *entryState) bool { return e.created >= entryCutoff })
-		st.grads.keep(func(g gradient) bool { return g.expires > now })
+		st.grads.expire(now, &n.rt.sc.slots)
 		st.lastDataFrom.keep(func(at time.Duration) bool { return at >= seenCutoff })
 		st.srcSeen.keep(func(at time.Duration) bool { return at >= seenCutoff })
 	}

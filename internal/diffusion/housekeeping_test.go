@@ -215,10 +215,8 @@ func TestInterestRevivesExpiredDataGradient(t *testing.T) {
 	if st == nil || !relay.hasDataGradient(st) {
 		t.Fatal("tree did not form through the relay")
 	}
-	for i := range st.grads.es {
-		if g := &st.grads.es[i].val; g.kind == gradData {
-			g.expires = k.Now()
-		}
+	for _, nbr := range st.grads.data {
+		st.grads.ref(nbr).expires = k.Now()
 	}
 	for relay.repairArmed {
 		if !k.Step() {

@@ -159,9 +159,9 @@ func TestPrunePassEvictsStaleState(t *testing.T) {
 		}
 		n := rt.Node(1)
 		st := n.state(0)
-		st.dataCache[msg.ItemKey{Source: 0, Seq: 1}] = 0
+		st.dataCache.add(msg.ItemKey{Source: 0, Seq: 1}, 0)
 		st.entries.put(5, &entryState{created: 0, hasFwdC: true, fwdC: 3})
-		st.grads.put(0, gradient{kind: gradExploratory, expires: time.Second})
+		putGradient(st, 0, gradExploratory, time.Second)
 		st.lastDataFrom.put(0, 0)
 		st.srcSeen.put(0, 0)
 
@@ -171,8 +171,8 @@ func TestPrunePassEvictsStaleState(t *testing.T) {
 		seen := now - 4*p.NegReinforceWindow
 		st.entries.put(6, &entryState{created: now - EntryTTL})
 		st.entries.put(7, &entryState{created: now - EntryTTL - 1})
-		st.grads.put(1, gradient{kind: gradData, expires: now})
-		st.grads.put(2, gradient{kind: gradData, expires: now + 1})
+		putGradient(st, 1, gradData, now)
+		putGradient(st, 2, gradData, now+1)
 		st.lastDataFrom.put(1, seen)
 		st.lastDataFrom.put(2, seen-1)
 		st.srcSeen.put(1, seen)
@@ -183,8 +183,8 @@ func TestPrunePassEvictsStaleState(t *testing.T) {
 		k.Schedule(now, func() { n.prunePass() })
 		k.Run(now)
 
-		if len(st.dataCache) != 0 {
-			t.Fatalf("repair %v: stale duplicate cache survived prune: %d items", repair, len(st.dataCache))
+		if st.dataCache.size() != 0 {
+			t.Fatalf("repair %v: stale duplicate cache survived prune: %d items", repair, st.dataCache.size())
 		}
 		lq := []topology.NodeID{1, 2} // pruned only by the repair layer
 		if repair {
@@ -195,7 +195,8 @@ func TestPrunePassEvictsStaleState(t *testing.T) {
 			got, want any
 		}{
 			{"entries", tableKeys(&st.entries), []msg.MsgID{6}},
-			{"grads", tableKeys(&st.grads), []topology.NodeID{2}},
+			{"grads", gradKeys(&st.grads), []topology.NodeID{2}},
+			{"data gradients", st.grads.data, []topology.NodeID{2}},
 			{"lastDataFrom", tableKeys(&st.lastDataFrom), []topology.NodeID{1}},
 			{"srcSeen", tableKeys(&st.srcSeen), []topology.NodeID{1}},
 			{"link quality", tableKeys(&n.lq.table), lq},
@@ -418,7 +419,7 @@ func TestSinkIgnoresOwnInterestEcho(t *testing.T) {
 	sink := rt.Node(2)
 	sink.onInterest(1, msg.Message{Kind: msg.KindInterest, Interest: 0, ID: 1,
 		Origin: 2, Bytes: msg.ControlBytes})
-	if st := sink.interests.get(0); st != nil && st.grads.size() > 0 {
+	if st := sink.interests.get(0); st != nil && int(st.grads.n) > 0 {
 		t.Fatal("sink set a gradient from its own interest echo")
 	}
 	k.Run(time.Millisecond)

@@ -10,28 +10,17 @@ import (
 	"repro/internal/trace"
 )
 
-type gradKind int
-
-const (
-	gradExploratory gradKind = iota + 1
-	gradData
-)
-
-type gradient struct {
-	kind    gradKind
-	expires time.Duration
-}
-
-// interestState is one node's per-interest protocol state. The soft-state
+// interestState is one node's per-interest protocol state. Most soft-state
 // collections are sorted-insert tables (table.go): iteration is ascending by
-// key with no sort or key-slice allocation on any hot path, and expiry is
-// lazy — checked where entries are used, compacted in prunePass.
+// key with no sort or key-slice allocation on any hot path. Gradients live
+// in a hashed table (grads.go) and seen items in a bitset cache
+// (dupcache.go). Expiry is lazy everywhere — checked where entries are
+// used, compacted in prunePass.
 type interestState struct {
 	id msg.InterestID
 
-	// grads maps downstream neighbor -> gradient (direction: data sent to
-	// that neighbor flows toward the interest's sink).
-	grads table[topology.NodeID, gradient]
+	// grads maps downstream neighbor -> gradient.
+	grads gradTable
 
 	// seenRound is the newest interest flood round forwarded.
 	seenRound int
@@ -39,8 +28,9 @@ type interestState struct {
 	// entries caches exploratory events by message id.
 	entries table[msg.MsgID, *entryState]
 
-	// dataCache suppresses duplicate items: item key -> last seen.
-	dataCache map[msg.ItemKey]time.Duration
+	// dataCache suppresses duplicate items, each held from its first
+	// sighting.
+	dataCache dupCache
 
 	// pending is the aggregation buffer.
 	pending pendingBuffer
@@ -229,10 +219,7 @@ func (n *node) now() time.Duration { return n.rt.kernel.Now() }
 func (n *node) state(iid msg.InterestID) *interestState {
 	st := n.interests.get(iid)
 	if st == nil {
-		st = &interestState{
-			id:        iid,
-			dataCache: make(map[msg.ItemKey]time.Duration),
-		}
+		st = &interestState{id: iid}
 		n.interests.put(iid, st)
 	}
 	return st
@@ -340,7 +327,7 @@ func (n *node) generateEvent() {
 		if !st.activated {
 			continue
 		}
-		st.dataCache[item.Key()] = n.now()
+		st.dataCache.add(item.Key(), n.now())
 		st.srcSeen.put(n.id, n.now())
 		if !n.hasDataGradient(st) &&
 			!(n.rt.params.Repair.Enabled && n.now() < st.repairingUntil) {
@@ -365,7 +352,7 @@ func (n *node) exploratoryRound(iid msg.InterestID) {
 	if n.rt.observer != nil {
 		n.rt.observer.Generated(n.id, item)
 	}
-	st.dataCache[item.Key()] = n.now()
+	st.dataCache.add(item.Key(), n.now())
 	mid := n.rt.newMsgID()
 	e := &entryState{
 		ExplorEntry: ExplorEntry{
@@ -443,12 +430,13 @@ func (n *node) onInterest(from topology.NodeID, m msg.Message) {
 // which revives one that expired but is not yet pruned. Either way a data
 // gradient leaves the node live on the tree, so its repair pass is armed.
 func (n *node) setGradient(st *interestState, nbr topology.NodeID, kind gradKind) {
-	g, existed := st.grads.getOrInsert(nbr)
+	g, existed := st.grads.getOrInsert(nbr, len(n.rt.field.Neighbors(n.id)))
 	if existed {
 		n.rt.count.GradientHits++
 	} else {
 		n.rt.count.GradientMisses++
 	}
+	wasData := g.kind == gradData
 	switch {
 	case kind == gradData:
 		g.kind = gradData
@@ -463,6 +451,9 @@ func (n *node) setGradient(st *interestState, nbr topology.NodeID, kind gradKind
 		g.expires = n.now() + exploratoryGradientTimeout
 	}
 	if g.kind == gradData {
+		if !wasData {
+			st.grads.setData(nbr, true)
+		}
 		n.armRepair()
 	}
 }
@@ -476,13 +467,14 @@ func (n *node) degradeGradient(st *interestState, nbr topology.NodeID) bool {
 	}
 	g.kind = gradExploratory
 	g.expires = n.now() + exploratoryGradientTimeout
+	st.grads.setData(nbr, false)
 	return true
 }
 
 func (n *node) hasDataGradient(st *interestState) bool {
 	now := n.now()
-	for _, e := range st.grads.es {
-		if e.val.kind == gradData && e.val.expires > now {
+	for _, nbr := range st.grads.data {
+		if st.grads.ref(nbr).expires > now {
 			return true
 		}
 	}
@@ -495,9 +487,9 @@ func (n *node) hasDataGradient(st *interestState) bool {
 func (n *node) dataGradients(st *interestState) []topology.NodeID {
 	out := n.rt.sc.grads[:0]
 	now := n.now()
-	for _, e := range st.grads.es {
-		if e.val.kind == gradData && e.val.expires > now {
-			out = append(out, e.key)
+	for _, nbr := range st.grads.data {
+		if st.grads.ref(nbr).expires > now {
+			out = append(out, nbr)
 		}
 	}
 	n.rt.sc.grads = out
@@ -758,10 +750,10 @@ func (n *node) deliver(st *interestState, items []msg.Item, newOnly []msg.Item, 
 		newOnly = items
 	}
 	for _, it := range newOnly {
-		if _, dup := st.dataCache[it.Key()]; dup {
+		if st.dataCache.has(it.Key()) {
 			continue
 		}
-		st.dataCache[it.Key()] = n.now()
+		st.dataCache.add(it.Key(), n.now())
 		if hops >= 0 {
 			h := hops
 			if h > math.MaxUint16 {

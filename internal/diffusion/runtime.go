@@ -1,7 +1,9 @@
 package diffusion
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"time"
 
 	"repro/internal/mac"
@@ -63,6 +65,7 @@ func (r Roles) Validate(n int) error {
 type scratch struct {
 	sources  []topology.NodeID        // activeSources results
 	grads    []topology.NodeID        // dataGradients results
+	slots    []gradSlot               // gradTable.expire survivors
 	healthy  []topology.NodeID        // sendDataHealing quality filter
 	lqDrop   []topology.NodeID        // repairEntry link-quality exclusions
 	exclude  map[topology.NodeID]bool // reinforceEntry merged exclusions
@@ -124,7 +127,7 @@ func (rt *Runtime) traceMsg(op trace.Op, node, peer topology.NodeID, m msg.Messa
 	if op == trace.OpReceive && m.Kind == msg.KindData {
 		if st := rt.nodes[node].interests.get(m.Interest); st != nil {
 			for _, it := range m.Items {
-				if _, dup := st.dataCache[it.Key()]; !dup {
+				if !st.dataCache.has(it.Key()) {
 					fresh++
 				}
 			}
@@ -329,18 +332,19 @@ func (rt *Runtime) Snapshot() []trace.SnapshotRecord {
 				On:       n.on(),
 				Sink:     n.isSink && iid == n.sinkInterest,
 				Source:   n.isSource && st.activated,
-				DupCache: len(st.dataCache),
+				DupCache: st.dataCache.size(),
 				Entries:  st.entries.size(),
 			}
 			rec.OnTree = rec.Sink || n.hasDataGradient(st)
-			for _, ge := range st.grads.es {
-				if ge.val.expires <= now {
+			for _, g := range st.grads.slots {
+				if g.nbr == 0 || g.expires <= now {
 					continue
 				}
 				rec.Gradients = append(rec.Gradients, trace.SnapshotGradient{
-					Nbr: ge.key, Data: ge.val.kind == gradData, Expires: ge.val.expires,
+					Nbr: topology.NodeID(g.nbr - 1), Data: g.kind == gradData, Expires: g.expires,
 				})
 			}
+			slices.SortFunc(rec.Gradients, func(a, b trace.SnapshotGradient) int { return cmp.Compare(a.Nbr, b.Nbr) })
 			out = append(out, rec)
 		}
 	}

@@ -6,10 +6,12 @@ package diffusion
 // sort the key sets on every hot-path call that needed deterministic
 // iteration. A sorted-insert slice table replaces that pattern: inserts keep
 // ascending key order, so every iteration is deterministic for free and no
-// lookup, insert, or traversal allocates. One generic table backs every
-// soft-state collection: gradients by downstream neighbor, exploratory
+// lookup, insert, or traversal allocates. One generic table backs the
+// soft-state collections that need ascending iteration: exploratory
 // entries by message id, interest states by interest id, last-heard times
-// by node id, and link-quality estimates by neighbor.
+// by node id, and link-quality estimates by neighbor. Gradients, refreshed
+// by every neighbor's interest copy, live in a hashed table instead
+// (grads.go), and seen items in a bitset cache (dupcache.go).
 //
 // Three rules govern the tables (see DESIGN.md §8):
 //
@@ -20,10 +22,9 @@ package diffusion
 //     immediately and never hold one across calls. Exploratory entries and
 //     interest states are stored as pointers because timer records hold them
 //     across kernel events.
-//   - Lazy expiry: expired entries stay in the tables (preserving the
-//     hit/miss semantics of the gradient telemetry counters) until the
-//     periodic prune pass compacts them out with keep; every use site checks
-//     expiry as it iterates.
+//   - Lazy expiry: expired entries stay in the tables until the periodic
+//     prune pass compacts them out with keep; every use site checks expiry
+//     as it iterates.
 
 import "cmp"
 

@@ -28,12 +28,12 @@
 // The implementation is allocation-free in steady state and degree-bounded
 // per frame: transmissions are pooled and carry a touched-list of the
 // receivers they were put in front of (capacity grows to the radio degree,
-// never the field size). Every receiver holds its slot in that list, and
-// every entry holds the position of its hearing in the receiver's audible
-// list, so settling a reception needs no search of either. End of airtime
-// settles the receivers in the order the frame's start recorded them, unless
-// the field took a MoveNode during the airtime; only then does it re-walk
-// the sender's live neighbor list. Receive energy is computed once per
+// never the field size). A receiver keeps two counters and a generation
+// stamp that each entry copies at airtime start, so settling a reception
+// reads its entry and the receiver's state and nothing else. End of airtime settles the receivers
+// in the order the frame's start recorded them, unless the field took a
+// MoveNode during the airtime; only then does it re-walk the sender's live
+// neighbor list. Receive energy is computed once per
 // frame and charged to each receiver. Outbound frames are pooled,
 // contention re-arms through a prebuilt per-node runner, and every delayed
 // MAC step (airtime end, SIFS gaps, ACK timeouts) is dispatched through
@@ -208,44 +208,34 @@ type LinkFilter func(from, to topology.NodeID) bool
 // field-sized bitsets transmissions used to carry: per-transmission memory
 // and the per-frame reset walk are now bounded by radio degree, not by the
 // population, which is what keeps constant-density scale rungs flat in N.
+// Both flags are final once end() has settled the reception.
 const (
-	// rxHeard marks a receiver the frame was actually put in front of (on
-	// and in range at airtime start); cleared as end-of-airtime consumes the
-	// reception.
-	rxHeard uint8 = 1 << iota
 	// rxCorrupted marks a reception lost to frame overlap or a half-duplex
 	// receiver that was itself transmitting.
-	rxCorrupted
-	// rxLost marks a reception vetoed by the installed LinkFilter.
+	rxCorrupted uint8 = 1 << iota
+	// rxLost marks a reception vetoed by the installed LinkFilter, or cut
+	// off by a power cycle of the receiver during the airtime.
 	rxLost
 )
 
 // rxEntry records one receiver a transmission touched and the fate of its
-// reception. pos is the index of the matching hearing in the receiver's
-// audible list, kept current as that list swap-compacts, so settling the
-// reception finds and removes its hearing without a search.
+// reception. gen is the receiver's generation stamp when the frame started:
+// if the stamp has moved by the time the frame ends, the reception was
+// corrupted or cut off (see lose and finishReception). The stamp is 64 bits
+// so it never wraps, and the id 32 bits so the entry stays at 16 bytes.
 type rxEntry struct {
-	id    topology.NodeID
+	gen   uint64
+	id    int32
 	flags uint8
-	pos   int32
 }
 
-// hearing is one frame audible at a node: the transmission and the slot of
-// that node's own entry in its receiver set, so marking the reception
-// corrupted is a direct write rather than a search. A node's audible list is
-// unordered: removal swaps the last hearing into the gap, and every reader
-// either marks all entries or reads only the length.
-type hearing struct {
-	tx   *transmission
-	slot int32
-}
-
-// corrupt marks a reception lost to overlap, counting each reception once.
-func (n *Network) corrupt(e *rxEntry) {
-	if e.flags&rxCorrupted == 0 {
-		e.flags |= rxCorrupted
-		n.stats.Collisions++
-	}
+// lose corrupts every frame audible at ns: the receptions not yet corrupted
+// count as collisions, and bumping the stamp leaves each of their entries
+// behind it.
+func (n *Network) lose(ns *nodeState) {
+	n.stats.Collisions += int(ns.clean)
+	ns.clean = 0
+	ns.gen++
 }
 
 // Network simulates the shared medium for all nodes of a field.
@@ -286,9 +276,15 @@ type nodeState struct {
 	queue    []*outFrame
 	sending  bool // currently contending or transmitting
 	txActive bool // physically on the air right now
-	audible  []hearing
-	cw       int
-	navUntil time.Duration // virtual carrier sense from overheard RTS/CTS
+	// heard counts the frames audible at the node now, begun since its last
+	// power-off and not yet ended; clean counts those not yet corrupted.
+	heard, clean int32
+	// gen is bumped whenever every frame audible at the node is lost to it:
+	// an overlap, the node starting to transmit, or a power-off. offGen is
+	// gen just after the last power-off.
+	gen, offGen uint64
+	cw          int
+	navUntil    time.Duration // virtual carrier sense from overheard RTS/CTS
 
 	// sense is the node's prebuilt carrier-sense step; every contention
 	// wait schedules this same runner record instead of capturing a fresh
@@ -339,9 +335,8 @@ type transmission struct {
 	// neighbor-scan order. The backing array is retained across pool
 	// reuse, so it grows toward the field's maximum degree, never its size.
 	// End-of-airtime consumes these entries rather than the live neighbor
-	// set, so a node moving during the frame's airtime cannot strand an
-	// audible entry or conjure a reception it never started. rxCorrupted
-	// and rxLost record overlap and link-filter fates for the same IDs.
+	// set, so a node moving during the frame's airtime cannot strand a
+	// receiver's heard count or conjure a reception it never started.
 	recv []rxEntry
 	// dst is the slot plus one of the unicast destination's entry in recv,
 	// zero when it has none (broadcast, or destination off or out of range
@@ -478,8 +473,7 @@ func (n *Network) allocTx(kind txKind, owner *nodeState, to topology.NodeID, f F
 }
 
 // releaseTx recycles a transmission once its airtime has ended and its
-// completion step ran; nothing may hold the record past that point (end()
-// removed it from every audible set, and off nodes clear theirs wholesale).
+// completion step ran; nothing holds the record past that point.
 func (n *Network) releaseTx(tx *transmission) {
 	tx.recv = tx.recv[:0]
 	tx.dst = 0
@@ -572,7 +566,11 @@ func (n *Network) SetOn(id topology.NodeID, on bool) {
 		ns.queue = nil
 		ns.sending = false
 		ns.txActive = false
-		ns.audible = nil
+		// Every frame the node was hearing is cut off: its entries fall
+		// behind offGen, and finishReception skips them.
+		ns.heard, ns.clean = 0, 0
+		ns.gen++
+		ns.offGen = ns.gen
 		ns.cw = cwMin
 		ns.navUntil = 0
 	}
@@ -618,7 +616,7 @@ func (n *Network) enqueue(from, to topology.NodeID, f Frame) error {
 // busy reports whether the medium is sensed busy at node ns, physically or
 // through the NAV set by an overheard RTS/CTS.
 func (n *Network) busy(ns *nodeState) bool {
-	return ns.txActive || len(ns.audible) > 0 || n.kernel.Now() < ns.navUntil
+	return ns.txActive || ns.heard > 0 || n.kernel.Now() < ns.navUntil
 }
 
 // startContention begins the DIFS + backoff dance for the head-of-queue
@@ -750,9 +748,7 @@ func (n *Network) begin(ns *nodeState, tx *transmission, airtime time.Duration) 
 	// Every receiver pays the same charge for this frame.
 	rx := energy.RxCharge(tx.frame.Bytes)
 	// Half-duplex: anything the sender was hearing is lost to it.
-	for _, h := range ns.audible {
-		n.corrupt(&h.tx.recv[h.slot])
-	}
+	n.lose(ns)
 	tx.moves = n.field.Moves()
 	for _, nb := range n.field.Neighbors(ns.id) {
 		rs := &n.nodes[nb]
@@ -764,50 +760,43 @@ func (n *Network) begin(ns *nodeState, tx *transmission, airtime time.Duration) 
 		}
 		// The receiver's radio is captured for the airtime either way.
 		n.energy[nb].ChargeReceive(rx)
-		flags := rxHeard
+		var flags uint8
 		if n.filter != nil && !n.filter(ns.id, nb) {
-			flags |= rxLost
+			flags = rxLost
 			n.stats.LinkLoss++
 		}
-		if rs.txActive {
+		if rs.txActive || rs.heard > 0 {
+			// Half-duplex or overlap: this frame is corrupted at nb, and so
+			// is everything already audible there.
 			flags |= rxCorrupted
 			n.stats.Collisions++
+			n.lose(rs)
+		} else {
+			rs.clean++
 		}
-		if len(rs.audible) > 0 {
-			// Overlap: this frame and everything already audible at nb are
-			// corrupted at nb.
-			if flags&rxCorrupted == 0 {
-				flags |= rxCorrupted
-				n.stats.Collisions++
-			}
-			for _, h := range rs.audible {
-				n.corrupt(&h.tx.recv[h.slot])
-			}
-		}
-		slot := int32(len(tx.recv))
-		tx.recv = append(tx.recv, rxEntry{id: nb, flags: flags, pos: int32(len(rs.audible))})
+		rs.heard++
+		tx.recv = append(tx.recv, rxEntry{gen: rs.gen, id: int32(nb), flags: flags})
 		if nb == tx.to {
-			tx.dst = slot + 1
+			tx.dst = int32(len(tx.recv))
 		}
-		rs.audible = append(rs.audible, hearing{tx: tx, slot: slot})
 	}
 	n.kernel.ScheduleRunner(airtime, tx)
 }
 
-// end removes tx from every receiver's audible set and delivers it where it
-// survived — exactly the receivers recorded heard at airtime start: under
-// mobility the live neighbor set can differ by the time the airtime ends,
-// and only nodes that heard the frame start can finish receiving it.
+// end settles tx at every receiver and delivers it where it survived —
+// exactly the receivers recorded at airtime start: under mobility the live
+// neighbor set can differ by the time the airtime ends, and only nodes that
+// heard the frame start can finish receiving it.
 //
 // If the field took no MoveNode since begin(), receivers are settled in
 // slot order. That is the live-neighbor walk below, exactly: begin()
 // appended one entry per on neighbor in list order, the list is unchanged,
-// and every entry is still heard (finishReception alone clears rxHeard, and
-// end() is its only caller). Any move sends the frame to the walk, even one
-// that changed no link, since rescanning the moved node's list can reorder
-// it. The walk keeps the live list's order: live neighbors first, each
-// resolved to its entry through the rxSlot index, then any receivers that
-// moved out of range mid-frame in ascending ID. Nothing inside
+// and no entry is settled yet (end() is finishReception's only caller). Any
+// move sends the frame to the walk, even one that changed no link, since
+// rescanning the moved node's list can reorder it. The walk keeps the live
+// list's order: live neighbors first, each resolved to its entry through
+// the rxSlot index, then any receivers that moved out of range mid-frame in
+// ascending ID. Nothing inside
 // finishReception can append to tx.recv, move a node or re-enter end() (no
 // begin() runs reentrantly; contention and handshake steps are scheduled,
 // not called), so the index and slots stay valid across delivery callbacks.
@@ -820,9 +809,7 @@ func (n *Network) end(tx *transmission) {
 		return
 	}
 	for i := range tx.recv {
-		if tx.recv[i].flags&rxHeard != 0 {
-			n.rxSlot[tx.recv[i].id] = int32(i) + 1
-		}
+		n.rxSlot[tx.recv[i].id] = int32(i) + 1
 	}
 	for _, nb := range n.field.Neighbors(tx.from) {
 		if s := n.rxSlot[nb]; s != 0 {
@@ -850,34 +837,35 @@ func (n *Network) end(tx *transmission) {
 }
 
 // finishReception settles the receiver in tx's slot at the end of tx's
-// airtime: consume its heard flag, detach it from the audible set, classify
-// losses, apply NAV for handshakes, and deliver surviving payloads.
+// airtime: decide from the entry's stamp whether the reception was cut off,
+// corrupted or intact, record that in the entry's flags, classify losses,
+// apply NAV for handshakes, and deliver surviving payloads.
 func (n *Network) finishReception(tx *transmission, slot int32, senderDied bool) {
 	e := &tx.recv[slot]
-	e.flags &^= rxHeard
-	nb, flags, pos := e.id, e.flags, e.pos
+	nb := topology.NodeID(e.id)
 	rs := &n.nodes[nb]
-	audible := rs.audible
-	if int(pos) >= len(audible) || audible[pos].tx != tx {
-		return // receiver turned off since tx started (audible cleared)
+	if e.gen < rs.offGen {
+		// Cut off: the receiver was powered off during the airtime and
+		// never finished receiving. Mark the reception lost so a unicast
+		// sender gets no ACK and retries; no drop is reported.
+		e.flags |= rxLost
+		return
 	}
-	// Swap-remove: nothing reads audible in order, so the last hearing fills
-	// the gap and its entry's back-pointer follows it.
-	last := len(audible) - 1
-	if int(pos) != last {
-		moved := audible[last]
-		audible[pos] = moved
-		moved.tx.recv[moved.slot].pos = pos
+	rs.heard--
+	switch {
+	case e.flags&rxCorrupted != 0:
+	case e.gen != rs.gen:
+		e.flags |= rxCorrupted
+	default:
+		rs.clean--
 	}
-	rs.audible = audible[:last]
-	if !rs.on || senderDied || flags&(rxCorrupted|rxLost) != 0 {
+	flags := e.flags
+	if senderDied || flags&(rxCorrupted|rxLost) != 0 {
 		// Classify the loss only when someone is listening; the reason
 		// switch is pure observability.
 		if n.drop != nil {
 			reason := RxLinkLoss
 			switch {
-			case !rs.on:
-				reason = RxReceiverOff
 			case senderDied:
 				reason = RxSenderOff
 			case flags&rxCorrupted != 0:

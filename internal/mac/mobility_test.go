@@ -25,8 +25,8 @@ func stepUntilOnAir(t *testing.T, k interface{ Step() bool }, n *Network, id int
 func TestReceiverMovedOutMidAirtimeStillCompletes(t *testing.T) {
 	// 0 and 1 in range; 1 moves out of range while 0's frame is in flight.
 	// The reception was captured at airtime start, so it still completes,
-	// and — the regression this guards — 1's audible set must not leak the
-	// transmission record.
+	// and — the regression this guards — 1's heard count must fall back to
+	// zero rather than leak the frame.
 	k, n := line(t, 1, 0, 30)
 	var c capture
 	n.SetReceiver(1, c.receiver(k))
@@ -39,15 +39,15 @@ func TestReceiverMovedOutMidAirtimeStillCompletes(t *testing.T) {
 	if len(c.from) != 1 || c.data[0] != "mid-flight" {
 		t.Fatalf("captures: %+v, want the in-flight frame delivered", c)
 	}
-	if len(n.nodes[1].audible) != 0 {
-		t.Fatalf("audible leak: %d entries after airtime end", len(n.nodes[1].audible))
+	if h := n.nodes[1].heard; h != 0 {
+		t.Fatalf("heard leak: %d frames after airtime end", h)
 	}
 }
 
 func TestReceiverMovedInMidAirtimeHearsNothing(t *testing.T) {
 	// 2 starts out of range of 0 and moves next to it mid-airtime: it missed
-	// the frame start, so it must not receive, and its audible set must stay
-	// clean for later traffic.
+	// the frame start, so it must not receive, and its heard count must stay
+	// zero for later traffic.
 	k, n := line(t, 1, 0, 30, 500)
 	var c2 capture
 	n.SetReceiver(2, c2.receiver(k))
@@ -60,8 +60,8 @@ func TestReceiverMovedInMidAirtimeHearsNothing(t *testing.T) {
 	if len(c2.from) != 0 {
 		t.Fatalf("late-arriving node received a frame it never heard start: %+v", c2)
 	}
-	if len(n.nodes[2].audible) != 0 {
-		t.Fatalf("audible leak at moved-in node: %d entries", len(n.nodes[2].audible))
+	if h := n.nodes[2].heard; h != 0 {
+		t.Fatalf("heard leak at moved-in node: %d frames", h)
 	}
 	// The channel still works for it at the new position.
 	var c0 capture
@@ -97,7 +97,7 @@ func TestUnicastDestinationMovedOutGetsRetried(t *testing.T) {
 
 func TestChurningTopologyNeverLeaksAudible(t *testing.T) {
 	// Continuous movement while frames are in flight: after the run drains,
-	// every audible set must be empty regardless of how adjacency churned.
+	// every heard count must be zero regardless of how adjacency churned.
 	k, n := line(t, 7, 0, 20, 40, 60)
 	for i := 0; i < 4; i++ {
 		n.SetReceiver(n.nodes[i].id, (&capture{}).receiver(k))
@@ -119,8 +119,8 @@ func TestChurningTopologyNeverLeaksAudible(t *testing.T) {
 	k.Schedule(0, churn)
 	k.Run(time.Second)
 	for i := 0; i < 4; i++ {
-		if len(n.nodes[i].audible) != 0 {
-			t.Fatalf("node %d audible leak: %d entries", i, len(n.nodes[i].audible))
+		if h := n.nodes[i].heard; h != 0 {
+			t.Fatalf("node %d heard leak: %d frames", i, h)
 		}
 	}
 }

@@ -13,28 +13,143 @@ import (
 	"repro/internal/topology"
 )
 
-// checkSlotInvariants verifies the slot-addressed receiver sets between
-// kernel steps: every audible (tx, slot) addresses the node's own entry
-// with rxHeard set, and that entry's pos points back at the hearing's index
-// in the audible list; every in-flight transmission's destination slot is
-// absent exactly when the destination has no entry and otherwise addresses
-// it, pooled transmissions hold no entries, and end()'s node→slot index is
-// all zeros.
-func checkSlotInvariants(t *testing.T, k *sim.Kernel, n *Network, step int) {
-	t.Helper()
-	for i := range n.nodes {
-		for p, h := range n.nodes[i].audible {
-			if h.slot < 0 || int(h.slot) >= len(h.tx.recv) {
-				t.Fatalf("step %d: node %d hears slot %d of a %d-entry set", step, i, h.slot, len(h.tx.recv))
-			}
-			e := h.tx.recv[h.slot]
-			if e.id != topology.NodeID(i) || e.flags&rxHeard == 0 {
-				t.Fatalf("step %d: node %d's audible slot %d addresses %+v", step, i, h.slot, e)
-			}
-			if int(e.pos) != p {
-				t.Fatalf("step %d: node %d's hearing at index %d has its entry pointing at %d", step, i, p, e.pos)
+// reception is one (frame, receiver) pair as the reference model of
+// rxTracker sees it.
+type reception struct {
+	node    topology.NodeID
+	corrupt bool
+}
+
+// rxTracker is a brute-force model of who hears what, built between kernel
+// steps from the transmissions in flight and the test's own power cycles,
+// without the MAC's counters or stamps. A step fires one event, which
+// starts at most one frame or ends at most one, so diffing the in-flight
+// set between steps recovers every start and end in order. At a start, the
+// sender loses everything it hears; each receiver then gets a reception
+// that is corrupted if the receiver is transmitting or already hears a
+// frame, and in that case everything it hears is corrupted too. A power-off
+// cuts off everything the node hears and ends its transmitting. Each
+// reception counts as one collision the moment it is first corrupted.
+type rxTracker struct {
+	inFlight     map[*transmission][]*reception
+	live         map[topology.NodeID]map[*reception]bool // heard now, not cut off
+	transmitting map[topology.NodeID]*transmission
+	collisions   int
+}
+
+func newRxTracker() *rxTracker {
+	return &rxTracker{
+		inFlight:     map[*transmission][]*reception{},
+		live:         map[topology.NodeID]map[*reception]bool{},
+		transmitting: map[topology.NodeID]*transmission{},
+	}
+}
+
+// corruptAll corrupts every reception node id hears.
+func (m *rxTracker) corruptAll(id topology.NodeID) {
+	for r := range m.live[id] {
+		if !r.corrupt {
+			r.corrupt = true
+			m.collisions++
+		}
+	}
+}
+
+// step applies the frames that started or ended since the last call.
+func (m *rxTracker) step(k *sim.Kernel) {
+	now := map[*transmission]bool{}
+	var started []*transmission
+	for _, ev := range k.PendingEvents() {
+		if tx, ok := ev.Runner.(*transmission); ok {
+			now[tx] = true
+			if _, known := m.inFlight[tx]; !known {
+				started = append(started, tx)
 			}
 		}
+	}
+	for tx, rs := range m.inFlight {
+		if now[tx] {
+			continue
+		}
+		for _, r := range rs {
+			delete(m.live[r.node], r)
+		}
+		if m.transmitting[tx.from] == tx {
+			delete(m.transmitting, tx.from)
+		}
+		delete(m.inFlight, tx)
+	}
+	for _, tx := range started {
+		m.corruptAll(tx.from)
+		m.transmitting[tx.from] = tx
+		rs := make([]*reception, len(tx.recv))
+		for i, e := range tx.recv {
+			id := topology.NodeID(e.id)
+			r := &reception{node: id}
+			if m.transmitting[id] != nil || len(m.live[id]) > 0 {
+				r.corrupt = true
+				m.collisions++
+				m.corruptAll(id)
+			}
+			if m.live[id] == nil {
+				m.live[id] = map[*reception]bool{}
+			}
+			m.live[id][r] = true
+			rs[i] = r
+		}
+		m.inFlight[tx] = rs
+	}
+}
+
+// powerOff cuts off everything node id hears and ends its transmitting.
+func (m *rxTracker) powerOff(id topology.NodeID) {
+	clear(m.live[id])
+	delete(m.transmitting, id)
+}
+
+// cutOff reports whether some frame in flight holds an entry for node id
+// that the model has cut off.
+func (m *rxTracker) cutOff(id topology.NodeID) bool {
+	for _, rs := range m.inFlight {
+		for _, r := range rs {
+			if r.node == id && !m.live[id][r] {
+				return true
+			}
+		}
+	}
+	return false
+}
+
+// checkCounterInvariants verifies the receiver counters between kernel
+// steps against the model: each node's heard count is the number of
+// entries addressed to it in frames in flight that it has not been cut off
+// from, its clean count those of them not yet corrupted, and the collision
+// count is the model's. It also checks that every in-flight transmission's
+// destination slot is absent exactly when the destination has no entry and
+// otherwise addresses it, pooled transmissions hold no entries, and end()'s
+// node→slot index is all zeros.
+func checkCounterInvariants(t *testing.T, k *sim.Kernel, n *Network, m *rxTracker, step int) {
+	t.Helper()
+	heard := make([]int32, len(n.nodes))
+	clean := make([]int32, len(n.nodes))
+	for _, rs := range m.inFlight {
+		for _, r := range rs {
+			if m.live[r.node][r] {
+				heard[r.node]++
+				if !r.corrupt {
+					clean[r.node]++
+				}
+			}
+		}
+	}
+	for i := range n.nodes {
+		if ns := &n.nodes[i]; ns.heard != heard[i] || ns.clean != clean[i] {
+			t.Fatalf("step %d: node %d counts %d heard, %d clean; the model %d, %d",
+				step, i, ns.heard, ns.clean, heard[i], clean[i])
+		}
+	}
+	if got := n.Stats().Collisions; got != m.collisions {
+		t.Fatalf("step %d: %d collisions, the model counts %d", step, got, m.collisions)
 	}
 	for _, ev := range k.PendingEvents() {
 		tx, ok := ev.Runner.(*transmission)
@@ -43,7 +158,7 @@ func checkSlotInvariants(t *testing.T, k *sim.Kernel, n *Network, step int) {
 		}
 		want := int32(0)
 		for j, e := range tx.recv {
-			if e.id == tx.to {
+			if topology.NodeID(e.id) == tx.to {
 				want = int32(j) + 1
 			}
 		}
@@ -64,42 +179,21 @@ func checkSlotInvariants(t *testing.T, k *sim.Kernel, n *Network, step int) {
 	}
 }
 
-// staleMeetsRegrown reports whether some frame still in flight holds a heard
-// entry for node id whose position falls inside id's audible list but
-// addresses another frame's hearing: a position left over from before id was
-// power-cycled, which finishReception must recognize as stale.
-func staleMeetsRegrown(k *sim.Kernel, n *Network, id topology.NodeID) bool {
-	audible := n.nodes[id].audible
-	for _, ev := range k.PendingEvents() {
-		tx, ok := ev.Runner.(*transmission)
-		if !ok {
-			continue
-		}
-		for _, e := range tx.recv {
-			if e.id == id && e.flags&rxHeard != 0 && int(e.pos) < len(audible) && audible[e.pos].tx != tx {
-				return true
-			}
-		}
-	}
-	return false
-}
-
-func TestReceiverSetSlotInvariants(t *testing.T) {
+func TestReceiverCounterInvariants(t *testing.T) {
 	// Queues full of broadcasts and unicasts on two 8-node layouts, with one
 	// node power-cycled mid-run and one receiver moved out of range
-	// mid-airtime; the slot and position invariants must hold after every
-	// kernel step. In the cluster everyone hears everyone, so carrier sense
-	// keeps frames apart except where an ACK skips it; on the hidden-terminal
-	// line the middle nodes hear overlapping frames that end in any order,
-	// so removals swap hearings and re-point their positions. Each power
-	// cycle is one step long and starts while the node hears a frame, so
-	// when another frame starts in the same instant, the stale position of
-	// the first meets the re-grown audible list. Cycles repeat until that
-	// has happened.
+	// mid-airtime; the counters must match the model after every kernel
+	// step. In the cluster everyone hears everyone, so carrier sense keeps
+	// frames apart except where an ACK skips it; on the hidden-terminal line
+	// the middle nodes hear overlapping frames that end in any order. Each
+	// power cycle is one step long and starts while the node hears a frame,
+	// so when another frame starts in the same instant, the node counts it
+	// while the frame it was cut off from is still in flight. Cycles repeat
+	// until that has happened.
 	for _, layout := range []struct {
-		name      string
-		build     func(*testing.T) (*sim.Kernel, *Network)
-		wantMoves bool
+		name        string
+		build       func(*testing.T) (*sim.Kernel, *Network)
+		wantOverlap bool
 	}{
 		{"cluster", func(t *testing.T) (*sim.Kernel, *Network) { return clusterNet(t, 0) }, false},
 		{"hidden", hiddenNet, true},
@@ -111,52 +205,78 @@ func TestReceiverSetSlotInvariants(t *testing.T) {
 			}
 			queueRounds(t, n, 4)
 			const off, mover, firstCycle = 3, 7, 100
-			cycles, moves, staleMet, moved := 0, 0, false, false
-			// prev holds every hearing's audible index as the last step left
-			// it. A hearing found lower down has been swapped down; one gone
-			// while its frame still marks it heard was dropped for another.
-			prev, cur := map[hearing]int{}, map[hearing]int{}
+			cycles, overlaps, cutMet, moved := 0, 0, false, false
+			m := newRxTracker()
 			for step := 1; k.Step(); step++ {
-				checkSlotInvariants(t, k, n, step)
-				audibleIndex(n, cur)
-				for h, q := range prev {
-					p, ok := cur[h]
-					switch {
-					case ok && p < q:
-						moves++
-					case !ok && int(h.slot) < len(h.tx.recv) && h.tx.recv[h.slot].flags&rxHeard != 0:
-						t.Fatalf("step %d: node %d lost its hearing of a frame still on the air", step, h.tx.recv[h.slot].id)
+				m.step(k)
+				checkCounterInvariants(t, k, n, m, step)
+				for i := range n.nodes {
+					if n.nodes[i].heard > 1 {
+						overlaps++
 					}
 				}
-				if cycles > 0 && !staleMet {
-					staleMet = staleMeetsRegrown(k, n, off)
+				if cycles > 0 && !cutMet {
+					cutMet = n.nodes[off].heard > 0 && m.cutOff(off)
 				}
 				switch {
 				case !n.On(off):
 					n.SetOn(off, true)
-				case step >= firstCycle && !staleMet && len(n.nodes[off].audible) > 0:
+				case step >= firstCycle && !cutMet && n.nodes[off].heard > 0:
 					n.SetOn(off, false)
+					m.powerOff(off)
 					cycles++
 				}
-				if !moved && len(n.nodes[mover].audible) > 0 {
+				if !moved && n.nodes[mover].heard > 0 {
 					n.field.MoveNode(mover, geom.Point{X: 900, Y: 50000})
 					moved = true
 				}
-				audibleIndex(n, prev)
 			}
 			if cycles == 0 || !moved {
 				t.Fatalf("power cycles %d, moved %v: the run ended too early", cycles, moved)
 			}
-			if !staleMet {
-				t.Fatalf("after %d power cycles no stale position met node %d's re-grown audible list", cycles, off)
+			if !cutMet {
+				t.Fatalf("after %d power cycles node %d never heard a frame while cut off from another", cycles, off)
 			}
-			if layout.wantMoves && moves == 0 {
-				t.Fatal("no hearing was swapped down an audible list: positions were never re-pointed")
+			if layout.wantOverlap && overlaps == 0 {
+				t.Fatal("no node ever heard two frames at once")
 			}
 			if n.Stats().Collisions == 0 {
 				t.Fatal("no collisions: the layout was not contended")
 			}
 		})
+	}
+}
+
+func TestPowerCycledDestinationIsNotAcked(t *testing.T) {
+	// The destination is switched off and back on while a unicast to it is
+	// on the air. It never finished receiving the frame, so it must not ACK
+	// it: the sender retries, and the retry delivers the frame once.
+	k, n := line(t, 1, 0, 30)
+	var c capture
+	n.SetReceiver(1, c.receiver(k))
+	type outcome struct {
+		acked   bool
+		retries int
+	}
+	var got []outcome
+	n.SetUnicastOutcomeHook(func(_, _ topology.NodeID, _ Frame, acked bool, retries int) {
+		got = append(got, outcome{acked, retries})
+	})
+	if err := n.Unicast(0, 1, Frame{Bytes: 64, Payload: "cut"}); err != nil {
+		t.Fatal(err)
+	}
+	stepUntilOnAir(t, k, n, 0)
+	n.SetOn(1, false)
+	n.SetOn(1, true)
+	k.Run(time.Second)
+	if len(c.from) != 1 || c.data[0] != "cut" {
+		t.Fatalf("destination received %v, want the frame once", c.data)
+	}
+	if want := []outcome{{true, 1}}; !slices.Equal(got, want) {
+		t.Fatalf("outcomes %+v, want %+v", got, want)
+	}
+	if s := n.Stats(); s.AcksMissing != 1 || s.Retries != 1 || s.Delivered != 1 {
+		t.Fatalf("stats %+v: want one missing ACK, one retry, one delivery", s)
 	}
 }
 
@@ -173,17 +293,6 @@ func queueRounds(t *testing.T, n *Network, rounds int) {
 			if err := n.Unicast(id, topology.NodeID((i+1)%8), Frame{Bytes: 96, Payload: i}); err != nil {
 				t.Fatal(err)
 			}
-		}
-	}
-}
-
-// audibleIndex fills into with every hearing's index in its node's audible
-// list.
-func audibleIndex(n *Network, into map[hearing]int) {
-	clear(into)
-	for i := range n.nodes {
-		for p, h := range n.nodes[i].audible {
-			into[h] = p
 		}
 	}
 }
